@@ -3,8 +3,10 @@
     loopalg --space {cp|hp} --n <int> <command> [args] [--format text|json|latex]
 
 Exit codes: 0 on success, 1 when a verification sweep finds a counterexample,
-2 for usage or expression errors.  The environment variable LOOPALG_MAX_LEVEL
-(default 8) caps verification sweeps when --max-k is not given.
+2 for usage or expression errors, 3 for an internal error (an exception the
+package did not expect, such as a PipelineMatchError), reported on one line
+of stderr.  The environment variable LOOPALG_MAX_LEVEL (default 8) caps
+verification sweeps when --max-k is not given.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .verify import verify_gysin_values, verify_ring_axioms, verify_structure
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _GEN_TOKEN = re.compile(r"^(ab|a)(\d+)$")
 
@@ -368,6 +371,10 @@ def run(argv: list[str]) -> int:
     except (UsageError, ExprError, ValueError) as err:
         print(f"loopalg: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as err:
+        detail = " ".join(str(err).split())
+        print(f"loopalg: internal error: {type(err).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

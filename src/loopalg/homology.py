@@ -14,6 +14,7 @@ changing either one means re-deriving those signs.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .ring import (
@@ -155,8 +156,8 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
     out: dict[Monomial, Fraction] = {}
     for ma, ca in a.terms.items():
         for mx, cx in x.terms.items():
-            sub = tuple(ex - ea for ex, ea in zip(mx, ma))
-            if any(e < 0 for e in sub):
+            sub = tuple(map(operator.sub, mx, ma))
+            if min(sub, default=0) < 0:
                 continue
             sign = ring.merge_sign(sub, ma)
             piece = ca * cx if sign > 0 else -(ca * cx)
@@ -252,8 +253,8 @@ class RingMap:
                 raise RingMismatchError(f"image of {g.name!r} lives over the wrong ring")
             if img.terms and img.degree() != g.degree:
                 raise ValueError(f"image of {g.name!r} is not of degree {g.degree}")
-            pows = [target.one()]
-            for _ in range(g.truncation):
+            pows = [target.one(), img]
+            for _ in range(g.truncation - 1):
                 pows.append(pows[-1] * img)
             if not pows[g.truncation].is_zero():
                 raise ValueError(f"image of {g.name!r} violates its truncation")
@@ -266,14 +267,18 @@ class RingMap:
     def __call__(self, elem: RingElement) -> RingElement:
         if elem.ring != self.source:
             raise RingMismatchError("element does not live over the map's source")
-        out = self.target.zero()
+        out: dict[Monomial, Fraction] = {}
         for m, c in elem.terms.items():
-            acc = self.target.one()
+            acc = None
             for pos, e in enumerate(m):
                 if e:
-                    acc = acc * self._powers[pos][e]
-            out = out + acc * c
-        return out
+                    power = self._powers[pos][e]
+                    acc = power if acc is None else acc * power
+            if acc is None:
+                acc = self.target.one()
+            for mono, coeff in acc.terms.items():
+                out[mono] = out.get(mono, Fraction(0)) + coeff * c
+        return RingElement(self.target, out)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{n} -> {img}" for n, img in self.images.items())

@@ -7,13 +7,17 @@ product is brought back to it, picking up a Koszul sign for each transposition
 of odd-degree factors.  Coefficients are exact `fractions.Fraction` values,
 never floats.
 
-Everything here is immutable after construction and all operations are pure,
-so rings and elements can be shared freely between threads.
+Rings are not modified after construction, and the arithmetic operations
+build new elements instead of changing their operands.  Elements are not
+frozen, though: ``RingElement.terms`` is a plain dict that any caller can
+mutate, so elements are unhashable and the module makes no thread-safety
+promise.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +105,9 @@ class Ring:
         self._suffix_top = tuple(suffix)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ring) and self.generators == other.generators
+        return self is other or (
+            isinstance(other, Ring) and self.generators == other.generators
+        )
 
     def __hash__(self) -> int:
         return hash(self.generators)
@@ -127,7 +133,7 @@ class Ring:
         return tuple(exps)
 
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(d * e for d, e in zip(self.degrees, m))
+        return sum(map(operator.mul, self.degrees, m))
 
     def exponents_by_name(self, m: Monomial) -> dict[str, int]:
         """Nonzero exponents of ``m`` keyed by generator name, in ring order."""
@@ -159,20 +165,14 @@ class Ring:
 
         Counts the transpositions of odd-degree factors: one for every pair
         of positions i > j with an odd generator of ``left`` at i moving past
-        an odd generator of ``right`` at j.
+        an odd generator of ``right`` at j.  One pass over the odd positions
+        keeps the running count of odd factors of ``right`` seen so far, so
+        the cost is linear in the number of generators.
         """
-        total = 0
-        odd = self._odd_positions
-        for i in odd:
-            ei = left[i]
-            if not ei:
-                continue
-            for j in odd:
-                if j >= i:
-                    break
-                ej = right[j]
-                if ej:
-                    total += ei * ej
+        total = seen = 0
+        for i in self._odd_positions:
+            total += left[i] * seen
+            seen += right[i]
         return -1 if total & 1 else 1
 
     def mul_monomials(self, ma: Monomial, mb: Monomial) -> tuple[Monomial, int] | None:
@@ -212,29 +212,41 @@ class Ring:
     # -- enumeration -----------------------------------------------------
 
     def basis(self, d: int) -> list[Monomial]:
-        """All monomials of degree exactly ``d``, lexicographically ordered."""
+        """All monomials of degree exactly ``d``, lexicographically ordered.
+
+        A depth-first walk over the positions with an explicit cursor, so
+        rings with thousands of generators do not hit the recursion limit.
+        Branches whose remaining degree exceeds what the later generators
+        can reach are cut.
+        """
         if d < 0:
             raise ValueError("degree must be non-negative")
         r = len(self.generators)
+        suffix = self._suffix_top
         out: list[Monomial] = []
+        if d > suffix[0]:
+            return out
         exps = [0] * r
-
-        def fill(pos: int, remaining: int) -> None:
-            if remaining > self._suffix_top[pos]:
-                return
+        remaining = [d] + [0] * r
+        pos, e = 0, 0  # e is the next exponent to try at pos
+        while pos >= 0:
+            if pos < r and e < self.truncations[pos]:
+                rest = remaining[pos] - e * self.degrees[pos]
+                if rest >= 0:
+                    exps[pos] = e
+                    if rest <= suffix[pos + 1]:
+                        remaining[pos + 1] = rest
+                        pos, e = pos + 1, 0
+                    else:
+                        e += 1
+                    continue
             if pos == r:
                 out.append(tuple(exps))
-                return
-            deg = self.degrees[pos]
-            for e in range(self.truncations[pos]):
-                rest = remaining - e * deg
-                if rest < 0:
-                    break
-                exps[pos] = e
-                fill(pos + 1, rest)
-            exps[pos] = 0
-
-        fill(0, d)
+            else:
+                exps[pos] = 0
+            pos -= 1
+            if pos >= 0:
+                e = exps[pos] + 1
         return out
 
     def poincare_series(self, max_degree: int) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@
 import json
 
 from loopalg import Report
-from loopalg.cli import run
+from loopalg.cli import EXIT_INTERNAL, run
+from loopalg.loops import PipelineMatchError
 
 
 def call(capsys, *argv):
@@ -299,3 +300,18 @@ class TestUsage:
         code, _, err = call(capsys, "--space", "cp", "--n", "2", "coproduct", "s[1,0]")
         assert code == 2
         assert "loop-homology" in err
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def broken(x):
+            raise PipelineMatchError("level 3, m=1: capped class\nmissed the table")
+
+        monkeypatch.setattr("loopalg.cli.coproduct_pipeline", broken)
+        code, out, err = call(
+            capsys, "--space", "cp", "--n", "2", "coproduct", "A[3,1]", "--route", "pipeline"
+        )
+        assert code == EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == (
+            "loopalg: internal error: PipelineMatchError: "
+            "level 3, m=1: capped class missed the table\n"
+        )

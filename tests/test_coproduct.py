@@ -186,6 +186,13 @@ class TestRouteAgreement:
         x = c * LoopClass.generator(p, kind, k, i)
         assert coproduct_pipeline(x, cp3) == coproduct_closed(x)
 
+    def test_high_level_agrees(self, cp2, hp2):
+        for cat in (cp2, hp2):
+            p = cat.params
+            for kind, i in itertools.product("AB", range(p.n)):
+                x = LoopClass.generator(p, kind, 120, i)
+                assert coproduct_pipeline(x, cat) == coproduct_closed(x)
+
     def test_verify_pipeline_sweep(self, cp2, hp1):
         assert verify_pipeline(cp2.params, 4, cp2).passed
         assert verify_pipeline(hp1.params, 4, hp1).passed

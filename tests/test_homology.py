@@ -168,6 +168,31 @@ class TestRingMap:
                 y = ring.element({mb: 1})
                 assert f(x * y) == f(x) * f(y)
 
+    def test_multi_term_element_with_unit(self, space):
+        ring = space.ring
+        a, u, v = ring.gen("a"), ring.gen("u"), ring.gen("v")
+        images = {"a": a, "u": u, "v": a * u + v}
+        f = RingMap(ring, ring, images)
+        elem = ring.element(
+            {
+                ring.monomial(): Fraction(3, 2),
+                ring.monomial({"a": 1, "u": 1}): -2,
+                ring.monomial({"a": 2, "v": 1}): 5,
+                ring.monomial({"a": 1, "u": 1, "v": 1}): Fraction(1, 3),
+                ring.monomial({"u": 1, "v": 1}): 7,
+            }
+        )
+        expect = ring.zero()
+        for m, c in elem.terms.items():
+            term = ring.one()
+            for g, e in zip(ring.generators, m):
+                for _ in range(e):
+                    term = term * images[g.name]
+            expect = expect + c * term
+        assert f(elem) == expect
+        assert f(Fraction(3, 2) * ring.one()) == Fraction(3, 2) * ring.one()
+        assert f(ring.zero()).is_zero()
+
 
 class TestGysin:
     # the wrong-way map of f: X -> Y runs against homology pushforward:

@@ -16,6 +16,8 @@ from loopalg import (
     Generator,
     Ring,
     RingMismatchError,
+    SpaceParams,
+    catalog_for,
     cross,
     cup,
     tensor_ring,
@@ -116,6 +118,19 @@ class TestBasisAndSeries:
         with pytest.raises(ValueError):
             mixed.basis(-1)
 
+    def test_basis_of_a_ring_deeper_than_the_recursion_limit(self, cp2):
+        # 1201 generators: a, b and x1 .. x1199, degrees 2, 5 and 1, 3 alternating
+        ring = cp2.gamma(600).ring
+        assert len(ring.generators) == 1201
+        assert ring.basis(0) == [ring.monomial()]
+        odd = [ring.monomial({f"x{j}": 1}) for j in range(1, 1200, 2)]
+        assert ring.basis(1) == sorted(odd)
+        assert ring.basis(ring.top_degree) == [ring.top_monomial]
+        below_top = ring.basis(ring.top_degree - 1)
+        assert len(below_top) == 600
+        assert below_top == sorted(below_top)
+        assert ring.basis(ring.top_degree + 1) == []
+
 
 class TestSigns:
     def test_merge_sign_matches_transposition_count(self, mixed):
@@ -125,6 +140,20 @@ class TestSigns:
                 assert mixed.merge_sign(left, right) == sign_by_transpositions(
                     mixed, left, right
                 )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        token=st.sampled_from(["cp", "hp"]),
+        n=st.integers(min_value=1, max_value=3),
+        k=st.integers(min_value=1, max_value=40),
+        data=st.data(),
+    )
+    def test_merge_sign_on_level_rings(self, token, n, k, data):
+        # level-k rings carry 2k - 1 odd or even exterior generators
+        ring = catalog_for(SpaceParams.from_token(token, n)).gamma(k).ring
+        monomial = st.tuples(*(st.integers(0, t - 1) for t in ring.truncations))
+        left, right = data.draw(monomial), data.draw(monomial)
+        assert ring.merge_sign(left, right) == sign_by_transpositions(ring, left, right)
 
     def test_odd_square_is_zero(self, mixed):
         u = mixed.gen("u")
