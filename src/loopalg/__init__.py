@@ -17,7 +17,6 @@ from .homology import (
     diagonal_pushforward,
     dual,
     gysin,
-    homology_cross,
     pairing,
     pd,
     pd_inverse,
@@ -29,12 +28,10 @@ from .loops import (
     PresMonomial,
     TensorCohClass,
     TensorLoopClass,
-    betti,
     betti_table,
     coh_cross,
     coproduct_closed,
     coproduct_pipeline,
-    generator_degree,
     gh_dual_pairing,
     gh_product,
     gh_product_pairs,
@@ -53,9 +50,8 @@ from .ring import (
     TensorRing,
     cross,
     cup,
-    tensor_ring,
 )
-from .spaces import SpaceCatalog, SpaceParams, catalog_for
+from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 from .verify import Report, verify_gysin_values, verify_ring_axioms, verify_structure
 
 __version__ = "0.1.0"
@@ -79,7 +75,6 @@ __all__ = [
     "TensorCohClass",
     "TensorLoopClass",
     "TensorRing",
-    "betti",
     "betti_table",
     "cap",
     "catalog_for",
@@ -98,14 +93,12 @@ __all__ = [
     "gh_product",
     "gh_product_pairs",
     "gysin",
-    "homology_cross",
     "pairing",
     "parse",
     "pd",
     "pd_inverse",
     "presentation_normalize",
     "tensor_pairing",
-    "tensor_ring",
     "verify_coassociativity",
     "verify_duality",
     "verify_gysin_values",

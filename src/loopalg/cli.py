@@ -4,8 +4,8 @@
 
 Exit codes: 0 on success, 1 when a verification sweep finds a counterexample,
 2 for usage or expression errors, 3 for an internal error (an exception the
-package did not expect, such as a PipelineMatchError), reported on one line
-of stderr.  The environment variable LOOPALG_MAX_LEVEL (default 8) caps
+package did not expect, such as a PipelineMatchError or RingMismatchError),
+reported on one line of stderr.  The environment variable LOOPALG_MAX_LEVEL (default 8) caps
 verification sweeps when --max-k is not given.
 """
 
@@ -18,7 +18,7 @@ import re
 import sys
 
 from .expr import ExprError, evaluate, format_latex, format_text, parse
-from .homology import HomologyElement, cap, dual, gysin
+from .homology import HomologyElement, cap, gysin
 from .loops import (
     CohClass,
     LoopClass,
@@ -26,7 +26,6 @@ from .loops import (
     betti_table,
     coproduct_closed,
     coproduct_pipeline,
-    generator_degree,
     gh_product,
     gh_product_pairs,
     verify_coassociativity,
@@ -34,8 +33,8 @@ from .loops import (
     verify_pipeline,
     verify_presentation,
 )
-from .spaces import SpaceParams, catalog_for
-from .verify import verify_gysin_values, verify_ring_axioms, verify_structure
+from .spaces import SpaceParams, catalog_for, generator_degree
+from .verify import Report, verify_gysin_values, verify_ring_axioms, verify_structure
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,6 +46,25 @@ _GEN_TOKEN = re.compile(r"^(ab|a)(\d+)$")
 
 class UsageError(Exception):
     pass
+
+
+def _verify_rings(params: SpaceParams, level: int) -> Report:
+    report = verify_ring_axioms(params)
+    report.absorb(verify_structure(params, max_k=level))
+    return report
+
+
+# Suite name -> sweep(params, level).  Each entry looks its sweeps up on this
+# module when it runs, so a sweep rebound here (a test double, a tracer) is the
+# one called.
+SUITES = {
+    "duality": lambda params, level: verify_duality(params, level),
+    "coassoc": lambda params, level: verify_coassociativity(params, level),
+    "pipeline": lambda params, level: verify_pipeline(params, level),
+    "presentation": lambda params, level: verify_presentation(params, level),
+    "gysin": lambda params, level: verify_gysin_values(params, level),
+    "rings": _verify_rings,
+}
 
 
 def _positive_int(text: str) -> int:
@@ -98,10 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument(
-        "suite",
-        choices=["duality", "coassoc", "pipeline", "presentation", "gysin", "rings"],
-    )
+    p.add_argument("suite", choices=list(SUITES))
     p.add_argument("--max-k", type=_positive_int, default=None)
     common(p)
 
@@ -137,9 +152,8 @@ def _class_terms_json(obj) -> list[dict]:
 def _homology_terms_json(x: HomologyElement) -> list[dict]:
     out = []
     ring = x.ring
-    order = sorted(x.terms, key=lambda m: (ring.monomial_degree(m), m))
-    for m in order:
-        out.append({"coeff": str(x.terms[m]), "dual": ring.exponents_by_name(m)})
+    for m, c in x.sorted_terms():
+        out.append({"coeff": str(c), "dual": ring.exponents_by_name(m)})
     return out
 
 
@@ -156,8 +170,7 @@ def _homology_latex(x: HomologyElement) -> str:
         return "0"
     ring = x.ring
     bits = []
-    for m in sorted(x.terms, key=lambda mm: (ring.monomial_degree(mm), mm)):
-        c = x.terms[m]
+    for m, c in x.sorted_terms():
         parts = []
         for g, e in zip(ring.generators, m):
             if not e:
@@ -289,13 +302,8 @@ def _cmd_cap(args, params: SpaceParams) -> int:
     k, m = args.k, args.m
     if not 1 <= m <= k - 1:
         raise UsageError(f"break index m={m} outside 1 .. {k - 1}")
-    ring = cat.gamma(k).ring
-    exps = {f"x{j}": 1 for j in range(1, 2 * k)}
-    if i:
-        exps["a"] = i
-    if with_b:
-        exps["b"] = 1
-    out = cap(ring.gen(f"x{2 * m}"), dual(ring, ring.monomial(exps)))
+    carrier = cat.gamma_dual(k, i, with_b)
+    out = cap(carrier.ring.gen(f"x{2 * m}"), carrier)
     payload = {
         "input": args.gen,
         "k": k,
@@ -322,20 +330,7 @@ def _cmd_table(args, params: SpaceParams) -> int:
 
 
 def _cmd_verify(args, params: SpaceParams) -> int:
-    level = _max_level(args)
-    if args.suite == "duality":
-        report = verify_duality(params, level)
-    elif args.suite == "coassoc":
-        report = verify_coassociativity(params, level)
-    elif args.suite == "pipeline":
-        report = verify_pipeline(params, level)
-    elif args.suite == "presentation":
-        report = verify_presentation(params, level)
-    elif args.suite == "gysin":
-        report = verify_gysin_values(params, level)
-    else:
-        report = verify_ring_axioms(params)
-        report.absorb(verify_structure(params, max_k=level))
+    report = SUITES[args.suite](params, _max_level(args))
     payload = {
         "suite": args.suite,
         "passed": report.passed,

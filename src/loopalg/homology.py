@@ -18,13 +18,12 @@ import operator
 from fractions import Fraction
 
 from .ring import (
+    Combination,
     Monomial,
     Ring,
     RingElement,
     RingMismatchError,
     TensorRing,
-    as_coeff,
-    tensor_ring,
 )
 
 __all__ = [
@@ -35,90 +34,21 @@ __all__ = [
     "diagonal_pushforward",
     "dual",
     "gysin",
-    "homology_cross",
     "pairing",
     "pd",
     "pd_inverse",
 ]
 
 
-class HomologyElement:
+class HomologyElement(Combination):
     """Sparse rational combination of dual basis classes of a ring."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
 
-    def __init__(self, ring: Ring, terms: dict[Monomial, int | Fraction]):
-        clean: dict[Monomial, Fraction] = {}
-        for m, c in terms.items():
-            c = as_coeff(c)
-            if c:
-                clean[m] = c
-        self.ring = ring
-        self.terms = clean
+    ring = Combination.owner
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree(self) -> int | None:
-        degs = {self.ring.monomial_degree(m) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def __add__(self, other: HomologyElement) -> HomologyElement:
-        if not isinstance(other, HomologyElement):
-            return NotImplemented
-        if self.ring != other.ring:
-            raise RingMismatchError("sum of classes over different rings")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return HomologyElement(self.ring, out)
-
-    def __neg__(self) -> HomologyElement:
-        return HomologyElement(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: HomologyElement) -> HomologyElement:
-        if not isinstance(other, HomologyElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: int | Fraction) -> HomologyElement:
-        scalar = as_coeff(other)
-        return HomologyElement(self.ring, {m: c * scalar for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HomologyElement)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        order = sorted(self.terms, key=lambda m: (self.ring.monomial_degree(m), m))
-        for m in order:
-            c = self.terms[m]
-            body = f"[{self.ring.monomial_str(m)}]"
-            if c == 1:
-                bits.append(body)
-            elif c == -1:
-                bits.append(f"-{body}")
-            else:
-                bits.append(f"{c}*{body}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"<{self}>"
+    def _body(self, m: Monomial) -> str:
+        return f"[{self.ring.monomial_str(m)}]"
 
 
 def dual(ring: Ring, m: Monomial, coeff: int | Fraction = 1) -> HomologyElement:
@@ -163,18 +93,6 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
             piece = ca * cx if sign > 0 else -(ca * cx)
             out[sub] = out.get(sub, Fraction(0)) + piece
     return HomologyElement(ring, out)
-
-
-def homology_cross(x: HomologyElement, y: HomologyElement, tensor: TensorRing) -> HomologyElement:
-    """Cross product of homology classes into the tensor ring's dual basis."""
-    if tensor.left != x.ring or tensor.right != y.ring:
-        raise RingMismatchError("cross factors do not match the tensor ring")
-    out: dict[Monomial, Fraction] = {}
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            m = tensor.combine(mx, my)
-            out[m] = out.get(m, Fraction(0)) + cx * cy
-    return HomologyElement(tensor, out)
 
 
 def _require_homogeneous(x, what: str) -> None:
@@ -318,7 +236,7 @@ def diagonal_pushforward(x: HomologyElement, tensor: TensorRing | None = None) -
     """
     ring = x.ring
     if tensor is None:
-        tensor = tensor_ring(ring, ring)
+        tensor = TensorRing(ring, ring)
     if tensor.left != ring or tensor.right != ring:
         raise RingMismatchError("tensor ring is not the square of the class's ring")
     out: dict[Monomial, Fraction] = {}

@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homology import HomologyElement, cap, diagonal_pushforward, dual
-from .ring import RingElement, as_coeff
-from .spaces import SpaceCatalog, SpaceParams, catalog_for
+from .homology import HomologyElement, cap, diagonal_pushforward
+from .ring import Combination, RingElement
+from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 from .verify import Report
 
 __all__ = [
@@ -27,15 +27,12 @@ __all__ = [
     "PresMonomial",
     "TensorCohClass",
     "TensorLoopClass",
-    "ThomPullback",
-    "betti",
     "betti_table",
     "cap_with_thom",
     "coh_cross",
     "coproduct_closed",
     "coproduct_pipeline",
     "gamma_class",
-    "generator_degree",
     "gh_dual_pairing",
     "gh_product",
     "gh_product_pairs",
@@ -60,35 +57,20 @@ class PipelineMatchError(RuntimeError):
     """
 
 
-def generator_degree(params: SpaceParams, kind: str, k: int, i: int) -> int:
-    """Homology degree of A/B (equal to the degree of s/m) at (k, i)."""
-    params.check_index(i)
-    base = params.lambda_k(k)
-    if kind in ("A", "s"):
-        return base + i * (params.lam + 1)
-    if kind in ("B", "m"):
-        return base + (i + 1) * (params.lam + 1) + params.N - 1
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-class _FormalSum:
-    """Shared container behavior for the four class types."""
+class _FormalSum(Combination):
+    """Key validation, degrees and printing shared by the four class types."""
 
     kinds: frozenset[str] = frozenset()
     pair = False
 
-    __slots__ = ("params", "terms")
+    __slots__ = ()
+
+    params = Combination.owner
 
     def __init__(self, params: SpaceParams, terms: dict | None = None):
-        self.params = params
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = as_coeff(c)
-            if not c:
-                continue
+        super().__init__(params, terms or {})
+        for key in self.terms:
             self._check_key(key)
-            clean[key] = c
-        self.terms = clean
 
     def _check_key(self, key) -> None:
         parts = key if self.pair else (key,)
@@ -112,70 +94,25 @@ class _FormalSum:
             return sum(generator_degree(self.params, *part) for part in key)
         return generator_degree(self.params, *key)
 
-    def degree(self) -> int | None:
-        degs = {self._key_degree(key) for key in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+    def _sort_key(self, key):
+        parts = key if self.pair else (key,)
+        return tuple((_KIND_RANK[kind], k, i) for kind, k, i in parts)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def sorted_terms(self) -> list[tuple[object, Fraction]]:
-        def rank(key):
-            parts = key if self.pair else (key,)
-            return tuple((_KIND_RANK[kind], k, i) for kind, k, i in parts)
-
-        return [(key, self.terms[key]) for key in sorted(self.terms, key=rank)]
-
-    def _same(self, other) -> None:
-        if type(other) is not type(self) or other.params != self.params:
-            raise ValueError("operands are classes over different spaces")
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return type(self)(self.params, out)
-
-    def __neg__(self):
-        return type(self)(self.params, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        scalar = as_coeff(scalar)
-        return type(self)(self.params, {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is type(self)
-            and self.params == other.params
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
+    def _body(self, key) -> str:
+        parts = key if self.pair else (key,)
+        return " x ".join(f"{kind}[{k},{i}]" for kind, k, i in parts)
 
     def __repr__(self) -> str:
+        """Unsigned: a negative coefficient prints as ``+ -c*...``."""
         if not self.terms:
             return "0"
-
-        def atom(part):
-            kind, k, i = part
-            return f"{kind}[{k},{i}]"
-
         bits = []
         for key, c in self.sorted_terms():
-            body = " x ".join(atom(p) for p in key) if self.pair else atom(key)
+            body = self._body(key)
             bits.append(body if c == 1 else f"{c}*{body}")
         return " + ".join(bits)
+
+    __str__ = __repr__
 
 
 class LoopClass(_FormalSum):
@@ -232,23 +169,16 @@ def _bump(d: dict, key, c) -> None:
 # -- the coproduct, completing-manifold pipeline ----------------------
 
 
-@dataclass(frozen=True)
-class ThomPullback:
+def thom_pullback(catalog: SpaceCatalog, k: int) -> tuple[tuple[int, RingElement], ...]:
     """Pullback of the tubular Thom class to the level-k manifold.
 
-    One fiber class x_{2m} per interior break index m; the index doubles as
-    the marker of the interval factor it pairs with.
+    One fiber class x_{2m} per interior break index m, as ``(m, x_{2m})``
+    pairs; the index doubles as the marker of the interval factor it pairs
+    with.  Empty at level 1.
     """
-
-    k: int
-    terms: tuple[tuple[int, RingElement], ...]
-
-
-def thom_pullback(catalog: SpaceCatalog, k: int) -> ThomPullback:
-    """The fiber classes x_2, x_4, .. x_{2(k-1)}; empty at level 1."""
     catalog.params.check_level(k)
     ring = catalog.gamma(k).ring
-    return ThomPullback(k, tuple((m, ring.gen(f"x{2 * m}")) for m in range(1, k)))
+    return tuple((m, ring.gen(f"x{2 * m}")) for m in range(1, k))
 
 
 def gamma_class(catalog: SpaceCatalog, kind: str, k: int, i: int) -> HomologyElement:
@@ -257,18 +187,9 @@ def gamma_class(catalog: SpaceCatalog, kind: str, k: int, i: int) -> HomologyEle
     A classes are carried by -[a^i x_1 .. x_{2k-1}] and B classes by
     +[a^i b x_1 .. x_{2k-1}].
     """
-    params = catalog.params
-    params.check_level(k)
-    params.check_index(i)
     if kind not in ("A", "B"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    ring = catalog.gamma(k).ring
-    exps = {f"x{j}": 1 for j in range(1, 2 * k)}
-    if i:
-        exps["a"] = i
-    if kind == "B":
-        exps["b"] = 1
-    return dual(ring, ring.monomial(exps), 1 if kind == "B" else -1)
+    return catalog.gamma_dual(k, i, kind == "B", 1 if kind == "B" else -1)
 
 
 def cap_with_thom(
@@ -282,7 +203,7 @@ def cap_with_thom(
     if x.terms and x.degree() is None:
         raise ValueError("cap_with_thom input must be homogeneous")
     sign = -1 if (x.degree() or 0) % 2 else 1
-    return [(m, cap(xi, x) * sign) for m, xi in thom_pullback(catalog, k).terms]
+    return [(m, cap(xi, x) * sign) for m, xi in thom_pullback(catalog, k)]
 
 
 def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[tuple[int, bool], Fraction]:
@@ -337,14 +258,7 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
         for m, z in cap_with_thom(cat, k, carrier):
             matched = _match_wrongway(cat, k, m, z)
             for (j, with_b), cu in matched.items():
-                exps: dict[str, int] = {}
-                if j:
-                    exps["a"] = j
-                if with_b:
-                    exps["b"] = 1
-                spread = diagonal_pushforward(
-                    dual(cat.sm.ring, cat.sm.ring.monomial(exps)), cat.sm_tensor
-                )
+                spread = diagonal_pushforward(cat.sm_dual(j, with_b), cat.sm_tensor)
                 for tmono, dc in spread.terms.items():
                     ml, mr = cat.sm_tensor.split(tmono)
                     key = (
@@ -520,22 +434,6 @@ def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
 
 
 # -- Betti numbers -----------------------------------------------------
-
-
-def betti(params: SpaceParams, d: int) -> int:
-    """Dimension of the relative loop homology in degree d."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    count = 0
-    k = 1
-    while params.lambda_k(k) <= d:
-        for i in range(params.n):
-            if generator_degree(params, "A", k, i) == d:
-                count += 1
-            if generator_degree(params, "B", k, i) == d:
-                count += 1
-        k += 1
-    return count
 
 
 def betti_table(params: SpaceParams, max_degree: int) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ never floats.
 
 Rings are not modified after construction, and the arithmetic operations
 build new elements instead of changing their operands.  Elements are not
-frozen, though: ``RingElement.terms`` is a plain dict that any caller can
+frozen, though: ``Combination.terms`` is a plain dict that any caller can
 mutate, so elements are unhashable and the module makes no thread-safety
 promise.
 """
@@ -25,6 +25,7 @@ from fractions import Fraction
 Monomial = tuple[int, ...]
 
 __all__ = [
+    "Combination",
     "Generator",
     "Monomial",
     "Ring",
@@ -34,12 +35,15 @@ __all__ = [
     "as_coeff",
     "cross",
     "cup",
-    "tensor_ring",
 ]
 
 
-class RingMismatchError(ValueError):
-    """Operands belong to different rings."""
+class RingMismatchError(TypeError):
+    """Operands belong to different rings or spaces.
+
+    A ``TypeError``, not a ``ValueError``: it signals a program fault, not bad
+    input, so the CLI reports it as an internal error.
+    """
 
 
 def as_coeff(value: int | Fraction) -> Fraction:
@@ -268,18 +272,26 @@ class Ring:
         return list(enumerate(dims))
 
 
-class RingElement:
-    """Sparse rational combination of normal-ordered monomials."""
+class Combination:
+    """Sparse rational combination of keys over an owner, a ring or a space.
 
-    __slots__ = ("ring", "terms")
+    ``terms`` maps each key to its nonzero ``Fraction`` coefficient.  The
+    ring, homology and loop-class types share this arithmetic.  A subclass
+    supplies the degree and the printed body of a key through
+    ``_key_degree`` and ``_body``, and names the owner by binding the
+    ``owner`` slot descriptor under a second name (``ring``, ``params``), so
+    the alias reads as fast as the slot itself.
+    """
 
-    def __init__(self, ring: Ring, terms: dict[Monomial, int | Fraction]):
-        clean: dict[Monomial, Fraction] = {}
-        for m, c in terms.items():
+    __slots__ = ("owner", "terms")
+
+    def __init__(self, owner, terms: dict):
+        clean: dict = {}
+        for key, c in terms.items():
             c = as_coeff(c)
             if c:
-                clean[m] = c
-        self.ring = ring
+                clean[key] = c
+        self.owner = owner
         self.terms = clean
 
     def is_zero(self) -> bool:
@@ -288,67 +300,68 @@ class RingElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def _key_degree(self, key) -> int:
+        return self.owner.monomial_degree(key)
+
     def degree(self) -> int | None:
-        """The common degree of all monomials, or None when mixed or zero."""
-        degs = {self.ring.monomial_degree(m) for m in self.terms}
+        """The common degree of all keys, or None when mixed or zero."""
+        degs = {self._key_degree(key) for key in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
-    def __add__(self, other: RingElement) -> RingElement:
-        if not isinstance(other, RingElement):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        if self.ring != other.ring:
-            raise RingMismatchError("sum of elements over different rings")
+        if self.owner != other.owner:
+            raise RingMismatchError(
+                f"sum of {type(self).__name__}s over different rings or spaces"
+            )
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return RingElement(self.ring, out)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return type(self)(self.owner, out)
 
-    def __neg__(self) -> RingElement:
-        return RingElement(self.ring, {m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.owner, {key: -c for key, c in self.terms.items()})
 
-    def __sub__(self, other: RingElement) -> RingElement:
-        if not isinstance(other, RingElement):
+    def __sub__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: RingElement | int | Fraction) -> RingElement:
-        if isinstance(other, RingElement):
-            return cup(self, other)
+    def __mul__(self, other: int | Fraction):
         scalar = as_coeff(other)
-        return RingElement(self.ring, {m: c * scalar for m, c in self.terms.items()})
+        return type(self)(self.owner, {key: c * scalar for key, c in self.terms.items()})
 
-    def __rmul__(self, other: int | Fraction) -> RingElement:
-        scalar = as_coeff(other)
-        return RingElement(self.ring, {m: c * scalar for m, c in self.terms.items()})
-
-    def __pow__(self, power: int) -> RingElement:
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("power must be a non-negative integer")
-        out = self.ring.one()
-        for _ in range(power):
-            out = cup(out, self)
-        return out
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, RingElement)
-            and self.ring == other.ring
+            type(other) is type(self)
+            and self.owner == other.owner
             and self.terms == other.terms
         )
 
     __hash__ = None  # mutable container semantics
 
+    def _sort_key(self, key):
+        return (self._key_degree(key), key)
+
+    def sorted_terms(self) -> list[tuple[object, Fraction]]:
+        """``(key, coefficient)`` pairs in printing order."""
+        return [(key, self.terms[key]) for key in sorted(self.terms, key=self._sort_key)]
+
+    def _body(self, key) -> str:
+        raise NotImplementedError
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        order = sorted(self.terms, key=lambda m: (self.ring.monomial_degree(m), m))
-        for m in order:
-            c = self.terms[m]
-            body = self.ring.monomial_str(m)
-            if body == "1":
+        for key, c in self.sorted_terms():
+            body = self._body(key)
+            if body == "1":  # the unit monomial prints as its coefficient
                 bits.append(str(c))
             elif c == 1:
                 bits.append(body)
@@ -360,6 +373,30 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{self}>"
+
+
+class RingElement(Combination):
+    """Sparse rational combination of normal-ordered monomials."""
+
+    __slots__ = ()
+
+    ring = Combination.owner
+
+    def _body(self, m: Monomial) -> str:
+        return self.ring.monomial_str(m)
+
+    def __mul__(self, other: RingElement | int | Fraction) -> RingElement:
+        if isinstance(other, RingElement):
+            return cup(self, other)
+        return super().__mul__(other)
+
+    def __pow__(self, power: int) -> RingElement:
+        if not isinstance(power, int) or power < 0:
+            raise ValueError("power must be a non-negative integer")
+        out = self.ring.one()
+        for _ in range(power):
+            out = cup(out, self)
+        return out
 
 
 def cup(a: RingElement, b: RingElement) -> RingElement:
@@ -412,23 +449,21 @@ class TensorRing(Ring):
         return f"{self.left.monomial_str(ml)} x {self.right.monomial_str(mr)}"
 
 
-def tensor_ring(left: Ring, right: Ring) -> TensorRing:
-    """Tensor square builder; Poincare series multiply, dimensions convolve."""
-    return TensorRing(left, right)
-
-
-def cross(a: RingElement, b: RingElement, tensor: TensorRing) -> RingElement:
+def cross(a: Combination, b: Combination, tensor: TensorRing) -> Combination:
     """Embed the pair (a, b) as a product monomial of the tensor ring.
 
-    No sign appears here; the Koszul sign of the usual product rule
-    ``(a x b)(c x d) = (-1)^(|b||c|) (ac x bd)`` falls out of ``cup`` on the
-    merged monomials.
+    Works for ring elements and for homology classes alike; the result has
+    the operands' type.  No sign appears here; the Koszul sign of the usual
+    product rule ``(a x b)(c x d) = (-1)^(|b||c|) (ac x bd)`` falls out of
+    ``cup`` on the merged monomials.
     """
-    if tensor.left != a.ring or tensor.right != b.ring:
+    if type(a) is not type(b):
+        raise TypeError(f"cross of {type(a).__name__} and {type(b).__name__}")
+    if tensor.left != a.owner or tensor.right != b.owner:
         raise RingMismatchError("cross factors do not match the tensor ring")
     out: dict[Monomial, Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             m = tensor.combine(ma, mb)
             out[m] = out.get(m, Fraction(0)) + ca * cb
-    return RingElement(tensor, out)
+    return type(a)(tensor, out)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin
-from .ring import Generator, Monomial, Ring, TensorRing, tensor_ring
+from .ring import Generator, Monomial, Ring, TensorRing
 
-__all__ = ["SpaceCatalog", "SpaceParams", "catalog_for"]
+__all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
 
 _FAMILY_TOKENS = {
     "cp": "complex",
@@ -83,6 +83,21 @@ class SpaceParams:
             raise ValueError(f"index out of range for n={self.n}")
 
 
+def generator_degree(params: SpaceParams, kind: str, k: int, i: int) -> int:
+    """Homology degree of A/B (equal to the degree of s/m) at (k, i).
+
+    A[k,i] sits in degree lambda_k + i(lam+1), and B[k,i] in
+    lambda_k + (i+1)(lam+1) + N - 1.
+    """
+    params.check_index(i)
+    base = params.lambda_k(k)
+    if kind in ("A", "s"):
+        return base + i * (params.lam + 1)
+    if kind in ("B", "m"):
+        return base + (i + 1) * (params.lam + 1) + params.N - 1
+    raise ValueError(f"unknown generator kind {kind!r}")
+
+
 class SpaceCatalog:
     """Lazily built rings, spaces and pullbacks for one (family, n)."""
 
@@ -126,7 +141,7 @@ class SpaceCatalog:
         """Tensor square of the SM ring, for diagonal pushforwards."""
         if self._sm_tensor is None:
             ring = self.sm.ring
-            self._sm_tensor = tensor_ring(ring, ring)
+            self._sm_tensor = TensorRing(ring, ring)
         return self._sm_tensor
 
     def gamma(self, k: int) -> OrientedSpace:
@@ -168,30 +183,20 @@ class SpaceCatalog:
             self._pV[key] = RingMap(self.sm_pair.ring, gam, images)
         return self._pV[key]
 
-    # -- degree bookkeeping -------------------------------------------
-
-    def deg_A(self, k: int, i: int) -> int:
-        """Degree of the odd family generator at level k: lambda_k + i(lam+1)."""
-        p = self.params
-        p.check_index(i)
-        return p.lambda_k(k) + i * (p.lam + 1)
-
-    def deg_B(self, k: int, i: int) -> int:
-        """Degree of the even family generator: lambda_k + (i+1)(lam+1) + N - 1."""
-        p = self.params
-        p.check_index(i)
-        return p.lambda_k(k) + (i + 1) * (p.lam + 1) + p.N - 1
-
     # -- distinguished classes ----------------------------------------
 
-    def sm_monomial(self, i: int, with_b: bool = False) -> Monomial:
+    def _sm_exponents(self, i: int, with_b: bool) -> dict[str, int]:
+        """Exponents of a^i (times b), the part shared by SM and the rings over it."""
         self.params.check_index(i)
         exps: dict[str, int] = {}
         if i:
             exps["a"] = i
         if with_b:
             exps["b"] = 1
-        return self.sm.ring.monomial(exps)
+        return exps
+
+    def sm_monomial(self, i: int, with_b: bool = False) -> Monomial:
+        return self.sm.ring.monomial(self._sm_exponents(i, with_b))
 
     def sm_dual(self, i: int, with_b: bool = False) -> HomologyElement:
         """Dual class of a^i (times b) over SM."""
@@ -199,14 +204,17 @@ class SpaceCatalog:
 
     def sm_pair_dual(self, i: int, with_b: bool = False) -> HomologyElement:
         """Dual class of a^i (times b) over SM x_M SM."""
-        self.params.check_index(i)
-        exps: dict[str, int] = {}
-        if i:
-            exps["a"] = i
-        if with_b:
-            exps["b"] = 1
         ring = self.sm_pair.ring
-        return dual(ring, ring.monomial(exps))
+        return dual(ring, ring.monomial(self._sm_exponents(i, with_b)))
+
+    def gamma_dual(
+        self, k: int, i: int, with_b: bool = False, coeff: int = 1
+    ) -> HomologyElement:
+        """Dual class of the carrier a^i (times b) x_1 .. x_{2k-1} at level k."""
+        ring = self.gamma(k).ring
+        exps = self._sm_exponents(i, with_b)
+        exps.update({f"x{j}": 1 for j in range(1, 2 * k)})
+        return dual(ring, ring.monomial(exps), coeff)
 
     def pv_gysin_table(self, k: int, m: int) -> dict[Monomial, tuple[Monomial, Fraction]]:
         """Wrong-way images of the full dual basis of SM x_M SM at (k, m).

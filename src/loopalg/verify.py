@@ -19,8 +19,8 @@ from .homology import (
     pd,
     pd_inverse,
 )
-from .ring import cross, tensor_ring
-from .spaces import SpaceParams, catalog_for
+from .ring import TensorRing, cross
+from .spaces import SpaceParams, catalog_for, generator_degree
 
 __all__ = [
     "Report",
@@ -217,7 +217,7 @@ def verify_ring_axioms(params: SpaceParams, random_checks: int = 1000, seed: int
             )
         rep.note(seen == set(monos), f"{ring!r}: pd is not a bijection on bases")
 
-        square = tensor_ring(ring, ring)
+        square = TensorRing(ring, ring)
         for mx, dx in duals.items():
             push = diagonal_pushforward(dx, square)
             for ma, ea in elems.items():
@@ -280,6 +280,6 @@ def verify_structure(params: SpaceParams, max_k: int = 12) -> Report:
         )
         rep.note(series[ring.top_degree] == 1, f"k={k}: top degree not one-dimensional")
         for i in range(params.n):
-            rep.note(cat.deg_A(k, i) % 2 == 1, f"deg_A({k},{i}) is even")
-            rep.note(cat.deg_B(k, i) % 2 == 0, f"deg_B({k},{i}) is odd")
+            rep.note(generator_degree(params, "A", k, i) % 2 == 1, f"A[{k},{i}] has even degree")
+            rep.note(generator_degree(params, "B", k, i) % 2 == 0, f"B[{k},{i}] has odd degree")
     return rep

@@ -5,6 +5,7 @@ import json
 from loopalg import Report
 from loopalg.cli import EXIT_INTERNAL, run
 from loopalg.loops import PipelineMatchError
+from loopalg.ring import RingMismatchError
 
 
 def call(capsys, *argv):
@@ -314,4 +315,17 @@ class TestUsage:
         assert err == (
             "loopalg: internal error: PipelineMatchError: "
             "level 3, m=1: capped class missed the table\n"
+        )
+
+    def test_ring_mismatch_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(x):
+            raise RingMismatchError("sum of\nclasses over different spaces")
+
+        monkeypatch.setattr("loopalg.cli.coproduct_closed", broken)
+        code, out, err = call(capsys, "--space", "cp", "--n", "2", "coproduct", "A[3,1]")
+        assert code == EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == (
+            "loopalg: internal error: RingMismatchError: "
+            "sum of classes over different spaces\n"
         )

@@ -10,16 +10,15 @@ from loopalg import (
     OrientedSpace,
     Ring,
     RingMap,
+    TensorRing,
     cap,
     cross,
     diagonal_pushforward,
     dual,
     gysin,
-    homology_cross,
     pairing,
     pd,
     pd_inverse,
-    tensor_ring,
 )
 
 
@@ -237,7 +236,7 @@ class TestGysin:
 class TestDiagonal:
     def test_dual_to_cup_exhaustive(self, space):
         ring = space.ring
-        t = tensor_ring(ring, ring)
+        t = TensorRing(ring, ring)
         monos = list(ring.monomials())
         for mx in monos:
             dx = diagonal_pushforward(dual(ring, mx), t)
@@ -251,16 +250,16 @@ class TestDiagonal:
 
     def test_split_formula_even_times_odd(self, space):
         ring = space.ring
-        t = tensor_ring(ring, ring)
+        t = TensorRing(ring, ring)
         x = dual(ring, ring.monomial({"a": 1, "u": 1}))
         out = diagonal_pushforward(x, t)
         expect = (
-            homology_cross(dual(ring, ring.monomial()), x, t)
-            + homology_cross(x, dual(ring, ring.monomial()), t)
-            + homology_cross(
+            cross(dual(ring, ring.monomial()), x, t)
+            + cross(x, dual(ring, ring.monomial()), t)
+            + cross(
                 dual(ring, ring.monomial({"a": 1})), dual(ring, ring.monomial({"u": 1})), t
             )
-            + homology_cross(
+            + cross(
                 dual(ring, ring.monomial({"u": 1})), dual(ring, ring.monomial({"a": 1})), t
             )
         )
@@ -269,26 +268,26 @@ class TestDiagonal:
     def test_split_sign_on_two_odds(self, space):
         # <v x u, d[u v]> = <v u, [u v]> = -1 while <u x v, d[u v]> = +1
         ring = space.ring
-        t = tensor_ring(ring, ring)
+        t = TensorRing(ring, ring)
         out = diagonal_pushforward(dual(ring, ring.monomial({"u": 1, "v": 1})), t)
         u = dual(ring, ring.monomial({"u": 1}))
         v = dual(ring, ring.monomial({"v": 1}))
         one = dual(ring, ring.monomial())
         uv = dual(ring, ring.monomial({"u": 1, "v": 1}))
         expect = (
-            homology_cross(one, uv, t)
-            + homology_cross(uv, one, t)
-            + homology_cross(u, v, t)
-            - homology_cross(v, u, t)
+            cross(one, uv, t)
+            + cross(uv, one, t)
+            + cross(u, v, t)
+            - cross(v, u, t)
         )
         assert out == expect
 
     def test_homology_cross_pairs_against_cross_unsigned(self, space):
         ring = space.ring
-        t = tensor_ring(ring, ring)
+        t = TensorRing(ring, ring)
         monos = list(ring.monomials())
         for ma, mb in itertools.product(monos, repeat=2):
-            xy = homology_cross(dual(ring, ma), dual(ring, mb), t)
+            xy = cross(dual(ring, ma), dual(ring, mb), t)
             for mc, md in itertools.product(monos, repeat=2):
                 ab = cross(ring.element({mc: 1}), ring.element({md: 1}), t)
                 expect = Fraction(1 if (mc, md) == (ma, mb) else 0)

@@ -17,10 +17,10 @@ from loopalg import (
     Ring,
     RingMismatchError,
     SpaceParams,
+    TensorRing,
     catalog_for,
     cross,
     cup,
-    tensor_ring,
 )
 
 
@@ -278,11 +278,11 @@ class TestPropertyBased:
 
 class TestTensor:
     def test_tensor_dimension(self, small):
-        t = tensor_ring(small, small)
+        t = TensorRing(small, small)
         assert t.total_dimension == small.total_dimension ** 2
 
     def test_cross_has_no_sign(self, small):
-        t = tensor_ring(small, small)
+        t = TensorRing(small, small)
         u, v = small.gen("u"), small.gen("v")
         m = cross(u, v, t)
         ((mono, coeff),) = m.terms.items()
@@ -294,14 +294,14 @@ class TestTensor:
     def test_product_rule_sign(self, small):
         # the two u's land in different tensor factors, so (a x u)(u x 1)
         # survives; (a x u)(v x 1) = -(a v) x u from one odd-odd swap
-        t = tensor_ring(small, small)
+        t = TensorRing(small, small)
         a, u, v = small.gen("a"), small.gen("u"), small.gen("v")
         assert (cross(a, u, t) * cross(u, small.one(), t)).is_zero() is False
         lhs = cross(a, u, t) * cross(v, small.one(), t)
         assert lhs == -cross(a * v, u, t)
 
     def test_tensor_product_rule_exhaustive(self, small):
-        t = tensor_ring(small, small)
+        t = TensorRing(small, small)
         monos = list(small.monomials())
         for ma, mb, mc, md in itertools.product(monos, repeat=4):
             left = t.element({t.combine(ma, mb): 1})
@@ -314,12 +314,12 @@ class TestTensor:
             assert left * right == sign * cross(ac, bd, t)
 
     def test_name_collisions_prefixed(self, small):
-        t = tensor_ring(small, small)
+        t = TensorRing(small, small)
         names = [g.name for g in t.generators]
         assert names == ["a", "u", "v", "r.a", "r.u", "r.v"]
 
     def test_split_roundtrip(self, small):
-        t = tensor_ring(small, small)
+        t = TensorRing(small, small)
         for m in t.monomials():
             ml, mr = t.split(m)
             assert t.combine(ml, mr) == m

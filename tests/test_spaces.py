@@ -11,13 +11,13 @@ from loopalg import (
     SpaceParams,
     cap,
     catalog_for,
+    cross,
     diagonal_pushforward,
     dual,
     gysin,
-    homology_cross,
     pd,
 )
-from loopalg.spaces import SpaceCatalog
+from loopalg.spaces import SpaceCatalog, generator_degree
 
 
 class TestParams:
@@ -151,36 +151,40 @@ class TestPullbacks:
 
 class TestDegrees:
     def test_deg_values_cp2(self, cp2):
-        assert cp2.deg_A(1, 0) == 1
-        assert cp2.deg_A(1, 1) == 3
-        assert cp2.deg_B(1, 0) == 6
-        assert cp2.deg_B(1, 1) == 8
-        assert cp2.deg_A(3, 1) == 11
-        assert cp2.deg_B(2, 1) == 12
+        p = cp2.params
+        assert generator_degree(p, "A", 1, 0) == 1
+        assert generator_degree(p, "A", 1, 1) == 3
+        assert generator_degree(p, "B", 1, 0) == 6
+        assert generator_degree(p, "B", 1, 1) == 8
+        assert generator_degree(p, "A", 3, 1) == 11
+        assert generator_degree(p, "B", 2, 1) == 12
 
     def test_deg_values_hp2(self, hp2):
-        assert hp2.deg_A(1, 0) == 3
-        assert hp2.deg_B(1, 1) == 18
-        assert hp2.deg_A(2, 1) == 17
+        p = hp2.params
+        assert generator_degree(p, "A", 1, 0) == 3
+        assert generator_degree(p, "B", 1, 1) == 18
+        assert generator_degree(p, "A", 2, 1) == 17
 
     def test_parity(self, cp2, hp3):
         for cat in (cp2, hp3):
             for k in (1, 2, 3):
                 for i in range(cat.params.n):
-                    assert cat.deg_A(k, i) % 2 == 1
-                    assert cat.deg_B(k, i) % 2 == 0
+                    assert generator_degree(cat.params, "A", k, i) % 2 == 1
+                    assert generator_degree(cat.params, "B", k, i) % 2 == 0
 
     def test_degree_compatibility_with_gamma(self, cp2, hp2):
-        # deg_B(k, i) - deg_A(k, i) = lam + N, the gap between the two
+        # deg B[k,i] - deg A[k,i] = lam + N, the gap between the two
         # families; both sit inside the level-k manifold's degree range
         for cat in (cp2, hp2):
             p = cat.params
             for k in (1, 2, 3):
                 top = cat.gamma(k).ring.top_degree
                 for i in range(p.n):
-                    assert cat.deg_B(k, i) - cat.deg_A(k, i) == p.lam + p.N
-                    assert cat.deg_A(k, i) <= top
-                    assert cat.deg_B(k, i) <= top
+                    deg_a = generator_degree(p, "A", k, i)
+                    deg_b = generator_degree(p, "B", k, i)
+                    assert deg_b - deg_a == p.lam + p.N
+                    assert deg_a <= top
+                    assert deg_b <= top
 
 
 class TestSignedGateValues:
@@ -260,9 +264,9 @@ class TestBundleDuality:
         cat = request.getfixturevalue(name)
         t = cat.sm_tensor
         for i in range(cat.params.n):
-            want = homology_cross(cat.sm_dual(0), cat.sm_dual(i), t)
+            want = cross(cat.sm_dual(0), cat.sm_dual(i), t)
             for j in range(1, i + 1):
-                want = want + homology_cross(cat.sm_dual(j), cat.sm_dual(i - j), t)
+                want = want + cross(cat.sm_dual(j), cat.sm_dual(i - j), t)
             assert diagonal_pushforward(cat.sm_dual(i), t) == want
 
     @pytest.mark.parametrize("name", ["cp3", "hp2"])
@@ -275,10 +279,10 @@ class TestBundleDuality:
             pieces = []
             for j in range(i + 1):
                 pieces.append(
-                    homology_cross(cat.sm_dual(j), cat.sm_dual(i - j, True), t)
+                    cross(cat.sm_dual(j), cat.sm_dual(i - j, True), t)
                 )
                 pieces.append(
-                    homology_cross(cat.sm_dual(j, True), cat.sm_dual(i - j), t)
+                    cross(cat.sm_dual(j, True), cat.sm_dual(i - j), t)
                 )
             want = pieces[0]
             for extra in pieces[1:]:
@@ -288,7 +292,7 @@ class TestBundleDuality:
     def test_diagonal_on_point_class(self, cp2):
         t = cp2.sm_tensor
         x = cp2.sm_dual(0)
-        assert diagonal_pushforward(x, t) == homology_cross(x, x, t)
+        assert diagonal_pushforward(x, t) == cross(x, x, t)
 
 
 class TestGysinTable:
