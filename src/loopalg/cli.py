@@ -18,7 +18,7 @@ import re
 import sys
 
 from .expr import ExprError, evaluate, format_latex, format_text, parse
-from .homology import HomologyElement, cap, gysin
+from .homology import cap, gysin
 from .loops import (
     CohClass,
     LoopClass,
@@ -136,60 +136,8 @@ def _max_level(args) -> int:
     return level
 
 
-def _class_terms_json(obj) -> list[dict]:
-    out = []
-    for key, coeff in obj.sorted_terms():
-        parts = key if obj.pair else (key,)
-        out.append(
-            {
-                "coeff": str(coeff),
-                "gen": [{"kind": kind, "k": k, "i": i} for kind, k, i in parts],
-            }
-        )
-    return out
-
-
-def _homology_terms_json(x: HomologyElement) -> list[dict]:
-    out = []
-    ring = x.ring
-    for m, c in x.sorted_terms():
-        out.append({"coeff": str(c), "dual": ring.exponents_by_name(m)})
-    return out
-
-
-def _latex_name(name: str) -> str:
-    if name == "xi":
-        return "\\xi"
-    head = name.rstrip("0123456789")
-    tail = name[len(head) :]
-    return f"{head}_{{{tail}}}" if tail else head
-
-
-def _homology_latex(x: HomologyElement) -> str:
-    if x.is_zero():
-        return "0"
-    ring = x.ring
-    bits = []
-    for m, c in x.sorted_terms():
-        parts = []
-        for g, e in zip(ring.generators, m):
-            if not e:
-                continue
-            base = _latex_name(g.name)
-            parts.append(base if e == 1 else f"{base}^{{{e}}}")
-        body = "[" + (" ".join(parts) or "1") + "]"
-        if bits:
-            bits.append("-" if c < 0 else "+")
-            c = abs(c)
-        if c == 1:
-            bits.append(body)
-        elif c == -1:
-            bits.append(f"-{body}")
-        elif c.denominator == 1:
-            bits.append(f"{c.numerator}{body}")
-        else:
-            bits.append(f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}{body}")
-    return " ".join(bits)
+def _terms_json(obj) -> list[dict]:
+    return [{"coeff": str(c), **obj._json_body(key)} for key, c in obj.sorted_terms()]
 
 
 def _record(params: SpaceParams, command: str, result, degree=None) -> dict:
@@ -231,7 +179,7 @@ def _cmd_coproduct(args, params: SpaceParams) -> int:
     payload = {
         "input": args.expr,
         "route": args.route,
-        "terms": _class_terms_json(result),
+        "terms": _terms_json(result),
     }
     rec = _record(params, "coproduct", payload, result.degree())
     _emit(args, rec, format_text(result), format_latex(result))
@@ -261,7 +209,7 @@ def _cmd_product(args, params: SpaceParams) -> int:
         result = gh_product(sides[0], sides[1])
     else:
         raise UsageError("product takes one tensor expression or two expressions")
-    payload = {"input": list(args.exprs), "terms": _class_terms_json(result)}
+    payload = {"input": list(args.exprs), "terms": _terms_json(result)}
     rec = _record(params, "product", payload, result.degree())
     _emit(args, rec, format_text(result), format_latex(result))
     return EXIT_OK
@@ -289,10 +237,10 @@ def _cmd_gysin(args, params: SpaceParams) -> int:
         "input": args.gen,
         "map": args.map_spec,
         "k": k,
-        "terms": _homology_terms_json(out),
+        "terms": _terms_json(out),
     }
     rec = _record(params, "gysin", payload, out.degree())
-    _emit(args, rec, str(out), _homology_latex(out))
+    _emit(args, rec, str(out), format_latex(out))
     return EXIT_OK
 
 
@@ -308,10 +256,10 @@ def _cmd_cap(args, params: SpaceParams) -> int:
         "input": args.gen,
         "k": k,
         "m": m,
-        "terms": _homology_terms_json(out),
+        "terms": _terms_json(out),
     }
     rec = _record(params, "cap", payload, out.degree())
-    _emit(args, rec, str(out), _homology_latex(out))
+    _emit(args, rec, str(out), format_latex(out))
     return EXIT_OK
 
 

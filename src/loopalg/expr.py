@@ -25,6 +25,7 @@ from .loops import (
     TensorCohClass,
     TensorLoopClass,
 )
+from .ring import Combination
 from .spaces import SpaceParams
 
 __all__ = [
@@ -236,34 +237,13 @@ def evaluate(
     return cls(params, terms)
 
 
-def _atom_text(part: tuple[str, int, int]) -> str:
-    kind, k, i = part
-    return f"{kind}[{k},{i}]"
-
-
 def format_text(obj) -> str:
-    """Canonical expression string; ``parse . format_text`` is the identity."""
-    if obj is None or obj.is_zero():
-        return "0"
-    pieces: list[str] = []
-    for key, coeff in obj.sorted_terms():
-        parts = key if obj.pair else (key,)
-        body = " x ".join(_atom_text(p) for p in parts)
-        mag = abs(coeff)
-        txt = body if mag == 1 else f"{mag}*{body}"
-        if not pieces:
-            pieces.append(txt if coeff > 0 else f"-{txt}")
-        else:
-            pieces.append(f"{'+' if coeff > 0 else '-'} {txt}")
-    return " ".join(pieces)
+    """Canonical expression string; ``parse . format_text`` is the identity.
 
-
-_LATEX_LETTER = {"A": "A", "B": "B", "s": "\\sigma", "m": "\\mu"}
-
-
-def _atom_latex(part: tuple[str, int, int]) -> str:
-    kind, k, i = part
-    return f"{_LATEX_LETTER[kind]}_{{{k}}}^{{{i}}}"
+    This is the signed print of ``Combination``; the loop classes' own
+    ``str`` is the unsigned ``repr``.
+    """
+    return "0" if obj is None else Combination.__str__(obj)
 
 
 def _coeff_latex(c: Fraction) -> str:
@@ -277,13 +257,16 @@ def _coeff_latex(c: Fraction) -> str:
 
 
 def format_latex(obj) -> str:
-    """LaTeX rendering with sub- and superscripted generators."""
+    """LaTeX rendering of a loop, cohomology or homology class.
+
+    Each term's body comes from the class's ``_latex_body``: sub- and
+    superscripted generators, or a bracketed dual monomial.
+    """
     if obj is None or obj.is_zero():
         return "0"
     pieces: list[str] = []
     for key, coeff in obj.sorted_terms():
-        parts = key if obj.pair else (key,)
-        body = " \\times ".join(_atom_latex(p) for p in parts)
+        body = obj._latex_body(key)
         if pieces:
             pieces.append("-" if coeff < 0 else "+")
             pieces.append(f"{_coeff_latex(abs(coeff))}{body}")

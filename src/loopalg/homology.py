@@ -50,6 +50,24 @@ class HomologyElement(Combination):
     def _body(self, m: Monomial) -> str:
         return f"[{self.ring.monomial_str(m)}]"
 
+    def _latex_body(self, m: Monomial) -> str:
+        """``[a^{2} x_{1} \\xi]``: digits become subscripts, powers superscripts."""
+        parts = []
+        for g, e in zip(self.ring.generators, m):
+            if not e:
+                continue
+            if g.name == "xi":
+                base = "\\xi"
+            else:
+                head = g.name.rstrip("0123456789")
+                tail = g.name[len(head) :]
+                base = f"{head}_{{{tail}}}" if tail else head
+            parts.append(base if e == 1 else f"{base}^{{{e}}}")
+        return "[" + (" ".join(parts) or "1") + "]"
+
+    def _json_body(self, m: Monomial) -> dict:
+        return {"dual": self.ring.exponents_by_name(m)}
+
 
 def dual(ring: Ring, m: Monomial, coeff: int | Fraction = 1) -> HomologyElement:
     """The dual basis class of a monomial, scaled by ``coeff``."""
@@ -109,11 +127,7 @@ class OrientedSpace:
 
     __slots__ = ("ring", "dimension", "fundamental")
 
-    def __init__(self, ring: Ring, dimension: int | None = None):
-        if dimension is not None and dimension != ring.top_degree:
-            raise ValueError(
-                f"declared dimension {dimension} differs from top degree {ring.top_degree}"
-            )
+    def __init__(self, ring: Ring):
         self.ring = ring
         self.dimension = ring.top_degree
         self.fundamental = dual(ring, ring.top_monomial)
@@ -227,16 +241,14 @@ def _splits(m: Monomial):
         yield left, right
 
 
-def diagonal_pushforward(x: HomologyElement, tensor: TensorRing | None = None) -> HomologyElement:
-    """Pushforward along the diagonal, dual to the cup product.
+def diagonal_pushforward(x: HomologyElement, tensor: TensorRing) -> HomologyElement:
+    """Pushforward along the diagonal into ``tensor``, the square of x's ring.
 
     Characterized by ``<cross(a, b), result> = <cup(a, b), x>`` for all a, b.
     On a dual class this is the sum over exponent splittings ``m = l + r`` of
     ``merge_sign(l, r) * dual(l x r)``.
     """
     ring = x.ring
-    if tensor is None:
-        tensor = TensorRing(ring, ring)
     if tensor.left != ring or tensor.right != ring:
         raise RingMismatchError("tensor ring is not the square of the class's ring")
     out: dict[Monomial, Fraction] = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .homology import HomologyElement, cap, diagonal_pushforward
-from .ring import Combination, RingElement
+from .ring import Combination, RingElement, RingMismatchError
 from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 from .verify import Report
 
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _KIND_RANK = {"A": 0, "B": 1, "s": 0, "m": 1}
+_LATEX_LETTER = {"A": "A", "B": "B", "s": "\\sigma", "m": "\\mu"}
 _COH_TO_LOOP = {"s": "A", "m": "B"}
 
 
@@ -101,6 +102,16 @@ class _FormalSum(Combination):
     def _body(self, key) -> str:
         parts = key if self.pair else (key,)
         return " x ".join(f"{kind}[{k},{i}]" for kind, k, i in parts)
+
+    def _latex_body(self, key) -> str:
+        parts = key if self.pair else (key,)
+        return " \\times ".join(
+            f"{_LATEX_LETTER[kind]}_{{{k}}}^{{{i}}}" for kind, k, i in parts
+        )
+
+    def _json_body(self, key) -> dict:
+        parts = key if self.pair else (key,)
+        return {"gen": [{"kind": kind, "k": k, "i": i} for kind, k, i in parts]}
 
     def __repr__(self) -> str:
         """Unsigned: a negative coefficient prints as ``+ -c*...``."""
@@ -291,7 +302,7 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
     deg a + deg b + N - 1.
     """
     if a.params != b.params:
-        raise ValueError("operands are classes over different spaces")
+        raise RingMismatchError("operands are classes over different spaces")
     out: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -314,7 +325,7 @@ def gh_product_pairs(t: TensorCohClass) -> CohClass:
 def gh_dual_pairing(a: CohClass, x: LoopClass) -> Fraction:
     """Kronecker pairing, s[k,i] against A[k,i] and m[k,i] against B[k,i]."""
     if a.params != x.params:
-        raise ValueError("operands are classes over different spaces")
+        raise RingMismatchError("operands are classes over different spaces")
     total = Fraction(0)
     for (kind, k, i), c in a.terms.items():
         cx = x.terms.get((_COH_TO_LOOP[kind], k, i))
@@ -325,7 +336,7 @@ def gh_dual_pairing(a: CohClass, x: LoopClass) -> Fraction:
 
 def coh_cross(a: CohClass, b: CohClass) -> TensorCohClass:
     if a.params != b.params:
-        raise ValueError("operands are classes over different spaces")
+        raise RingMismatchError("operands are classes over different spaces")
     out: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -336,7 +347,7 @@ def coh_cross(a: CohClass, b: CohClass) -> TensorCohClass:
 def tensor_pairing(t: TensorCohClass, x: TensorLoopClass) -> Fraction:
     """Componentwise Kronecker pairing of tensor classes; no extra sign."""
     if t.params != x.params:
-        raise ValueError("operands are classes over different spaces")
+        raise RingMismatchError("operands are classes over different spaces")
     total = Fraction(0)
     for ((ka, kb)), c in t.terms.items():
         key = (
@@ -455,16 +466,10 @@ def betti_table(params: SpaceParams, max_degree: int) -> list[tuple[int, int]]:
 # -- verification sweeps ----------------------------------------------
 
 
-def _loop_keys(params: SpaceParams, max_k: int):
+def _keys(params: SpaceParams, max_k: int, kinds: str):
+    """Generator keys ``(kind, k, i)`` of level at most max_k, level-major."""
     for k in range(1, max_k + 1):
-        for kind in "AB":
-            for i in range(params.n):
-                yield (kind, k, i)
-
-
-def _coh_keys(params: SpaceParams, max_k: int):
-    for k in range(1, max_k + 1):
-        for kind in "sm":
+        for kind in kinds:
             for i in range(params.n):
                 yield (kind, k, i)
 
@@ -476,9 +481,9 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     basis generators of level at most max_k.
     """
     rep = Report(f"duality ({params.token}, n={params.n}, level<={max_k})")
-    coh = list(_coh_keys(params, max_k - 1))
+    coh = list(_keys(params, max_k - 1, "sm"))
     split = {}
-    for key in _loop_keys(params, max_k):
+    for key in _keys(params, max_k, "AB"):
         x = LoopClass.generator(params, *key)
         split[key] = (x, coproduct_closed(x))
     for ka in coh:
@@ -522,7 +527,7 @@ def _triple_closed(params: SpaceParams, kind: str, k: int, i: int) -> dict:
 def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
     """Both iterated coproducts agree, and match the direct triple split."""
     rep = Report(f"coassociativity ({params.token}, n={params.n}, k<={max_k})")
-    for key in _loop_keys(params, max_k):
+    for key in _keys(params, max_k, "AB"):
         vee = coproduct_closed(LoopClass.generator(params, *key))
         left: dict = {}
         right: dict = {}
@@ -539,13 +544,11 @@ def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
     return rep
 
 
-def verify_pipeline(
-    params: SpaceParams, max_k: int, catalog: SpaceCatalog | None = None
-) -> Report:
+def verify_pipeline(params: SpaceParams, max_k: int) -> Report:
     """The completing-manifold pipeline equals the closed formula."""
-    cat = catalog or catalog_for(params)
+    cat = catalog_for(params)
     rep = Report(f"pipeline ({params.token}, n={params.n}, k<={max_k})")
-    for key in _loop_keys(params, max_k):
+    for key in _keys(params, max_k, "AB"):
         x = LoopClass.generator(params, *key)
         try:
             piped = coproduct_pipeline(x, cat)
@@ -573,19 +576,16 @@ def _pres_monomials(params: SpaceParams, factors: int):
         )
 
 
-def verify_presentation(
-    params: SpaceParams, max_level: int, omega_max: int | None = None
-) -> Report:
+def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     """The normal form is a well-defined, surjective ring map.
 
     Checks the generating relations, multiplicativity over monomial pairs up
     to the level bound, surjectivity witnesses for every s[k,i] and m[k,i],
-    and that powers of the level generator w stay nonzero.
+    and that powers w^k of the level generator stay nonzero up to twice the
+    level bound.
     """
     rep = Report(f"presentation ({params.token}, n={params.n}, level<={max_level})")
     n = params.n
-    if omega_max is None:
-        omega_max = 2 * max_level
 
     def norm(p: PresMonomial) -> CohClass:
         return presentation_normalize(p, params)
@@ -650,7 +650,7 @@ def verify_presentation(
                 f"w^{k - 1} beta_{i} misses m[{k},{i}]",
             )
 
-    for k in range(1, omega_max + 1):
+    for k in range(1, 2 * max_level + 1):
         value = norm(PresMonomial.build(params, omega=k))
         rep.note(
             not value.is_zero() and value == CohClass.generator(params, "s", k, 0),

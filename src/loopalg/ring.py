@@ -280,7 +280,9 @@ class Combination:
     supplies the degree and the printed body of a key through
     ``_key_degree`` and ``_body``, and names the owner by binding the
     ``owner`` slot descriptor under a second name (``ring``, ``params``), so
-    the alias reads as fast as the slot itself.
+    the alias reads as fast as the slot itself.  Classes the CLI prints also
+    give a key's LaTeX body and JSON fields through ``_latex_body`` and
+    ``_json_body``.
     """
 
     __slots__ = ("owner", "terms")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin
 from .ring import Generator, Monomial, Ring, TensorRing
@@ -103,9 +104,6 @@ class SpaceCatalog:
 
     def __init__(self, params: SpaceParams):
         self.params = params
-        self._sm: OrientedSpace | None = None
-        self._sm_pair: OrientedSpace | None = None
-        self._sm_tensor: TensorRing | None = None
         self._gammas: dict[int, OrientedSpace] = {}
         self._pL: dict[int, RingMap] = {}
         self._pV: dict[tuple[int, int], RingMap] = {}
@@ -119,30 +117,22 @@ class SpaceCatalog:
         gens.append(Generator("b", p.N + p.lam, 2))
         return gens
 
-    @property
+    @cached_property
     def sm(self) -> OrientedSpace:
         """Unit tangent bundle, dimension 2N - 1."""
-        if self._sm is None:
-            self._sm = OrientedSpace(Ring(self._base_generators()))
-        return self._sm
+        return OrientedSpace(Ring(self._base_generators()))
 
-    @property
+    @cached_property
     def sm_pair(self) -> OrientedSpace:
         """Fiber product SM x_M SM, dimension 3N - 2."""
-        if self._sm_pair is None:
-            p = self.params
-            gens = self._base_generators()
-            gens.append(Generator("xi", p.N - 1, 2))
-            self._sm_pair = OrientedSpace(Ring(gens))
-        return self._sm_pair
+        gens = self._base_generators()
+        gens.append(Generator("xi", self.params.N - 1, 2))
+        return OrientedSpace(Ring(gens))
 
-    @property
+    @cached_property
     def sm_tensor(self) -> TensorRing:
         """Tensor square of the SM ring, for diagonal pushforwards."""
-        if self._sm_tensor is None:
-            ring = self.sm.ring
-            self._sm_tensor = TensorRing(ring, ring)
-        return self._sm_tensor
+        return TensorRing(self.sm.ring, self.sm.ring)
 
     def gamma(self, k: int) -> OrientedSpace:
         """Level-k completing manifold, dimension lambda_k + 2N - 1."""
@@ -195,12 +185,10 @@ class SpaceCatalog:
             exps["b"] = 1
         return exps
 
-    def sm_monomial(self, i: int, with_b: bool = False) -> Monomial:
-        return self.sm.ring.monomial(self._sm_exponents(i, with_b))
-
     def sm_dual(self, i: int, with_b: bool = False) -> HomologyElement:
         """Dual class of a^i (times b) over SM."""
-        return dual(self.sm.ring, self.sm_monomial(i, with_b))
+        ring = self.sm.ring
+        return dual(ring, ring.monomial(self._sm_exponents(i, with_b)))
 
     def sm_pair_dual(self, i: int, with_b: bool = False) -> HomologyElement:
         """Dual class of a^i (times b) over SM x_M SM."""

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .homology import (
+    HomologyElement,
     cap,
     diagonal_pushforward,
     dual,
@@ -30,6 +31,12 @@ __all__ = [
 ]
 
 
+# Counterexamples a Report keeps in full; later failures are only counted.
+KEEP_FAILURES = 12
+# Rounds of randomized checks in verify_ring_axioms, four checks each.
+RANDOM_ROUNDS = 250
+
+
 @dataclass
 class Report:
     """Outcome of a verification sweep."""
@@ -38,14 +45,13 @@ class Report:
     checks: int = 0
     failed: int = 0
     failures: list[str] = field(default_factory=list)
-    keep: int = 12
 
     def note(self, ok: bool, message) -> bool:
         """Record one check; ``message`` may be a thunk to defer formatting."""
         self.checks += 1
         if not ok:
             self.failed += 1
-            if len(self.failures) < self.keep:
+            if len(self.failures) < KEEP_FAILURES:
                 self.failures.append(message() if callable(message) else str(message))
         return ok
 
@@ -53,7 +59,7 @@ class Report:
         self.checks += other.checks
         self.failed += other.failed
         for f in other.failures:
-            if len(self.failures) < self.keep:
+            if len(self.failures) < KEEP_FAILURES:
                 self.failures.append(f)
 
     @property
@@ -138,19 +144,18 @@ def _random_homogeneous(ring, rng, degrees):
 
 def _random_dual(ring, rng, monos):
     picks = rng.sample(monos, k=min(len(monos), rng.randint(1, 3)))
-    from .homology import HomologyElement
-
     return HomologyElement(
         ring, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in picks}
     )
 
 
-def verify_ring_axioms(params: SpaceParams, random_checks: int = 1000, seed: int = 0) -> Report:
+def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
     """Kernel law suite, exhaustive over the SM and level-2 rings.
 
     Covers graded commutativity, unit, truncation, associativity, the cap
     module axiom, the pairing adjunction, duality bijectivity and the
-    diagonal/cup adjunction, then adds randomized combination checks.
+    diagonal/cup adjunction, then adds RANDOM_ROUNDS rounds of four
+    randomized combination checks drawn from ``seed``.
     """
     cat = catalog_for(params)
     rep = Report(f"ring axioms ({params.token}, n={params.n})")
@@ -235,8 +240,7 @@ def verify_ring_axioms(params: SpaceParams, random_checks: int = 1000, seed: int
         ring = space.ring
         degrees = [d for d, dim in ring.poincare_series(ring.top_degree) if dim]
         pool.append((ring, degrees, list(ring.monomials())))
-    rounds = (random_checks + 3) // 4
-    for _ in range(rounds):
+    for _ in range(RANDOM_ROUNDS):
         ring, degrees, monos = rng.choice(pool)
         a = _random_homogeneous(ring, rng, degrees)
         b = _random_homogeneous(ring, rng, degrees)

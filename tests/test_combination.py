@@ -21,6 +21,10 @@ from loopalg import (
     SpaceParams,
     TensorCohClass,
     TensorLoopClass,
+    coh_cross,
+    gh_dual_pairing,
+    gh_product,
+    tensor_pairing,
 )
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
@@ -102,6 +106,31 @@ def test_ring_mismatch_is_a_type_error():
 def test_loop_classes_over_different_spaces_do_not_add():
     with pytest.raises(RingMismatchError):
         LoopClass.generator(CP2, "A", 2, 1) + LoopClass.generator(CP3, "A", 2, 1)
+
+
+def _over(params, cls, *keys):
+    return cls(params, {key: 1 for key in keys})
+
+
+# The dual-product operations refuse operands over different spaces the way
+# ``+`` and ``-`` do.
+@pytest.mark.parametrize(
+    "fn, left, right",
+    [
+        (gh_product, _over(CP2, CohClass, ("s", 1, 0)), _over(CP3, CohClass, ("s", 1, 0))),
+        (gh_dual_pairing, _over(CP2, CohClass, ("s", 1, 0)), _over(CP3, LoopClass, ("A", 1, 0))),
+        (coh_cross, _over(CP2, CohClass, ("s", 1, 0)), _over(CP3, CohClass, ("m", 1, 1))),
+        (
+            tensor_pairing,
+            _over(CP2, TensorCohClass, (("s", 1, 0), ("s", 1, 1))),
+            _over(CP3, TensorLoopClass, (("A", 1, 0), ("A", 1, 1))),
+        ),
+    ],
+    ids=["gh_product", "gh_dual_pairing", "coh_cross", "tensor_pairing"],
+)
+def test_dual_product_operands_over_different_spaces(fn, left, right):
+    with pytest.raises(RingMismatchError, match="different spaces"):
+        fn(left, right)
 
 
 _TERMS = {(0, 0): Fraction(1, 3), (0, 1): -1, (1, 0): 1, (1, 1): Fraction(-1, 3)}

@@ -194,8 +194,8 @@ class TestRouteAgreement:
                 assert coproduct_pipeline(x, cat) == coproduct_closed(x)
 
     def test_verify_pipeline_sweep(self, cp2, hp1):
-        assert verify_pipeline(cp2.params, 4, cp2).passed
-        assert verify_pipeline(hp1.params, 4, hp1).passed
+        assert verify_pipeline(cp2.params, 4).passed
+        assert verify_pipeline(hp1.params, 4).passed
 
 
 class TestCoassociativity:

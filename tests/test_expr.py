@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from loopalg import (
     CohClass,
     ExprError,
+    Generator,
+    HomologyElement,
     LoopClass,
+    Ring,
     SpaceParams,
     TensorCohClass,
     TensorLoopClass,
+    catalog_for,
     evaluate,
     format_latex,
     format_text,
@@ -143,6 +147,35 @@ class TestFormat:
             "-\\tfrac{3}{2}\\sigma_{1}^{0} \\times \\mu_{1}^{1}"
         )
         assert format_latex(None) == "0"
+
+    def test_homology_class(self):
+        ring = Ring([Generator("a", 2, 3), Generator("x1", 1, 2), Generator("x2", 3, 2)])
+        x = HomologyElement(
+            ring,
+            {
+                (0, 1, 1): Fraction(-3, 4),
+                (2, 0, 0): 1,
+                (2, 1, 0): -2,
+                (1, 1, 1): -1,
+                (2, 1, 1): Fraction(3, 2),
+            },
+        )
+        assert format_text(x) == (
+            "-3/4*[x1 x2] + [a^2] - 2*[a^2 x1] - [a x1 x2] + 3/2*[a^2 x1 x2]"
+        )
+        # a negative fraction in front keeps its sign outside \tfrac
+        assert format_latex(x) == (
+            "-\\tfrac{3}{4}[x_{1} x_{2}] + [a^{2}] - 2[a^{2} x_{1}]"
+            " - [a x_{1} x_{2}] + \\tfrac{3}{2}[a^{2} x_{1} x_{2}]"
+        )
+
+    def test_homology_class_with_fiber_generator(self):
+        ring = catalog_for(CP3).sm_pair.ring
+        x = HomologyElement(
+            ring, {ring.monomial({"xi": 1}): -1, ring.monomial({"a": 2, "b": 1, "xi": 1}): 2}
+        )
+        assert format_text(x) == "-[xi] + 2*[a^2 b xi]"
+        assert format_latex(x) == "-[\\xi] + 2[a^{2} b \\xi]"
 
 
 def _class_strategy(cls, kinds, pair):

@@ -89,12 +89,6 @@ class TestPoincareDuality:
         assert space.fundamental == dual(space.ring, space.ring.top_monomial)
         assert space.dimension == space.ring.top_degree
 
-    def test_declared_dimension_checked(self):
-        ring = Ring([Generator("a", 2, 3)])
-        with pytest.raises(ValueError, match="dimension"):
-            OrientedSpace(ring, dimension=3)
-        assert OrientedSpace(ring, dimension=4).dimension == 4
-
     def test_pd_of_one_is_fundamental(self, space):
         assert pd(space, space.ring.one()) == space.fundamental
 

@@ -1,0 +1,33 @@
+"""Every function and method the benchmark tracer wraps exists in the package.
+
+``perfbench/tracer.py`` names its targets as (module, attribute) strings; a
+renamed or deleted target would only fail when a traced run starts.  The
+tracer module is loaded from its file without writing bytecode next to it.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_every_target_resolves(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for _span, module_name, attr in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            # The tracer replaces a method in the class's own namespace.
+            cls_name, meth = attr.split(".")
+            cls = getattr(owner, cls_name, None)
+            if cls is None or not callable(cls.__dict__.get(meth)):
+                missing.append(f"{module_name}.{attr}")
+        elif not callable(getattr(owner, attr, None)):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
