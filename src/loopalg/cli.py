@@ -5,8 +5,9 @@
 Exit codes: 0 on success, 1 when a verification sweep finds a counterexample,
 2 for usage or expression errors, 3 for an internal error (an exception the
 package did not expect, such as a PipelineMatchError or RingMismatchError),
-reported on one line of stderr.  The environment variable LOOPALG_MAX_LEVEL (default 8) caps
-verification sweeps when --max-k is not given.
+reported on one line of stderr.  The environment variable LOOPALG_MAX_LEVEL
+(default 8) caps verification sweeps when --max-k is not given, and sets the
+default --max-degree of `table` to the degree of B[level, n-1].
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import re
 import sys
 
-from .expr import ExprError, evaluate, format_latex, format_text, parse
+from .expr import evaluate, format_latex, format_text, parse
 from .homology import cap, gysin
 from .loops import (
     CohClass,
@@ -44,7 +45,7 @@ EXIT_INTERNAL = 3
 _GEN_TOKEN = re.compile(r"^(ab|a)(\d+)$")
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -136,35 +137,36 @@ def _max_level(args) -> int:
     return level
 
 
-def _terms_json(obj) -> list[dict]:
-    return [{"coeff": str(c), **obj._json_body(key)} for key, c in obj.sorted_terms()]
-
-
-def _record(params: SpaceParams, command: str, result, degree=None) -> dict:
-    rec = {"space": params.token, "n": params.n, "command": command, "result": result}
-    if degree is not None:
-        rec["degree"] = degree
-    return rec
-
-
-def _emit(args, record: dict, text: str, latex: str | None = None) -> None:
+def _emit(
+    args, params: SpaceParams, payload: dict, text: str, latex=None, degree=None
+) -> None:
+    """Print the result in the chosen format; JSON nests ``payload`` under ``result``."""
     if args.format == "json":
-        print(json.dumps(record, indent=2))
-    elif args.format == "latex":
-        print(latex if latex is not None else text)
+        rec = {"space": params.token, "n": params.n, "command": args.command, "result": payload}
+        if degree is not None:
+            rec["degree"] = degree
+        print(json.dumps(rec, indent=2))
+    elif args.format == "latex" and latex is not None:
+        print(latex)
     else:
         print(text)
+
+
+def _emit_class(args, params: SpaceParams, payload: dict, result) -> None:
+    """Emit a class-valued result; its terms close the JSON payload."""
+    payload["terms"] = [
+        {"coeff": str(c), **result._json_body(key)} for key, c in result.sorted_terms()
+    ]
+    _emit(args, params, payload, format_text(result), format_latex(result), result.degree())
 
 
 def _parse_gen_token(token: str, params: SpaceParams) -> tuple[int, bool]:
     hit = _GEN_TOKEN.match(token)
     if hit is None:
         raise UsageError(f"bad class token {token!r}; expected a<i> or ab<i>, like a0 or ab1")
-    with_b = hit.group(1) == "ab"
     i = int(hit.group(2))
-    if i > params.n - 1:
-        raise UsageError(f"index out of range for n={params.n}")
-    return i, with_b
+    params.check_index(i)
+    return i, hit.group(1) == "ab"
 
 
 def _cmd_coproduct(args, params: SpaceParams) -> int:
@@ -176,13 +178,7 @@ def _cmd_coproduct(args, params: SpaceParams) -> int:
     result = (
         coproduct_closed(value) if args.route == "closed" else coproduct_pipeline(value)
     )
-    payload = {
-        "input": args.expr,
-        "route": args.route,
-        "terms": _terms_json(result),
-    }
-    rec = _record(params, "coproduct", payload, result.degree())
-    _emit(args, rec, format_text(result), format_latex(result))
+    _emit_class(args, params, {"input": args.expr, "route": args.route}, result)
     return EXIT_OK
 
 
@@ -209,9 +205,7 @@ def _cmd_product(args, params: SpaceParams) -> int:
         result = gh_product(sides[0], sides[1])
     else:
         raise UsageError("product takes one tensor expression or two expressions")
-    payload = {"input": list(args.exprs), "terms": _terms_json(result)}
-    rec = _record(params, "product", payload, result.degree())
-    _emit(args, rec, format_text(result), format_latex(result))
+    _emit_class(args, params, {"input": list(args.exprs)}, result)
     return EXIT_OK
 
 
@@ -226,21 +220,12 @@ def _cmd_gysin(args, params: SpaceParams) -> int:
             m = int(args.map_spec[3:])
         except ValueError:
             raise UsageError(f"bad map {args.map_spec!r}; expected pL or pV:<m>")
-        if not 1 <= m <= k - 1:
-            raise UsageError(f"break index m={m} outside 1 .. {k - 1}")
         out = gysin(
             cat.pullback_pV(k, m), cat.sm_pair, cat.gamma(k), cat.sm_pair_dual(i, with_b)
         )
     else:
         raise UsageError(f"bad map {args.map_spec!r}; expected pL or pV:<m>")
-    payload = {
-        "input": args.gen,
-        "map": args.map_spec,
-        "k": k,
-        "terms": _terms_json(out),
-    }
-    rec = _record(params, "gysin", payload, out.degree())
-    _emit(args, rec, str(out), format_latex(out))
+    _emit_class(args, params, {"input": args.gen, "map": args.map_spec, "k": k}, out)
     return EXIT_OK
 
 
@@ -248,18 +233,8 @@ def _cmd_cap(args, params: SpaceParams) -> int:
     cat = catalog_for(params)
     i, with_b = _parse_gen_token(args.gen, params)
     k, m = args.k, args.m
-    if not 1 <= m <= k - 1:
-        raise UsageError(f"break index m={m} outside 1 .. {k - 1}")
-    carrier = cat.gamma_dual(k, i, with_b)
-    out = cap(carrier.ring.gen(f"x{2 * m}"), carrier)
-    payload = {
-        "input": args.gen,
-        "k": k,
-        "m": m,
-        "terms": _terms_json(out),
-    }
-    rec = _record(params, "cap", payload, out.degree())
-    _emit(args, rec, str(out), format_latex(out))
+    out = cap(cat.fiber_class(k, m), cat.gamma_dual(k, i, with_b))
+    _emit_class(args, params, {"input": args.gen, "k": k, "m": m}, out)
     return EXIT_OK
 
 
@@ -271,9 +246,7 @@ def _cmd_table(args, params: SpaceParams) -> int:
         raise UsageError("--max-degree must be non-negative")
     rows = betti_table(params, max_degree)
     payload = {"rows": [{"degree": d, "dim": v} for d, v in rows]}
-    text = "\n".join(f"{d} {v}" for d, v in rows)
-    rec = _record(params, "table", payload)
-    _emit(args, rec, text)
+    _emit(args, params, payload, "\n".join(f"{d} {v}" for d, v in rows))
     return EXIT_OK
 
 
@@ -288,7 +261,7 @@ def _cmd_verify(args, params: SpaceParams) -> int:
     text = report.summary()
     if not report.passed:
         text += f"\nfirst counterexample: {report.failures[0]}"
-    _emit(args, _record(params, "verify", payload), text)
+    _emit(args, params, payload, text)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -311,7 +284,7 @@ def run(argv: list[str]) -> int:
     params = SpaceParams.from_token(args.space, args.n)
     try:
         return _COMMANDS[args.command](args, params)
-    except (UsageError, ExprError, ValueError) as err:
+    except ValueError as err:
         print(f"loopalg: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:

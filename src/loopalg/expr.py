@@ -56,7 +56,6 @@ class GenAtom:
     kind: str
     k: int
     i: int
-    pos: int = 0
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,6 @@ class _Lexer:
         if self.pos >= len(self.text):
             return None
         return self.text[self.pos]
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise ExprError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return ch
 
     def expect(self, ch: str) -> None:
         got = self.peek()
@@ -139,7 +131,7 @@ def _parse_gen(lex: _Lexer, n: int) -> GenAtom:
         raise ExprError("k must be >= 1", pos)
     if i > n - 1:
         raise ExprError(f"index out of range for n={n}", pos)
-    return GenAtom(ch, k, i, pos)
+    return GenAtom(ch, k, i)
 
 
 def _parse_rational(lex: _Lexer) -> Fraction:

@@ -71,13 +71,7 @@ class HomologyElement(Combination):
 
 def dual(ring: Ring, m: Monomial, coeff: int | Fraction = 1) -> HomologyElement:
     """The dual basis class of a monomial, scaled by ``coeff``."""
-    m = tuple(m)
-    if len(m) != len(ring.generators):
-        raise ValueError("monomial has wrong length for this ring")
-    for e, t in zip(m, ring.truncations):
-        if not 0 <= e < t:
-            raise ValueError(f"exponent out of range in monomial {m}")
-    return HomologyElement(ring, {m: coeff})
+    return HomologyElement(ring, {ring.check_monomial(m): coeff})
 
 
 def pairing(c: RingElement, x: HomologyElement) -> Fraction:

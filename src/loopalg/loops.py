@@ -188,8 +188,7 @@ def thom_pullback(catalog: SpaceCatalog, k: int) -> tuple[tuple[int, RingElement
     with.  Empty at level 1.
     """
     catalog.params.check_level(k)
-    ring = catalog.gamma(k).ring
-    return tuple((m, ring.gen(f"x{2 * m}")) for m in range(1, k))
+    return tuple((m, catalog.fiber_class(k, m)) for m in range(1, k))
 
 
 def gamma_class(catalog: SpaceCatalog, kind: str, k: int, i: int) -> HomologyElement:
@@ -546,12 +545,11 @@ def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
 
 def verify_pipeline(params: SpaceParams, max_k: int) -> Report:
     """The completing-manifold pipeline equals the closed formula."""
-    cat = catalog_for(params)
     rep = Report(f"pipeline ({params.token}, n={params.n}, k<={max_k})")
     for key in _keys(params, max_k, "AB"):
         x = LoopClass.generator(params, *key)
         try:
-            piped = coproduct_pipeline(x, cat)
+            piped = coproduct_pipeline(x)
         except PipelineMatchError as err:
             rep.note(False, f"{key}: {err}")
             continue

@@ -136,6 +136,16 @@ class Ring:
             exps[pos] = e
         return tuple(exps)
 
+    def check_monomial(self, m: Iterable[int]) -> Monomial:
+        """``m`` as a tuple, after checking its length and exponents against the ring."""
+        m = tuple(m)
+        if len(m) != len(self.generators):
+            raise ValueError(f"monomial {m} has wrong length for {self!r}")
+        for e, t in zip(m, self.truncations):
+            if not 0 <= e < t:
+                raise ValueError(f"exponent out of range in monomial {m}")
+        return m
+
     def monomial_degree(self, m: Monomial) -> int:
         return sum(map(operator.mul, self.degrees, m))
 
@@ -202,16 +212,7 @@ class Ring:
 
     def element(self, terms: dict[Monomial, int | Fraction]) -> RingElement:
         """Validating element constructor for externally built exponent tuples."""
-        checked: dict[Monomial, int | Fraction] = {}
-        for m, c in terms.items():
-            m = tuple(m)
-            if len(m) != len(self.generators):
-                raise ValueError(f"monomial {m} has wrong length for {self!r}")
-            for e, t in zip(m, self.truncations):
-                if not 0 <= e < t:
-                    raise ValueError(f"exponent out of range in monomial {m}")
-            checked[m] = c
-        return RingElement(self, checked)
+        return RingElement(self, {self.check_monomial(m): c for m, c in terms.items()})
 
     # -- enumeration -----------------------------------------------------
 

@@ -13,8 +13,8 @@ with every x squaring to zero.  For n = 1 the class a satisfies a = 0, which
 is represented by simply omitting the generator; the quotient presentation is
 the same ring.
 
-Rings, oriented spaces, pullbacks and wrong-way tables are cached per catalog,
-and catalogs are cached per (family, n).
+Rings, oriented spaces and wrong-way tables are cached per catalog, and
+catalogs are cached per (family, n); the pullbacks are rebuilt on each call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin
-from .ring import Generator, Monomial, Ring, TensorRing
+from .ring import Generator, Monomial, Ring, RingElement, TensorRing
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
 
@@ -105,8 +105,6 @@ class SpaceCatalog:
     def __init__(self, params: SpaceParams):
         self.params = params
         self._gammas: dict[int, OrientedSpace] = {}
-        self._pL: dict[int, RingMap] = {}
-        self._pV: dict[tuple[int, int], RingMap] = {}
         self._pv_tables: dict[tuple[int, int], dict[Monomial, tuple[Monomial, Fraction]]] = {}
 
     def _base_generators(self) -> list[Generator]:
@@ -146,32 +144,30 @@ class SpaceCatalog:
             self._gammas[k] = OrientedSpace(Ring(gens))
         return self._gammas[k]
 
+    def fiber_class(self, k: int, m: int) -> RingElement:
+        """Thom fiber class x_{2m} of the m-th break at level k; 1 <= m <= k - 1."""
+        self.params.check_level(k)
+        if not 1 <= m <= k - 1:
+            raise ValueError(f"break index m={m} outside 1 .. {k - 1}")
+        return self.gamma(k).ring.gen(f"x{2 * m}")
+
     def pullback_pL(self, k: int) -> RingMap:
         """Pullback along the retraction of the level-k manifold onto SM."""
-        if k not in self._pL:
-            gam = self.gamma(k).ring
-            images = {"b": gam.gen("b")}
-            if self.params.n >= 2:
-                images["a"] = gam.gen("a")
-            self._pL[k] = RingMap(self.sm.ring, gam, images)
-        return self._pL[k]
+        gam = self.gamma(k).ring
+        images = {g.name: gam.gen(g.name) for g in self.sm.ring.generators}
+        return RingMap(self.sm.ring, gam, images)
 
     def pullback_pV(self, k: int, m: int) -> RingMap:
         """Pullback along the m-th figure-eight retraction onto SM x_M SM.
 
-        Sends the fiber class xi to x_{2m}; requires 1 <= m <= k - 1.
+        Fixes the SM generators and sends the fiber class xi to
+        ``fiber_class(k, m)``.
         """
-        self.params.check_level(k)
-        if not 1 <= m <= k - 1:
-            raise ValueError(f"break index m={m} outside 1 .. {k - 1}")
-        key = (k, m)
-        if key not in self._pV:
-            gam = self.gamma(k).ring
-            images = {"b": gam.gen("b"), "xi": gam.gen(f"x{2 * m}")}
-            if self.params.n >= 2:
-                images["a"] = gam.gen("a")
-            self._pV[key] = RingMap(self.sm_pair.ring, gam, images)
-        return self._pV[key]
+        xi = self.fiber_class(k, m)
+        gam = xi.ring
+        images = {g.name: gam.gen(g.name) for g in self.sm.ring.generators}
+        images["xi"] = xi
+        return RingMap(self.sm_pair.ring, gam, images)
 
     # -- distinguished classes ----------------------------------------
 

@@ -50,6 +50,9 @@ COMMAND_LINES = [
     ("cp", 2, ["product", "A[1,0]"]),
     ("cp", 2, ["gysin", "a1", "--k", "2", "--map", "zz"]),
     ("cp", 2, ["cap", "a1", "--k", "2", "--m", "2"]),
+    ("cp", 2, ["gysin", "a1", "--k", "2", "--map", "pV:2"]),
+    ("cp", 2, ["gysin", "a5", "--k", "2", "--map", "pL"]),
+    ("cp", 2, ["cap", "ab1", "--k", "1", "--m", "1"]),
     ("cp", 2, ["table", "--max-degree", "-1"]),
     ("cp", 2, ["verify", "bogus"]),
     ("cp", 0, ["table"]),

@@ -110,6 +110,8 @@ class TestClosedFormula:
 
 class TestPipelineStages:
     def test_thom_pullback_terms(self, cp2):
+        with pytest.raises(ValueError, match="level k"):
+            thom_pullback(cp2, 0)
         assert thom_pullback(cp2, 1) == ()
         t2 = thom_pullback(cp2, 2)
         assert [(m, str(c)) for m, c in t2] == [(1, "x2")]

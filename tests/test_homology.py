@@ -84,6 +84,23 @@ class TestPairingAndCap:
             assert cap(b * a, x) == cap(b, cap(a, x))
 
 
+class TestDual:
+    def test_rejects_wrong_length(self, space):
+        with pytest.raises(ValueError, match="wrong length"):
+            dual(space.ring, (1, 0))
+        with pytest.raises(ValueError, match="wrong length"):
+            dual(space.ring, (1, 0, 0, 0))
+
+    def test_rejects_exponent_out_of_range(self, space):
+        with pytest.raises(ValueError, match="out of range"):
+            dual(space.ring, (3, 0, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            dual(space.ring, (0, -1, 0))
+
+    def test_accepts_any_exponent_sequence(self, space):
+        assert dual(space.ring, [2, 1, 1]) == dual(space.ring, space.ring.top_monomial)
+
+
 class TestPoincareDuality:
     def test_fundamental_class(self, space):
         assert space.fundamental == dual(space.ring, space.ring.top_monomial)

@@ -136,12 +136,25 @@ class TestPullbacks:
             pv = cp3.pullback_pV(k, m)
             gam = cp3.gamma(k).ring
             assert pv(cp3.sm_pair.ring.gen("xi")) == gam.gen(f"x{2 * m}")
+            assert pv(cp3.sm_pair.ring.gen("xi")) == cp3.fiber_class(k, m)
 
     def test_pV_break_index_bounds(self, cp2):
         with pytest.raises(ValueError, match="break index"):
             cp2.pullback_pV(2, 2)
         with pytest.raises(ValueError, match="break index"):
             cp2.pullback_pV(1, 1)
+
+    def test_fiber_class_is_break_generator(self, cp2, hp3):
+        for cat in (cp2, hp3):
+            for k in range(2, 5):
+                for m in range(1, k):
+                    assert cat.fiber_class(k, m) == cat.gamma(k).ring.gen(f"x{2 * m}")
+
+    def test_fiber_class_break_index_bounds(self, cp2, hp3):
+        for cat in (cp2, hp3):
+            for k, m in [(3, 0), (3, 3), (1, 0), (1, 1)]:
+                with pytest.raises(ValueError, match="break index"):
+                    cat.fiber_class(k, m)
 
     def test_truncation_respected_on_small_n(self, cp1):
         # n=1 has no even base class, so the maps only carry b and xi
@@ -322,7 +335,7 @@ class TestCatalogCache:
 
     def test_rings_cached_inside_catalog(self, cp2):
         assert cp2.gamma(2) is cp2.gamma(2)
-        assert cp2.pullback_pV(3, 1) is cp2.pullback_pV(3, 1)
+        assert cp2.pv_gysin_table(3, 1) is cp2.pv_gysin_table(3, 1)
 
     def test_fresh_catalog_equivalent(self):
         p = SpaceParams.from_token("hp", 2)
