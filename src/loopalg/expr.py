@@ -16,6 +16,7 @@ strings that parse back to the same class.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,7 +99,14 @@ class _Lexer:
             self.pos += 1
         if self.pos == start:
             raise ExprError("expected a number", start)
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos]
+        try:
+            return int(digits)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) > limit:
+                raise ExprError(f"number longer than {limit} digits", start) from None
+            raise
 
     def tensor_sep(self) -> bool:
         """Consume a tensor separator if one is next."""

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homology import HomologyElement, cap, diagonal_pushforward
+from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward
 from .ring import Combination, RingElement, RingMismatchError
 from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 from .verify import Report
@@ -210,8 +210,7 @@ def cap_with_thom(
     Capping x_{2m} x [interval] into x x [interval] leaves the interval
     factor alone at the cost of (-1)^{deg x}, which is the sign applied here.
     """
-    if x.terms and x.degree() is None:
-        raise ValueError("cap_with_thom input must be homogeneous")
+    _require_homogeneous(x, "cap_with_thom input")
     sign = -1 if (x.degree() or 0) % 2 else 1
     return [(m, cap(xi, x) * sign) for m, xi in thom_pullback(catalog, k)]
 
@@ -590,31 +589,23 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
 
     alpha = {i: PresMonomial.build(params, alphas={i: 1}) for i in range(1, n)}
     beta = {i: PresMonomial.build(params, betas={i: 1}) for i in range(n)}
-    omega = PresMonomial.build(params, omega=1)
+
+    def expect(p: PresMonomial, kind: str | None, k: int, i: int, what: str) -> None:
+        """Check that p normalizes to kind[k,i]; to zero if kind is None or i > n - 1."""
+        value = norm(p)
+        if kind is None or i > n - 1:
+            rep.note(value.is_zero(), f"{what} does not vanish")
+        else:
+            rep.note(
+                value == CohClass.generator(params, kind, k, i), f"{what} misses {kind}[{k},{i}]"
+            )
 
     for i, j in itertools.product(range(1, n), repeat=2):
-        value = norm(alpha[i].mul(alpha[j]))
-        if i + j > n - 1:
-            rep.note(value.is_zero(), f"alpha_{i} alpha_{j} does not vanish")
-        else:
-            rep.note(
-                value == CohClass.generator(params, "s", 2, i + j),
-                f"alpha_{i} alpha_{j} misses s[2,{i + j}]",
-            )
+        expect(alpha[i].mul(alpha[j]), "s", 2, i + j, f"alpha_{i} alpha_{j}")
     for i, j in itertools.product(range(1, n), range(n)):
-        value = norm(alpha[i].mul(beta[j]))
-        if i + j > n - 1:
-            rep.note(value.is_zero(), f"alpha_{i} beta_{j} does not vanish")
-        else:
-            rep.note(
-                value == CohClass.generator(params, "m", 2, i + j),
-                f"alpha_{i} beta_{j} misses m[2,{i + j}]",
-            )
+        expect(alpha[i].mul(beta[j]), "m", 2, i + j, f"alpha_{i} beta_{j}")
     for i, j in itertools.product(range(n), repeat=2):
-        rep.note(
-            norm(beta[i].mul(beta[j])).is_zero(),
-            f"beta_{i} beta_{j} does not vanish",
-        )
+        expect(beta[i].mul(beta[j]), None, 2, 0, f"beta_{i} beta_{j}")
 
     by_count = {f: list(_pres_monomials(params, f)) for f in range(1, max_level)}
     for f1, monos1 in by_count.items():
@@ -630,28 +621,14 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
                     )
 
     for k in range(1, max_level + 1):
-        rep.note(
-            norm(PresMonomial.build(params, omega=k))
-            == CohClass.generator(params, "s", k, 0),
-            f"w^{k} misses s[{k},0]",
-        )
+        expect(PresMonomial.build(params, omega=k), "s", k, 0, f"w^{k}")
         for i in range(1, n):
-            rep.note(
-                norm(PresMonomial.build(params, omega=k - 1, alphas={i: 1}))
-                == CohClass.generator(params, "s", k, i),
-                f"w^{k - 1} alpha_{i} misses s[{k},{i}]",
-            )
+            p = PresMonomial.build(params, omega=k - 1, alphas={i: 1})
+            expect(p, "s", k, i, f"w^{k - 1} alpha_{i}")
         for i in range(n):
-            rep.note(
-                norm(PresMonomial.build(params, omega=k - 1, betas={i: 1}))
-                == CohClass.generator(params, "m", k, i),
-                f"w^{k - 1} beta_{i} misses m[{k},{i}]",
-            )
+            p = PresMonomial.build(params, omega=k - 1, betas={i: 1})
+            expect(p, "m", k, i, f"w^{k - 1} beta_{i}")
 
     for k in range(1, 2 * max_level + 1):
-        value = norm(PresMonomial.build(params, omega=k))
-        rep.note(
-            not value.is_zero() and value == CohClass.generator(params, "s", k, 0),
-            f"w^{k} is not s[{k},0]",
-        )
+        expect(PresMonomial.build(params, omega=k), "s", k, 0, f"w^{k}")
     return rep

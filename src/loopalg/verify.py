@@ -78,13 +78,15 @@ def verify_gysin_values(params: SpaceParams, max_k: int) -> Report:
     For every level k <= max_k, index i and break index m this checks, with
     x_all = x1 .. x_{2k-1} and x_omit the same word without x_{2m}:
 
-        cap(x_{2m}, -[a^i x_all])    == +[a^i x_omit]
-        cap(x_{2m}, [a^i b x_all])   == -[a^i b x_omit]
         retraction_!(dual a^i)       == -[a^i x_all]
-        retraction_!(dual a^i b)     == +[a^i b x_all]
+        cap(x_{2m}, -[a^i x_all])    == +[a^i x_omit]
         figure8_!(dual a^i)          == -[a^i x_omit]
+        retraction_!(dual a^i b)     == +[a^i b x_all]
+        cap(x_{2m}, [a^i b x_all])   == -[a^i b x_omit]
         figure8_!(dual a^i b)        == -[a^i b x_omit]
     """
+    # (with b, sign of the carrier [a^i (b) x_all], sign of its cap)
+    variants = ((False, -1, 1), (True, 1, -1))
     cat = catalog_for(params)
     rep = Report(f"gysin signs ({params.token}, n={params.n}, k<={max_k})")
     for k in range(1, max_k + 1):
@@ -92,61 +94,45 @@ def verify_gysin_values(params: SpaceParams, max_k: int) -> Report:
         ring = gam.ring
         full = {f"x{j}": 1 for j in range(1, 2 * k)}
         p_l = cat.pullback_pL(k)
+        p_v = {m: cat.pullback_pV(k, m) for m in range(1, k)}
         for i in range(params.n):
-            a_part = {"a": i} if i else {}
-            all_a = dual(ring, ring.monomial(full | a_part))
-            all_b = dual(ring, ring.monomial(full | a_part | {"b": 1}))
+            for with_b, sign, cap_sign in variants:
+                part = ({"a": i} if i else {}) | ({"b": 1} if with_b else {})
+                name = f"a^{i} b" if with_b else f"a^{i}"
+                carrier = dual(ring, ring.monomial(full | part)) * sign
+                shown = f"{'-' if sign < 0 else ''}[{name} x..]"
 
-            got = gysin(p_l, cat.sm, gam, cat.sm_dual(i))
-            rep.note(got == -all_a, lambda g=got, k=k, i=i: f"retraction_!(a^{i}) at k={k}: {g}")
-            got = gysin(p_l, cat.sm, gam, cat.sm_dual(i, with_b=True))
-            rep.note(got == all_b, lambda g=got, k=k, i=i: f"retraction_!(a^{i} b) at k={k}: {g}")
-
-            for m in range(1, k):
-                omit = {f"x{j}": 1 for j in range(1, 2 * k) if j != 2 * m}
-                omit_a = dual(ring, ring.monomial(omit | a_part))
-                omit_b = dual(ring, ring.monomial(omit | a_part | {"b": 1}))
-                x2m = ring.gen(f"x{2 * m}")
-
-                got = cap(x2m, -all_a)
+                got = gysin(p_l, cat.sm, gam, cat.sm_dual(i, with_b))
                 rep.note(
-                    got == omit_a,
-                    lambda g=got, k=k, i=i, m=m: f"cap(x{2 * m}, -[a^{i} x..]) at k={k}: {g}",
-                )
-                got = cap(x2m, all_b)
-                rep.note(
-                    got == -omit_b,
-                    lambda g=got, k=k, i=i, m=m: f"cap(x{2 * m}, [a^{i} b x..]) at k={k}: {g}",
+                    got == carrier, lambda g=got, k=k, s=name: f"retraction_!({s}) at k={k}: {g}"
                 )
 
-                p_v = cat.pullback_pV(k, m)
-                got = gysin(p_v, cat.sm_pair, gam, cat.sm_pair_dual(i))
-                rep.note(
-                    got == -omit_a,
-                    lambda g=got, k=k, i=i, m=m: f"figure8_!(a^{i}) at k={k}, m={m}: {g}",
-                )
-                got = gysin(p_v, cat.sm_pair, gam, cat.sm_pair_dual(i, with_b=True))
-                rep.note(
-                    got == -omit_b,
-                    lambda g=got, k=k, i=i, m=m: f"figure8_!(a^{i} b) at k={k}, m={m}: {g}",
-                )
+                for m in range(1, k):
+                    omit = {f"x{j}": 1 for j in range(1, 2 * k) if j != 2 * m}
+                    omitted = dual(ring, ring.monomial(omit | part))
+                    x2m = ring.gen(f"x{2 * m}")
+
+                    got = cap(x2m, carrier)
+                    rep.note(
+                        got == omitted * cap_sign,
+                        lambda g=got, k=k, m=m, s=shown: f"cap(x{2 * m}, {s}) at k={k}: {g}",
+                    )
+                    got = gysin(p_v[m], cat.sm_pair, gam, cat.sm_pair_dual(i, with_b))
+                    rep.note(
+                        got == -omitted,
+                        lambda g=got, k=k, m=m, s=name: f"figure8_!({s}) at k={k}, m={m}: {g}",
+                    )
     return rep
 
 
-def _random_homogeneous(ring, rng, degrees):
-    d = rng.choice(degrees)
-    basis = ring.basis(d)
-    picks = rng.sample(basis, k=min(len(basis), rng.randint(1, 3)))
-    return ring.element(
-        {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in picks}
-    )
-
-
-def _random_dual(ring, rng, monos):
+def _random_terms(rng, monos) -> dict:
+    """One to three of ``monos``, each with a random rational coefficient."""
     picks = rng.sample(monos, k=min(len(monos), rng.randint(1, 3)))
-    return HomologyElement(
-        ring, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in picks}
-    )
+    return {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in picks}
+
+
+def _random_homogeneous(ring, rng, degrees):
+    return ring.element(_random_terms(rng, ring.basis(rng.choice(degrees))))
 
 
 def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
@@ -245,7 +231,7 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
         a = _random_homogeneous(ring, rng, degrees)
         b = _random_homogeneous(ring, rng, degrees)
         c = _random_homogeneous(ring, rng, degrees) + _random_homogeneous(ring, rng, degrees)
-        x = _random_dual(ring, rng, monos)
+        x = HomologyElement(ring, _random_terms(rng, monos))
         da, db = a.degree() or 0, b.degree() or 0
         flip = -1 if (da % 2 and db % 2) else 1
         rep.note(a * b == (b * a) * flip, lambda: f"random commutativity: {a} vs {b}")

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output shapes, formats, exit codes."""
 
 import json
+import sys
 
 from loopalg import Report
 from loopalg.cli import EXIT_INTERNAL, run
@@ -296,6 +297,15 @@ class TestUsage:
         code, _, err = call(capsys, "--space", "cp", "--n", "2", "coproduct", "A[1,5]")
         assert code == 2
         assert "index out of range for n=2" in err
+
+    def test_overlong_coefficient_names_the_limit(self, capsys):
+        expr = "1" * 5000 + "*A[3,1]"
+        code, out, err = call(capsys, "--space", "cp", "--n", "2", "coproduct", expr)
+        assert code == 2
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == f"loopalg: error: number longer than {limit} digits (at position 0)\n"
+        assert "set_int_max_str_digits" not in err
 
     def test_cohomology_expr_rejected_by_coproduct(self, capsys):
         code, _, err = call(capsys, "--space", "cp", "--n", "2", "coproduct", "s[1,0]")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from loopalg.cli import run
+from loopalg.cli import _COMMANDS, SUITES, run
 
 FIXTURE = Path(__file__).with_name("cli_golden.json")
 FORMATS = ("text", "json", "latex")
@@ -70,6 +70,13 @@ def invoke(argv: list[str]) -> dict:
     with redirect_stdout(out), redirect_stderr(err):
         code = run(list(argv))
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_command_lines_cover_every_command_and_suite():
+    commands = {rest[0] for _, _, rest in COMMAND_LINES}
+    suites = {rest[1] for _, _, rest in COMMAND_LINES if rest[0] == "verify"}
+    assert commands >= set(_COMMANDS)
+    assert suites >= set(SUITES)
 
 
 @pytest.fixture(scope="module")
