@@ -95,18 +95,15 @@ class _Lexer:
     def nat(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ExprError("expected a number", start)
-        digits = self.text[start : self.pos]
         try:
-            return int(digits)
+            return int(self.text[start : self.pos])
         except ValueError:
             limit = sys.get_int_max_str_digits()
-            if limit and len(digits) > limit:
-                raise ExprError(f"number longer than {limit} digits", start) from None
-            raise
+            raise ExprError(f"number longer than {limit} digits", start) from None
 
     def tensor_sep(self) -> bool:
         """Consume a tensor separator if one is next."""
@@ -159,7 +156,7 @@ def _parse_term(lex: _Lexer, sign: int, n: int) -> Term:
     pos = lex.pos
     ch = lex.peek()
     coeff = Fraction(sign)
-    if ch is not None and ch.isdigit():
+    if ch is not None and ch.isdecimal():
         coeff = sign * _parse_rational(lex)
         if lex.peek() == "*":
             lex.pos += 1

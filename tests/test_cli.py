@@ -307,6 +307,13 @@ class TestUsage:
         assert err == f"loopalg: error: number longer than {limit} digits (at position 0)\n"
         assert "set_int_max_str_digits" not in err
 
+    def test_non_decimal_digit_is_a_positioned_parse_error(self, capsys):
+        code, out, err = call(capsys, "--space", "cp", "--n", "2", "coproduct", "A[\u00b2,1]")
+        assert code == 2
+        assert out == ""
+        assert err == "loopalg: error: expected a number (at position 2)\n"
+        assert "invalid literal" not in err
+
     def test_cohomology_expr_rejected_by_coproduct(self, capsys):
         code, _, err = call(capsys, "--space", "cp", "--n", "2", "coproduct", "s[1,0]")
         assert code == 2

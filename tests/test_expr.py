@@ -114,6 +114,18 @@ class TestParseErrors:
     def test_double_tensor(self):
         assert "'+' or '-'" in self.err("A[1,0] x A[1,0] x A[1,0]")
 
+    def test_non_decimal_digit_in_index(self):
+        # '²' passes str.isdigit() but int() rejects it.
+        assert self.err("A[\u00b2,1]").endswith("expected a number (at position 2)")
+
+    def test_non_decimal_digit_as_coefficient(self):
+        msg = self.err("\u00b2*A[1,1]")
+        assert msg.endswith("expected a generator (one of A, B, s, m) (at position 0)")
+
+    def test_other_script_decimal_digits_still_parse(self):
+        # ARABIC-INDIC DIGIT THREE is a decimal digit that int() accepts.
+        assert parse("A[\u0663,1]", 3) == parse("A[3,1]", 3)
+
     def test_empty_input(self):
         assert "generator" in self.err("")
 

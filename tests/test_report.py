@@ -1,0 +1,53 @@
+"""Report: deferred messages, the verdict, the kept-failure cap and absorb."""
+
+from loopalg.verify import KEEP_FAILURES, Report
+
+
+def test_message_thunk_runs_only_on_failure():
+    calls = []
+
+    def message():
+        calls.append(1)
+        return "broken"
+
+    rep = Report("thunks")
+    rep.note(True, message)
+    assert calls == []
+    rep.note(False, message)
+    assert calls == [1]
+    assert rep.failures == ["broken"]
+
+
+def test_note_returns_the_verdict():
+    rep = Report("verdict")
+    assert rep.note(True, "fine") is True
+    assert rep.note(False, "broken") is False
+    assert (rep.checks, rep.failed) == (2, 1)
+    assert not rep.passed
+
+
+def test_failures_beyond_the_cap_are_only_counted():
+    assert KEEP_FAILURES == 12
+    rep = Report("cap")
+    for j in range(20):
+        rep.note(False, lambda j=j: f"failure {j}")
+    assert rep.failed == 20
+    assert rep.failures == [f"failure {j}" for j in range(KEEP_FAILURES)]
+    assert rep.summary() == "FAIL (20 of 20 checks failed)"
+
+
+def test_absorb_sums_counts_and_keeps_the_cap():
+    first = Report("first")
+    first.note(True, "fine")
+    for j in range(8):
+        first.note(False, f"first {j}")
+    second = Report("second")
+    for j in range(8):
+        second.note(False, f"second {j}")
+    second.note(True, "fine")
+    first.absorb(second)
+    assert (first.checks, first.failed) == (18, 16)
+    assert first.failures == [f"first {j}" for j in range(8)] + [
+        f"second {j}" for j in range(KEEP_FAILURES - 8)
+    ]
+    assert first.name == "first"
