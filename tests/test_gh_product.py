@@ -8,6 +8,7 @@ from loopalg import (
     CohClass,
     LoopClass,
     PresMonomial,
+    Report,
     betti_table,
     coh_cross,
     coproduct_closed,
@@ -15,6 +16,7 @@ from loopalg import (
     gh_dual_pairing,
     gh_product,
     gh_product_pairs,
+    loops,
     presentation_normalize,
     tensor_pairing,
     verify_duality,
@@ -127,6 +129,69 @@ class TestDuality:
     def test_duality_sweep(self, cp2, hp1):
         assert verify_duality(cp2.params, 4).passed
         assert verify_duality(hp1.params, 4).passed
+
+
+def _dense_duality(params, max_k):
+    """Reference sweep: one gh_dual_pairing and one tensor_pairing per triple.
+
+    Kept as a test oracle for verify_duality, which reads the same triples
+    off sparse tables.  It calls gh_product and coproduct_closed through the
+    module, so a patched version reaches both sweeps.
+    """
+    rep = Report("dense duality")
+    coh = [(kind, k, i) for k in range(1, max_k) for kind in "sm" for i in range(params.n)]
+    split = {}
+    for k in range(1, max_k + 1):
+        for kind in "AB":
+            for i in range(params.n):
+                x = LoopClass.generator(params, kind, k, i)
+                split[(kind, k, i)] = (x, loops.coproduct_closed(x))
+    for ka in coh:
+        ca = CohClass.generator(params, *ka)
+        for kb in coh:
+            if ka[1] + kb[1] > max_k:
+                continue
+            cb = CohClass.generator(params, *kb)
+            prod = loops.gh_product(ca, cb)
+            crossed = coh_cross(ca, cb)
+            for key, (x, vee) in split.items():
+                lhs = gh_dual_pairing(prod, x)
+                rhs = tensor_pairing(crossed, vee)
+                rep.note(
+                    lhs == rhs,
+                    lambda ka=ka, kb=kb, key=key, lhs=lhs, rhs=rhs: (
+                        f"<{ka}*{kb}, {key}>: {lhs} != {rhs}"
+                    ),
+                )
+    return rep
+
+
+class TestDualityAgainstDenseReference:
+    @pytest.mark.parametrize("space", ["cp2", "hp2"])
+    def test_same_counts_and_verdict(self, space, request):
+        params = request.getfixturevalue(space).params
+        dense = _dense_duality(params, 8)
+        sparse = verify_duality(params, 8)
+        assert dense.checks == 14336
+        assert (sparse.checks, sparse.failed, sparse.passed) == (
+            dense.checks,
+            dense.failed,
+            dense.passed,
+        )
+
+    def test_same_failures_in_the_same_order(self, cp2, monkeypatch):
+        product = loops.gh_product
+
+        def doubled(a, b):
+            out = product(a, b)
+            return 2 * out if any(kind == "m" for kind, _, _ in a.terms) else out
+
+        monkeypatch.setattr(loops, "gh_product", doubled)
+        dense = _dense_duality(cp2.params, 8)
+        sparse = verify_duality(cp2.params, 8)
+        assert dense.failed > len(dense.failures) > 0
+        assert (sparse.checks, sparse.failed) == (dense.checks, dense.failed)
+        assert sparse.failures == dense.failures
 
 
 class TestPresentation:

@@ -1,4 +1,6 @@
-"""Report: deferred messages, the verdict, the kept-failure cap and absorb."""
+"""Report: deferred messages, the verdict, the kept-failure cap, credit and absorb."""
+
+import pytest
 
 from loopalg.verify import KEEP_FAILURES, Report
 
@@ -51,3 +53,36 @@ def test_absorb_sums_counts_and_keeps_the_cap():
         f"second {j}" for j in range(KEEP_FAILURES - 8)
     ]
     assert first.name == "first"
+
+
+def test_credit_adds_only_passed_checks():
+    rep = Report("credit")
+    rep.note(False, "broken")
+    rep.credit(5)
+    rep.credit(0)
+    assert (rep.checks, rep.failed) == (6, 1)
+    assert rep.failures == ["broken"]
+    clean = Report("clean")
+    clean.credit(3)
+    assert (clean.checks, clean.failed, clean.failures) == (3, 0, [])
+    assert clean.passed
+
+
+def test_credit_rejects_a_negative_count():
+    rep = Report("negative")
+    rep.note(True, "fine")
+    with pytest.raises(ValueError):
+        rep.credit(-1)
+    assert rep.checks == 1
+
+
+def test_summary_and_absorb_see_credited_checks():
+    rep = Report("credited")
+    rep.credit(7)
+    assert rep.summary() == "PASS (7 checks)"
+    rep.note(False, "broken")
+    assert rep.summary() == "FAIL (1 of 8 checks failed)"
+    total = Report("total")
+    total.credit(2)
+    total.absorb(rep)
+    assert (total.checks, total.failed, total.failures) == (10, 1, ["broken"])

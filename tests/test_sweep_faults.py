@@ -7,12 +7,13 @@ against the broken function itself, changes them.
 """
 
 from loopalg import loops, verify
-from loopalg.loops import CohClass, verify_presentation
+from loopalg.loops import CohClass, TensorLoopClass, verify_duality, verify_presentation
 from loopalg.spaces import SpaceParams
 from loopalg.verify import verify_gysin_values, verify_ring_axioms
 
 CP1 = SpaceParams.from_token("cp", 1)
 CP2 = SpaceParams.from_token("cp", 2)
+CP3 = SpaceParams.from_token("cp", 3)
 
 
 def _negated(fn):
@@ -79,3 +80,49 @@ def test_ring_sweep_catches_wrong_pd_inverse(monkeypatch):
     # One pd_inverse . pd check per basis monomial: 2 + 4 + 16.
     assert (rep.checks, rep.failed) == (18024, 22)
     assert all(f.startswith("pd_inverse . pd != id at ") for f in rep.failures)
+
+
+def test_duality_sweep_catches_wrong_product(monkeypatch):
+    product = loops.gh_product
+
+    def doubled(a, b):
+        out = product(a, b)
+        return 2 * out if any(kind == "m" for kind, _, _ in a.terms) else out
+
+    monkeypatch.setattr(loops, "gh_product", doubled)
+    rep = verify_duality(CP3, 6)
+    # One failure per nonzero m*s product: m[l,i] * s[l',j] with l + l' <= 6
+    # and i + j <= 2 is 15 level pairs times 6 index pairs.
+    assert (rep.checks, rep.failed) == (19440, 90)
+    assert all(f.startswith("<('m', ") and ": 2 != 1" in f for f in rep.failures)
+
+
+def test_duality_sweep_catches_wrong_coproduct_sign(monkeypatch):
+    coproduct = loops.coproduct_closed
+
+    def negated_at_level_one(x):
+        terms = coproduct(x).terms
+        return TensorLoopClass(
+            x.params, {key: -c if key[0][1] == 1 else c for key, c in terms.items()}
+        )
+
+    monkeypatch.setattr(loops, "coproduct_closed", negated_at_level_one)
+    rep = verify_duality(CP3, 6)
+    # One failure per nonzero product with a level-1 left factor.
+    assert (rep.checks, rep.failed) == (19440, 90)
+    assert all(f.endswith(": 1 != -1") for f in rep.failures)
+
+
+def test_duality_sweep_catches_extra_coproduct_term(monkeypatch):
+    coproduct = loops.coproduct_closed
+
+    def with_extra_term(x):
+        ((_, k, _),) = x.terms
+        extra = {(("A", 1, 0), ("A", k - 1, 0)): 1} if k >= 2 else {}
+        return coproduct(x) + TensorLoopClass(x.params, extra)
+
+    monkeypatch.setattr(loops, "coproduct_closed", with_extra_term)
+    rep = verify_duality(CP3, 6)
+    # One failure per generator of level 2 .. 6: 5 levels * 2 kinds * 3 indices.
+    assert (rep.checks, rep.failed) == (19440, 30)
+    assert all(f.startswith("<('s', 1, 0)*('s', ") for f in rep.failures)
