@@ -160,12 +160,26 @@ def _emit_class(args, params: SpaceParams, payload: dict, result) -> None:
     _emit(args, params, payload, format_text(result), format_latex(result), result.degree())
 
 
+def _decimal(text: str) -> int | None:
+    """``text`` as an int if it is a plain decimal numeral, else None.
+
+    The expression lexer's rule: signs, spaces and underscores are refused,
+    and so is a numeral longer than int() reads, too large for any index.
+    """
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _parse_gen_token(token: str, params: SpaceParams) -> tuple[int, bool]:
     hit = _GEN_TOKEN.match(token)
     if hit is None:
         raise UsageError(f"bad class token {token!r}; expected a<i> or ab<i>, like a0 or ab1")
-    i = int(hit.group(2))
-    params.check_index(i)
+    i = _decimal(hit.group(2))
+    params.check_index(params.n if i is None else i)
     return i, hit.group(1) == "ab"
 
 
@@ -213,13 +227,10 @@ def _cmd_gysin(args, params: SpaceParams) -> int:
     cat = catalog_for(params)
     i, with_b = _parse_gen_token(args.gen, params)
     k = args.k
+    m = _decimal(args.map_spec[3:]) if args.map_spec.startswith("pV:") else None
     if args.map_spec == "pL":
         out = gysin(cat.pullback_pL(k), cat.sm, cat.gamma(k), cat.sm_dual(i, with_b))
-    elif args.map_spec.startswith("pV:"):
-        try:
-            m = int(args.map_spec[3:])
-        except ValueError:
-            raise UsageError(f"bad map {args.map_spec!r}; expected pL or pV:<m>")
+    elif m is not None:
         out = gysin(
             cat.pullback_pV(k, m), cat.sm_pair, cat.gamma(k), cat.sm_pair_dual(i, with_b)
         )

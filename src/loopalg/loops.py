@@ -540,16 +540,24 @@ def _triple_closed(params: SpaceParams, kind: str, k: int, i: int) -> dict:
 
 
 def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
-    """Both iterated coproducts agree, and match the direct triple split."""
+    """Both iterated coproducts agree, and match the direct triple split.
+
+    Each generator's coproduct is built once, as a table of terms; every
+    tensor factor of a level-k generator has a level below k, so both
+    iterated coproducts read their inner factors from that table.
+    """
     rep = Report(f"coassociativity ({params.token}, n={params.n}, k<={max_k})")
-    for key in _keys(params, max_k, "AB"):
-        vee = coproduct_closed(LoopClass.generator(params, *key))
+    split = {
+        key: coproduct_closed(LoopClass.generator(params, *key)).terms
+        for key in _keys(params, max_k, "AB")
+    }
+    for key, vee in split.items():
         left: dict = {}
         right: dict = {}
-        for (u, v), c in vee.terms.items():
-            for (p, q), d in coproduct_closed(LoopClass.generator(params, *u)).terms.items():
+        for (u, v), c in vee.items():
+            for (p, q), d in split[u].items():
                 _bump(left, (p, q, v), c * d)
-            for (p, q), d in coproduct_closed(LoopClass.generator(params, *v)).terms.items():
+            for (p, q), d in split[v].items():
                 _bump(right, (u, p, q), c * d)
         left = {t: c for t, c in left.items() if c}
         right = {t: c for t, c in right.items() if c}

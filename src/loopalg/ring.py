@@ -103,10 +103,6 @@ class Ring:
         self._odd_positions = tuple(
             pos for pos, d in enumerate(self.degrees) if d % 2 == 1
         )
-        suffix = [0] * (len(gens) + 1)
-        for pos in range(len(gens) - 1, -1, -1):
-            suffix[pos] = suffix[pos + 1] + self.degrees[pos] * (self.truncations[pos] - 1)
-        self._suffix_top = tuple(suffix)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -215,44 +211,6 @@ class Ring:
         return RingElement(self, {self.check_monomial(m): c for m, c in terms.items()})
 
     # -- enumeration -----------------------------------------------------
-
-    def basis(self, d: int) -> list[Monomial]:
-        """All monomials of degree exactly ``d``, lexicographically ordered.
-
-        A depth-first walk over the positions with an explicit cursor, so
-        rings with thousands of generators do not hit the recursion limit.
-        Branches whose remaining degree exceeds what the later generators
-        can reach are cut.
-        """
-        if d < 0:
-            raise ValueError("degree must be non-negative")
-        r = len(self.generators)
-        suffix = self._suffix_top
-        out: list[Monomial] = []
-        if d > suffix[0]:
-            return out
-        exps = [0] * r
-        remaining = [d] + [0] * r
-        pos, e = 0, 0  # e is the next exponent to try at pos
-        while pos >= 0:
-            if pos < r and e < self.truncations[pos]:
-                rest = remaining[pos] - e * self.degrees[pos]
-                if rest >= 0:
-                    exps[pos] = e
-                    if rest <= suffix[pos + 1]:
-                        remaining[pos + 1] = rest
-                        pos, e = pos + 1, 0
-                    else:
-                        e += 1
-                    continue
-            if pos == r:
-                out.append(tuple(exps))
-            else:
-                exps[pos] = 0
-            pos -= 1
-            if pos >= 0:
-                e = exps[pos] + 1
-        return out
 
     def poincare_series(self, max_degree: int) -> list[tuple[int, int]]:
         """Pairs ``(d, dim)`` for d = 0 .. max_degree, counted without signs."""

@@ -2,7 +2,7 @@
 
 ``perfbench/workloads.py`` reaches the package as ``lp.<name>``, names sweeps
 as strings handed to ``verify_op`` or listed in ``SWEEP_BOUNDS``, and calls
-members of the space catalog.  A renamed or deleted name would only fail when
+members of the space catalog and methods of the rings it binds as ``ring``.  A renamed or deleted name would only fail when
 a benchmark run starts.  The workloads file is read with ``ast`` and never
 imported.
 """
@@ -11,6 +11,7 @@ import ast
 from pathlib import Path
 
 import loopalg
+from loopalg.ring import Ring
 from loopalg.spaces import SpaceCatalog
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -18,6 +19,8 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 CATALOG_MEMBERS = {
     "pullback_pL", "pullback_pV", "sm", "sm_pair", "gamma", "sm_dual", "sm_pair_dual"
 }
+
+RING_METHODS = {"gen", "monomial", "exponents_by_name"}
 
 
 def _tree() -> ast.Module:
@@ -75,3 +78,15 @@ def test_catalog_members_exist():
     }
     assert CATALOG_MEMBERS <= used
     assert sorted(name for name in used if not hasattr(SpaceCatalog, name)) == []
+
+
+def test_ring_methods_exist():
+    used = {
+        node.attr
+        for node in ast.walk(_tree())
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ring"
+    }
+    assert RING_METHODS <= used
+    assert sorted(name for name in used if not hasattr(Ring, name)) == []

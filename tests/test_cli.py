@@ -3,6 +3,8 @@
 import json
 import sys
 
+import pytest
+
 from loopalg import Report
 from loopalg.cli import EXIT_INTERNAL, run
 from loopalg.loops import PipelineMatchError
@@ -168,6 +170,29 @@ class TestGysinAndCap:
         )
         assert code == 2
         assert "index out of range for n=2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gysin", "a" + "1" * 5000, "--k", "2", "--map", "pL"],
+            ["cap", "ab" + "1" * 5000, "--k", "2", "--m", "1"],
+        ],
+        ids=["gysin", "cap"],
+    )
+    def test_overlong_index_in_token_is_out_of_range(self, capsys, argv):
+        code, out, err = call(capsys, "--space", "cp", "--n", "2", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "loopalg: error: index out of range for n=2\n"
+
+    @pytest.mark.parametrize("spec", ["pV:1_1", "pV: 1", "pV:+1"])
+    def test_break_index_must_be_a_plain_decimal(self, capsys, spec):
+        code, out, err = call(
+            capsys, "--space", "cp", "--n", "2", "gysin", "a0", "--k", "3", "--map", spec
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"loopalg: error: bad map {spec!r}; expected pL or pV:<m>\n"
 
     def test_bad_map_spec(self, capsys):
         code, _, err = call(

@@ -6,8 +6,17 @@ the sweep's structure, so a rewrite that stops checking a fact, or checks it
 against the broken function itself, changes them.
 """
 
+import pytest
+
 from loopalg import loops, verify
-from loopalg.loops import CohClass, TensorLoopClass, verify_duality, verify_presentation
+from loopalg.loops import (
+    CohClass,
+    TensorLoopClass,
+    verify_coassociativity,
+    verify_duality,
+    verify_pipeline,
+    verify_presentation,
+)
 from loopalg.spaces import SpaceParams
 from loopalg.verify import verify_gysin_values, verify_ring_axioms
 
@@ -60,14 +69,18 @@ def test_ring_sweep_catches_wrong_cross_sign(monkeypatch):
     assert all(f.startswith("diagonal adjunction fails at ") for f in rep.failures)
 
 
-def test_ring_sweep_catches_wrong_cap_sign(monkeypatch):
+@pytest.mark.parametrize(
+    ("params", "seed", "counts"), [(CP1, 0, (18024, 528)), (CP2, 7, (135625, 1480))]
+)
+def test_ring_sweep_catches_wrong_cap_sign(monkeypatch, params, seed, counts):
     monkeypatch.setattr(verify, "cap", _negated(verify.cap))
-    rep = verify_ring_axioms(CP1, seed=0)
+    rep = verify_ring_axioms(params, seed=seed)
     # A negated cap breaks the cap module axiom (one cap against two) and the
-    # pairing adjunction (one cap against none) wherever they are nonzero:
-    # 276 + 93 exhaustive and 87 + 72 randomized failures.  The first twelve
+    # pairing adjunction (one cap against none) wherever they are nonzero; on
+    # CP1 that is 276 + 93 exhaustive and 87 + 72 randomized failures.  The
+    # randomized count pins which elements each seed draws.  The first twelve
     # kept are exhaustive ones.
-    assert (rep.checks, rep.failed) == (18024, 528)
+    assert (rep.checks, rep.failed) == counts
     assert all(
         f.startswith(("cap module axiom fails at ", "pairing adjunction fails at "))
         for f in rep.failures
@@ -126,3 +139,72 @@ def test_duality_sweep_catches_extra_coproduct_term(monkeypatch):
     # One failure per generator of level 2 .. 6: 5 levels * 2 kinds * 3 indices.
     assert (rep.checks, rep.failed) == (19440, 30)
     assert all(f.startswith("<('s', 1, 0)*('s', ") for f in rep.failures)
+
+
+def test_coassociativity_sweep_cannot_see_a_uniform_scale(monkeypatch):
+    coproduct = loops.coproduct_closed
+    monkeypatch.setattr(loops, "coproduct_closed", lambda x: 2 * coproduct(x))
+    rep = verify_coassociativity(CP3, 6)
+    # Both iterated coproducts scale by 4 and still agree; only the direct
+    # triple split, nonzero from level 3 on, sees it: 4 levels * 2 kinds * 3.
+    assert (rep.checks, rep.failed) == (72, 24)
+    assert all(f.startswith("triple split mismatch at ") for f in rep.failures)
+
+
+def test_coassociativity_sweep_catches_wrong_coproduct_sign(monkeypatch):
+    coproduct = loops.coproduct_closed
+
+    def negated_at_level_one(x):
+        terms = coproduct(x).terms
+        return TensorLoopClass(
+            x.params, {key: -c if key[0][1] == 1 else c for key, c in terms.items()}
+        )
+
+    monkeypatch.setattr(loops, "coproduct_closed", negated_at_level_one)
+    rep = verify_coassociativity(CP3, 6)
+    # Every generator of level 3 or more fails both of its checks: 24 * 2.
+    assert (rep.checks, rep.failed) == (72, 48)
+    assert {f.split(" at ")[0] for f in rep.failures} == {
+        "coassociativity fails",
+        "triple split mismatch",
+    }
+
+
+def test_coassociativity_sweep_catches_wrong_triple_split(monkeypatch):
+    triple = loops._triple_closed
+
+    def without_middle_b(params, kind, k, i):
+        return {t: c for t, c in triple(params, kind, k, i).items() if t[1][0] != "B"}
+
+    monkeypatch.setattr(loops, "_triple_closed", without_middle_b)
+    rep = verify_coassociativity(CP3, 6)
+    # Only B classes of level 3 or more have a B middle factor: 4 levels * 3.
+    assert (rep.checks, rep.failed) == (72, 12)
+    assert all(f.startswith("triple split mismatch at ('B', ") for f in rep.failures)
+
+
+def test_pipeline_sweep_catches_wrong_pushforward_sign(monkeypatch):
+    monkeypatch.setattr(
+        loops, "diagonal_pushforward", _negated(loops.diagonal_pushforward)
+    )
+    rep = verify_pipeline(CP3, 6)
+    # Level-1 generators have no break index and stay zero: 36 - 6 fail.
+    assert (rep.checks, rep.failed) == (36, 30)
+    assert all(": pipeline gives -1*" in f for f in rep.failures)
+
+
+def test_sweeps_build_one_coproduct_per_generator(monkeypatch):
+    coproduct = loops.coproduct_closed
+    built = []
+
+    def counted(x):
+        built.append(tuple(x.terms))
+        return coproduct(x)
+
+    monkeypatch.setattr(loops, "coproduct_closed", counted)
+    # CP3 up to level 6 has 6 levels * 2 kinds * 3 indices = 36 generators.
+    verify_coassociativity(CP3, 6)
+    assert len(built) == len(set(built)) == 36
+    built.clear()
+    verify_duality(CP3, 6)
+    assert len(built) == len(set(built)) == 36
