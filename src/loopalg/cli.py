@@ -8,6 +8,9 @@ package did not expect, such as a PipelineMatchError or RingMismatchError),
 reported on one line of stderr.  The environment variable LOOPALG_MAX_LEVEL
 (default 8) caps verification sweeps when --max-k is not given, and sets the
 default --max-degree of `table` to the degree of B[level, n-1].
+
+Every number read here is a numeral by the expression lexer's rule,
+``expr._numeral``; options and LOOPALG_MAX_LEVEL may also start with '-'.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import os
 import re
 import sys
 
-from .expr import evaluate, format_latex, format_text, parse
+from .expr import _numeral, evaluate, format_latex, format_text, parse
 from .homology import cap, gysin
 from .loops import (
     CohClass,
@@ -42,7 +45,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_GEN_TOKEN = re.compile(r"^(ab|a)(\d+)$")
+_GEN_TOKEN = re.compile(r"(ab|a)(\d+)")
 
 
 class UsageError(ValueError):
@@ -68,11 +71,16 @@ SUITES = {
 }
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
+    """A numeral, or its negative, so that a negative value fails its range check."""
     try:
-        value = int(text)
+        return -_numeral(text[1:]) if text.startswith("-") else _numeral(text)
     except ValueError as err:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from err
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be at least 1")
     return value
@@ -113,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("table", help="Betti numbers of the relative loop homology")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_integer, default=None)
     common(p)
 
     p = sub.add_parser("verify", help="run a verification sweep")
@@ -127,14 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _max_level(args) -> int:
     if getattr(args, "max_k", None):
         return args.max_k
-    raw = os.environ.get("LOOPALG_MAX_LEVEL", "8").strip() or "8"
     try:
-        level = int(raw)
-    except ValueError:
-        raise UsageError(f"LOOPALG_MAX_LEVEL={raw!r} is not an integer")
-    if level < 1:
-        raise UsageError("LOOPALG_MAX_LEVEL must be at least 1")
-    return level
+        return _positive_int(os.environ.get("LOOPALG_MAX_LEVEL") or "8")
+    except argparse.ArgumentTypeError as err:
+        raise UsageError(f"LOOPALG_MAX_LEVEL: {err}") from None
 
 
 def _emit(
@@ -160,26 +164,15 @@ def _emit_class(args, params: SpaceParams, payload: dict, result) -> None:
     _emit(args, params, payload, format_text(result), format_latex(result), result.degree())
 
 
-def _decimal(text: str) -> int | None:
-    """``text`` as an int if it is a plain decimal numeral, else None.
-
-    The expression lexer's rule: signs, spaces and underscores are refused,
-    and so is a numeral longer than int() reads, too large for any index.
-    """
-    if not text.isdecimal():
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return None
-
-
 def _parse_gen_token(token: str, params: SpaceParams) -> tuple[int, bool]:
-    hit = _GEN_TOKEN.match(token)
+    hit = _GEN_TOKEN.fullmatch(token)
     if hit is None:
         raise UsageError(f"bad class token {token!r}; expected a<i> or ab<i>, like a0 or ab1")
-    i = _decimal(hit.group(2))
-    params.check_index(params.n if i is None else i)
+    try:
+        i = _numeral(hit.group(2))
+    except ValueError:  # a numeral too long to read is past any index
+        i = params.n
+    params.check_index(i)
     return i, hit.group(1) == "ab"
 
 
@@ -227,15 +220,17 @@ def _cmd_gysin(args, params: SpaceParams) -> int:
     cat = catalog_for(params)
     i, with_b = _parse_gen_token(args.gen, params)
     k = args.k
-    m = _decimal(args.map_spec[3:]) if args.map_spec.startswith("pV:") else None
     if args.map_spec == "pL":
         out = gysin(cat.pullback_pL(k), cat.sm, cat.gamma(k), cat.sm_dual(i, with_b))
-    elif m is not None:
+    else:
+        digits = args.map_spec[3:] if args.map_spec.startswith("pV:") else ""
+        try:
+            m = _numeral(digits)
+        except ValueError:
+            raise UsageError(f"bad map {args.map_spec!r}; expected pL or pV:<m>") from None
         out = gysin(
             cat.pullback_pV(k, m), cat.sm_pair, cat.gamma(k), cat.sm_pair_dual(i, with_b)
         )
-    else:
-        raise UsageError(f"bad map {args.map_spec!r}; expected pL or pV:<m>")
     _emit_class(args, params, {"input": args.gen, "map": args.map_spec, "k": k}, out)
     return EXIT_OK
 

@@ -26,7 +26,6 @@ from .loops import (
     TensorCohClass,
     TensorLoopClass,
 )
-from .ring import Combination
 from .spaces import SpaceParams
 
 __all__ = [
@@ -71,6 +70,20 @@ class ClassExpr:
     terms: tuple[Term, ...]
 
 
+def _numeral(text: str) -> int:
+    """The one numeral rule for every number loopalg reads, else ``ValueError``.
+
+    One or more Unicode decimal digits (``str.isdecimal``), with no sign,
+    space or underscore, and at most ``sys.get_int_max_str_digits()`` of them.
+    """
+    if not text.isdecimal():
+        raise ValueError("expected a number")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"number longer than {sys.get_int_max_str_digits()} digits") from None
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
@@ -97,13 +110,10 @@ class _Lexer:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
-        if self.pos == start:
-            raise ExprError("expected a number", start)
         try:
-            return int(self.text[start : self.pos])
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise ExprError(f"number longer than {limit} digits", start) from None
+            return _numeral(self.text[start : self.pos])
+        except ValueError as err:
+            raise ExprError(str(err), start) from None
 
     def tensor_sep(self) -> bool:
         """Consume a tensor separator if one is next."""
@@ -237,10 +247,10 @@ def evaluate(
 def format_text(obj) -> str:
     """Canonical expression string; ``parse . format_text`` is the identity.
 
-    This is the signed print of ``Combination``; the loop classes' own
-    ``str`` is the unsigned ``repr``.
+    This is the class's own ``str``, the signed print of ``Combination``;
+    ``None``, the bare zero, prints as ``0``.
     """
-    return "0" if obj is None else Combination.__str__(obj)
+    return "0" if obj is None else str(obj)
 
 
 def _coeff_latex(c: Fraction) -> str:

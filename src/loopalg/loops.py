@@ -59,7 +59,7 @@ class PipelineMatchError(RuntimeError):
 
 
 class _FormalSum(Combination):
-    """Key validation, degrees and printing shared by the four class types."""
+    """Key validation, degrees and printed bodies shared by the four class types."""
 
     kinds: frozenset[str] = frozenset()
     pair = False
@@ -71,16 +71,22 @@ class _FormalSum(Combination):
     def __init__(self, params: SpaceParams, terms: dict | None = None):
         super().__init__(params, terms or {})
         for key in self.terms:
-            self._check_key(key)
+            for kind, k, i in self._parts(key):
+                if kind not in self.kinds:
+                    raise ValueError(f"unexpected generator kind {kind!r}")
+                params.check_level(k)
+                params.check_index(i)
 
-    def _check_key(self, key) -> None:
-        parts = key if self.pair else (key,)
-        for part in parts:
-            kind, k, i = part
-            if kind not in self.kinds:
-                raise ValueError(f"unexpected generator kind {kind!r}")
-            self.params.check_level(k)
-            self.params.check_index(i)
+    def _parts(self, key) -> tuple:
+        """The one reader of the key layout: a key is one ``(kind, k, i)``, or two for a pair."""
+        try:
+            if self.pair:
+                (_, _, _), (_, _, _) = key
+                return key
+            _, _, _ = key
+            return (key,)
+        except (TypeError, ValueError):
+            raise ValueError(f"malformed {type(self).__name__} key {key!r}") from None
 
     @classmethod
     def zero(cls, params: SpaceParams):
@@ -91,39 +97,21 @@ class _FormalSum(Combination):
         return cls(params, {(kind, k, i): 1})
 
     def _key_degree(self, key) -> int:
-        if self.pair:
-            return sum(generator_degree(self.params, *part) for part in key)
-        return generator_degree(self.params, *key)
+        return sum(generator_degree(self.params, *part) for part in self._parts(key))
 
     def _sort_key(self, key):
-        parts = key if self.pair else (key,)
-        return tuple((_KIND_RANK[kind], k, i) for kind, k, i in parts)
+        return tuple((_KIND_RANK[kind], k, i) for kind, k, i in self._parts(key))
 
     def _body(self, key) -> str:
-        parts = key if self.pair else (key,)
-        return " x ".join(f"{kind}[{k},{i}]" for kind, k, i in parts)
+        return " x ".join(f"{kind}[{k},{i}]" for kind, k, i in self._parts(key))
 
     def _latex_body(self, key) -> str:
-        parts = key if self.pair else (key,)
         return " \\times ".join(
-            f"{_LATEX_LETTER[kind]}_{{{k}}}^{{{i}}}" for kind, k, i in parts
+            f"{_LATEX_LETTER[kind]}_{{{k}}}^{{{i}}}" for kind, k, i in self._parts(key)
         )
 
     def _json_body(self, key) -> dict:
-        parts = key if self.pair else (key,)
-        return {"gen": [{"kind": kind, "k": k, "i": i} for kind, k, i in parts]}
-
-    def __repr__(self) -> str:
-        """Unsigned: a negative coefficient prints as ``+ -c*...``."""
-        if not self.terms:
-            return "0"
-        bits = []
-        for key, c in self.sorted_terms():
-            body = self._body(key)
-            bits.append(body if c == 1 else f"{c}*{body}")
-        return " + ".join(bits)
-
-    __str__ = __repr__
+        return {"gen": [{"kind": kind, "k": k, "i": i} for kind, k, i in self._parts(key)]}
 
 
 class LoopClass(_FormalSum):
@@ -320,13 +308,19 @@ def gh_product_pairs(t: TensorCohClass) -> CohClass:
     return CohClass(t.params, out)
 
 
+def _dual_key(key):
+    """The loop generator dual to a cohomology generator key."""
+    kind, k, i = key
+    return (_COH_TO_LOOP[kind], k, i)
+
+
 def gh_dual_pairing(a: CohClass, x: LoopClass) -> Fraction:
     """Kronecker pairing, s[k,i] against A[k,i] and m[k,i] against B[k,i]."""
     if a.params != x.params:
         raise RingMismatchError("operands are classes over different spaces")
     total = Fraction(0)
-    for (kind, k, i), c in a.terms.items():
-        cx = x.terms.get((_COH_TO_LOOP[kind], k, i))
+    for key, c in a.terms.items():
+        cx = x.terms.get(_dual_key(key))
         if cx is not None:
             total += c * cx
     return total
@@ -347,12 +341,8 @@ def tensor_pairing(t: TensorCohClass, x: TensorLoopClass) -> Fraction:
     if t.params != x.params:
         raise RingMismatchError("operands are classes over different spaces")
     total = Fraction(0)
-    for ((ka, kb)), c in t.terms.items():
-        key = (
-            (_COH_TO_LOOP[ka[0]], ka[1], ka[2]),
-            (_COH_TO_LOOP[kb[0]], kb[1], kb[2]),
-        )
-        cx = x.terms.get(key)
+    for (ka, kb), c in t.terms.items():
+        cx = x.terms.get((_dual_key(ka), _dual_key(kb)))
         if cx is not None:
             total += c * cx
     return total
@@ -472,12 +462,6 @@ def _keys(params: SpaceParams, max_k: int, kinds: str):
                 yield (kind, k, i)
 
 
-def _dual_key(key):
-    """The loop generator dual to a cohomology generator key."""
-    kind, k, i = key
-    return (_COH_TO_LOOP[kind], k, i)
-
-
 def verify_duality(params: SpaceParams, max_k: int) -> Report:
     """<a * b, X> == <a x b, coproduct X> over all basis triples.
 
@@ -579,7 +563,7 @@ def verify_pipeline(params: SpaceParams, max_k: int) -> Report:
             continue
         rep.note(
             piped == coproduct_closed(x),
-            lambda key=key, piped=piped: f"{key}: pipeline gives {piped!r}",
+            lambda key=key, piped=piped: f"{key}: pipeline gives {piped}",
         )
     return rep
 

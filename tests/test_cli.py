@@ -155,9 +155,10 @@ class TestGysinAndCap:
             {"coeff": "-1", "dual": {"x1": 1, "x2": 1, "x3": 1}}
         ]
 
-    def test_bad_gen_token(self, capsys):
+    @pytest.mark.parametrize("token", ["q1", "a1\n"])
+    def test_bad_gen_token(self, capsys, token):
         code, _, err = call(
-            capsys, "--space", "cp", "--n", "2", "gysin", "q1", "--k", "2",
+            capsys, "--space", "cp", "--n", "2", "gysin", token, "--k", "2",
             "--map", "pL",
         )
         assert code == 2
@@ -371,3 +372,46 @@ class TestUsage:
             "loopalg: internal error: RingMismatchError: "
             "sum of classes over different spaces\n"
         )
+
+
+class TestNumerals:
+    """Every CLI number follows the expression lexer's numeral rule."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["cap", "a0", "--k", "1_0", "--m", "1"], "--k"),
+            (["cap", "a0", "--k", "3", "--m", "+1"], "--m"),
+            (["cap", "a0", "--k", " 3", "--m", "1"], "--k"),
+            (["table", "--max-degree", "1_0"], "--max-degree"),
+        ],
+        ids=["underscore", "plus-sign", "space", "max-degree-underscore"],
+    )
+    def test_option_must_be_a_plain_decimal(self, capsys, argv, option):
+        code, out, err = call(capsys, "--space", "cp", "--n", "2", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f": error: argument {option}: expected a number\n")
+
+    def test_env_level_must_be_a_plain_decimal(self, capsys, monkeypatch):
+        monkeypatch.setenv("LOOPALG_MAX_LEVEL", " 0_3")
+        code, out, err = call(capsys, "--space", "cp", "--n", "2", "verify", "coassoc")
+        assert code == 2
+        assert out == ""
+        assert err == "loopalg: error: LOOPALG_MAX_LEVEL: expected a number\n"
+
+    def test_overlong_option_names_the_limit(self, capsys):
+        code, out, err = call(
+            capsys, "--space", "cp", "--n", "2", "cap", "a0", "--k", "1" * 5000, "--m", "1"
+        )
+        assert code == 2
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err.endswith(f": error: argument --k: number longer than {limit} digits\n")
+        assert "1" * 100 not in err
+
+    def test_other_script_decimal_digits_still_read(self, capsys):
+        argv = ["--space", "cp", "--n", "2", "cap", "a0", "--m", "1", "--k"]
+        arabic = call(capsys, *argv, "٣")
+        assert arabic == call(capsys, *argv, "3")
+        assert arabic[0] == 0

@@ -140,10 +140,10 @@ _TENSOR_LOOP = {
     (("B", 1, 0), ("A", 1, 0)): -1,
     (("A", 2, 1), ("A", 1, 1)): Fraction(1, 3),
 }
-_LOOP_TEXT = "A[1,0] + 1/3*A[2,1] + -1*B[1,1]"
-_COH_TEXT = "s[1,0] + 1/3*s[2,1] + -1*m[1,1]"
-_TENSOR_LOOP_TEXT = "A[1,0] x B[1,1] + 1/3*A[2,1] x A[1,1] + -1*B[1,0] x A[1,0]"
-_TENSOR_COH_TEXT = "s[1,0] x m[1,1] + 1/3*s[2,1] x s[1,1] + -1*m[1,0] x s[1,0]"
+_LOOP_TEXT = "A[1,0] + 1/3*A[2,1] - B[1,1]"
+_COH_TEXT = "s[1,0] + 1/3*s[2,1] - m[1,1]"
+_TENSOR_LOOP_TEXT = "A[1,0] x B[1,1] + 1/3*A[2,1] x A[1,1] - B[1,0] x A[1,0]"
+_TENSOR_COH_TEXT = "s[1,0] x m[1,1] + 1/3*s[2,1] x s[1,1] - m[1,0] x s[1,0]"
 
 
 def _coh(key):
@@ -163,18 +163,34 @@ def _coh(key):
         (-RING.one(), "-1", "<-1>"),
         (RING.zero(), "0", "<0>"),
         (HomologyElement(RING, {}), "0", "<0>"),
-        # loop classes print unsigned: a negative coefficient follows " + "
-        (LoopClass(CP2, _LOOP), _LOOP_TEXT, _LOOP_TEXT),
-        (CohClass(CP2, {_coh(k): c for k, c in _LOOP.items()}), _COH_TEXT, _COH_TEXT),
-        (TensorLoopClass(CP2, _TENSOR_LOOP), _TENSOR_LOOP_TEXT, _TENSOR_LOOP_TEXT),
+        # loop classes print like every other type: the text the parser reads
+        (LoopClass(CP2, _LOOP), _LOOP_TEXT, f"<{_LOOP_TEXT}>"),
+        (CohClass(CP2, {_coh(k): c for k, c in _LOOP.items()}), _COH_TEXT, f"<{_COH_TEXT}>"),
+        (TensorLoopClass(CP2, _TENSOR_LOOP), _TENSOR_LOOP_TEXT, f"<{_TENSOR_LOOP_TEXT}>"),
         (
             TensorCohClass(CP2, {tuple(map(_coh, k)): c for k, c in _TENSOR_LOOP.items()}),
             _TENSOR_COH_TEXT,
-            _TENSOR_COH_TEXT,
+            f"<{_TENSOR_COH_TEXT}>",
         ),
-        (LoopClass.zero(CP2), "0", "0"),
+        (LoopClass.zero(CP2), "0", "<0>"),
     ],
 )
 def test_printed_forms_are_pinned(value, text, rep):
     assert str(value) == text
     assert repr(value) == rep
+
+
+# The one reader of the key layout refuses a key of the wrong shape, and says
+# which class it was building.
+@pytest.mark.parametrize(
+    "cls, key",
+    [
+        (TensorLoopClass, (("A", 1, 0),)),
+        (TensorLoopClass, (("A", 1, 0), ("A", 1, 0), ("A", 1, 0))),
+        (LoopClass, (("A", 1, 0), ("A", 1, 0))),
+    ],
+    ids=["tensor-one-part", "tensor-three-parts", "loop-pair"],
+)
+def test_malformed_keys_are_refused(cls, key):
+    with pytest.raises(ValueError, match=f"^malformed {cls.__name__} key "):
+        cls(CP2, {key: 1})

@@ -219,6 +219,7 @@ class TestRoundTrip:
     )
     def test_parse_after_format_is_identity(self, v):
         text = format_text(v)
+        assert str(v) == text
         back = evaluate(parse(text, CP3.n), CP3)
         if v.is_zero():
             assert back is None
