@@ -25,6 +25,7 @@ from .loops import (
     LoopClass,
     TensorCohClass,
     TensorLoopClass,
+    _class_and_key,
 )
 from .spaces import SpaceParams
 
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 _GEN_LETTERS = "ABsm"
-_LOOP_KINDS = frozenset("AB")
 
 
 class ExprError(ValueError):
@@ -209,38 +209,24 @@ def evaluate(
     Loop generators (A, B) and cohomology generators (s, m) cannot be mixed,
     nor can plain and tensor terms.
     """
-    arity: int | None = None
-    domain: str | None = None
+    cls = None
     terms: dict = {}
     for term in expr.terms:
         if not term.atoms:
             continue
-        kinds = {a.kind for a in term.atoms}
-        term_domain = "loop" if kinds <= _LOOP_KINDS else "coh"
-        if not (kinds <= _LOOP_KINDS or kinds.isdisjoint(_LOOP_KINDS)):
+        try:
+            term_cls, key = _class_and_key(tuple((a.kind, a.k, a.i) for a in term.atoms))
+        except ValueError as err:
+            raise ExprError(str(err), term.pos) from None
+        if cls is None:
+            cls = term_cls
+        elif term_cls.kinds != cls.kinds:
             raise ExprError("cannot mix homology and cohomology generators", term.pos)
-        if domain is None:
-            domain = term_domain
-        elif domain != term_domain:
-            raise ExprError("cannot mix homology and cohomology generators", term.pos)
-        if arity is None:
-            arity = len(term.atoms)
-        elif arity != len(term.atoms):
+        elif term_cls.pair != cls.pair:
             raise ExprError("cannot mix plain and tensor terms", term.pos)
-        if arity == 1:
-            atom = term.atoms[0]
-            key = (atom.kind, atom.k, atom.i)
-        else:
-            key = tuple((a.kind, a.k, a.i) for a in term.atoms)
-        terms[key] = terms.get(key, Fraction(0)) + term.coeff
-    if arity is None:
+        terms[key] = terms.get(key, 0) + term.coeff
+    if cls is None:
         return None
-    cls = {
-        (1, "loop"): LoopClass,
-        (2, "loop"): TensorLoopClass,
-        (1, "coh"): CohClass,
-        (2, "coh"): TensorCohClass,
-    }[(arity, domain)]
     return cls(params, terms)
 
 
@@ -253,7 +239,7 @@ def format_text(obj) -> str:
     return "0" if obj is None else str(obj)
 
 
-def _coeff_latex(c: Fraction) -> str:
+def _coeff_latex(c: int | Fraction) -> str:
     sign = "-" if c < 0 else ""
     mag = abs(c)
     if mag == 1:

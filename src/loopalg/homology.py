@@ -24,6 +24,7 @@ from .ring import (
     RingElement,
     RingMismatchError,
     TensorRing,
+    as_coeff,
 )
 
 __all__ = [
@@ -74,16 +75,16 @@ def dual(ring: Ring, m: Monomial, coeff: int | Fraction = 1) -> HomologyElement:
     return HomologyElement(ring, {ring.check_monomial(m): coeff})
 
 
-def pairing(c: RingElement, x: HomologyElement) -> Fraction:
+def pairing(c: RingElement, x: HomologyElement) -> int | Fraction:
     """Kronecker pairing of a cohomology element against a homology class."""
     if c.ring != x.ring:
         raise RingMismatchError("pairing of classes over different rings")
-    total = Fraction(0)
+    total = 0
     for m, cc in c.terms.items():
         cx = x.terms.get(m)
         if cx is not None:
             total += cc * cx
-    return total
+    return as_coeff(total)
 
 
 def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
@@ -95,7 +96,7 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
     if a.ring != x.ring:
         raise RingMismatchError("cap of classes over different rings")
     ring = a.ring
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mx, cx in x.terms.items():
             sub = tuple(map(operator.sub, mx, ma))
@@ -103,7 +104,7 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
                 continue
             sign = ring.merge_sign(sub, ma)
             piece = ca * cx if sign > 0 else -(ca * cx)
-            out[sub] = out.get(sub, Fraction(0)) + piece
+            out[sub] = out.get(sub, 0) + piece
     return HomologyElement(ring, out)
 
 
@@ -150,11 +151,11 @@ def pd_inverse(space: OrientedSpace, x: HomologyElement) -> RingElement:
     _require_homogeneous(x, "inverse duality input")
     ring = space.ring
     top = ring.top_monomial
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for m, c in x.terms.items():
         comp = tuple(t - e for t, e in zip(top, m))
         sign = ring.merge_sign(m, comp)
-        out[comp] = out.get(comp, Fraction(0)) + (c if sign > 0 else -c)
+        out[comp] = out.get(comp, 0) + (c if sign > 0 else -c)
     return RingElement(ring, out)
 
 
@@ -193,7 +194,7 @@ class RingMap:
     def __call__(self, elem: RingElement) -> RingElement:
         if elem.ring != self.source:
             raise RingMismatchError("element does not live over the map's source")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m, c in elem.terms.items():
             acc = None
             for pos, e in enumerate(m):
@@ -203,7 +204,7 @@ class RingMap:
             if acc is None:
                 acc = self.target.one()
             for mono, coeff in acc.terms.items():
-                out[mono] = out.get(mono, Fraction(0)) + coeff * c
+                out[mono] = out.get(mono, 0) + coeff * c
         return RingElement(self.target, out)
 
     def __repr__(self) -> str:
@@ -245,10 +246,10 @@ def diagonal_pushforward(x: HomologyElement, tensor: TensorRing) -> HomologyElem
     ring = x.ring
     if tensor.left != ring or tensor.right != ring:
         raise RingMismatchError("tensor ring is not the square of the class's ring")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for m, c in x.terms.items():
         for left, right in _splits(m):
             sign = ring.merge_sign(left, right)
             key = tensor.combine(left, right)
-            out[key] = out.get(key, Fraction(0)) + (c if sign > 0 else -c)
+            out[key] = out.get(key, 0) + (c if sign > 0 else -c)
     return HomologyElement(tensor, out)

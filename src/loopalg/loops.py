@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward
-from .ring import Combination, RingElement, RingMismatchError
+from .ring import Combination, RingElement, RingMismatchError, as_coeff
 from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 from .verify import Report
 
@@ -140,6 +140,22 @@ class TensorCohClass(_FormalSum):
     pair = True
 
 
+def _class_and_key(parts: tuple) -> tuple[type[_FormalSum], tuple]:
+    """The class type and key of a term with one or two ``(kind, k, i)`` parts.
+
+    The one writer of the key layout that ``_FormalSum._parts`` reads: one
+    part is the key itself, two are a pair.  The class is the one whose
+    ``kinds`` hold every part's kind; ``ValueError`` if none does.
+    """
+    if len(parts) not in (1, 2):
+        raise ValueError(f"a term has one or two generators, not {len(parts)}")
+    kinds = {kind for kind, _, _ in parts}
+    for cls in (LoopClass, TensorLoopClass, CohClass, TensorCohClass):
+        if cls.pair == (len(parts) == 2) and kinds <= cls.kinds:
+            return cls, parts if cls.pair else parts[0]
+    raise ValueError("cannot mix homology and cohomology generators")
+
+
 # -- the coproduct, closed form --------------------------------------
 
 
@@ -162,7 +178,7 @@ def coproduct_closed(x: LoopClass) -> TensorLoopClass:
 
 
 def _bump(d: dict, key, c) -> None:
-    d[key] = d.get(key, Fraction(0)) + c
+    d[key] = d.get(key, 0) + c
 
 
 # -- the coproduct, completing-manifold pipeline ----------------------
@@ -203,7 +219,7 @@ def cap_with_thom(
     return [(m, cap(xi, x) * sign) for m, xi in thom_pullback(catalog, k)]
 
 
-def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[tuple[int, bool], Fraction]:
+def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[tuple[int, bool], int | Fraction]:
     """Express a capped class as a wrong-way image from SM x_M SM.
 
     Matches against the precomputed images of the full dual basis and then
@@ -219,9 +235,9 @@ def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[tuple[int, bool],
                 f"unmatched component [{z.ring.monomial_str(mono)}] at level {k}, break {m}"
             )
         u, sign = hit
-        _bump(acc, u, c / sign)
+        _bump(acc, u, c * sign)  # equals c / sign: pv_gysin_table admits only +-1
     ring = catalog.sm_pair.ring
-    out: dict[tuple[int, bool], Fraction] = {}
+    out: dict[tuple[int, bool], int | Fraction] = {}
     for u, cu in acc.items():
         if not cu:
             continue
@@ -314,16 +330,16 @@ def _dual_key(key):
     return (_COH_TO_LOOP[kind], k, i)
 
 
-def gh_dual_pairing(a: CohClass, x: LoopClass) -> Fraction:
+def gh_dual_pairing(a: CohClass, x: LoopClass) -> int | Fraction:
     """Kronecker pairing, s[k,i] against A[k,i] and m[k,i] against B[k,i]."""
     if a.params != x.params:
         raise RingMismatchError("operands are classes over different spaces")
-    total = Fraction(0)
+    total = 0
     for key, c in a.terms.items():
         cx = x.terms.get(_dual_key(key))
         if cx is not None:
             total += c * cx
-    return total
+    return as_coeff(total)
 
 
 def coh_cross(a: CohClass, b: CohClass) -> TensorCohClass:
@@ -336,16 +352,16 @@ def coh_cross(a: CohClass, b: CohClass) -> TensorCohClass:
     return TensorCohClass(a.params, out)
 
 
-def tensor_pairing(t: TensorCohClass, x: TensorLoopClass) -> Fraction:
+def tensor_pairing(t: TensorCohClass, x: TensorLoopClass) -> int | Fraction:
     """Componentwise Kronecker pairing of tensor classes; no extra sign."""
     if t.params != x.params:
         raise RingMismatchError("operands are classes over different spaces")
-    total = Fraction(0)
+    total = 0
     for (ka, kb), c in t.terms.items():
         cx = x.terms.get((_dual_key(ka), _dual_key(kb)))
         if cx is not None:
             total += c * cx
-    return total
+    return as_coeff(total)
 
 
 # -- presentation ring -------------------------------------------------
@@ -493,8 +509,8 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
             keys = (left.keys() | right.keys()) & position.keys()
             checked += len(keys)
             for key in sorted(keys, key=position.__getitem__):
-                lhs = left.get(key, Fraction(0))
-                rhs = right.get(key, Fraction(0))
+                lhs = left.get(key, 0)
+                rhs = right.get(key, 0)
                 rep.note(
                     lhs == rhs,
                     lambda ka=ka, kb=kb, key=key, lhs=lhs, rhs=rhs: (

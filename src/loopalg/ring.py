@@ -4,8 +4,9 @@ A ring is presented by an ordered list of generators, each carrying a degree
 and a truncation exponent (the smallest vanishing power).  Monomials are
 exponent tuples in generator order; that order is the normal form, and every
 product is brought back to it, picking up a Koszul sign for each transposition
-of odd-degree factors.  Coefficients are exact `fractions.Fraction` values,
-never floats.
+of odd-degree factors.  Coefficients are exact and kept in one canonical
+form: an ``int`` when the value is integral, otherwise a `fractions.Fraction`
+with denominator > 1; never a float.
 
 Rings are not modified after construction, and the arithmetic operations
 build new elements instead of changing their operands.  Elements are not
@@ -46,12 +47,18 @@ class RingMismatchError(TypeError):
     """
 
 
-def as_coeff(value: int | Fraction) -> Fraction:
-    """Coerce an exact scalar; floats are rejected outright."""
-    if isinstance(value, Fraction):
+def as_coeff(value: int | Fraction) -> int | Fraction:
+    """An exact scalar in canonical form: ``int`` when integral, else ``Fraction``.
+
+    An integral ``Fraction`` becomes its numerator.  Floats, bools and every
+    other type are rejected outright with ``TypeError``.
+    """
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"exact rational expected, not {type(value).__name__}")
 
 
@@ -201,10 +208,10 @@ class Ring:
         return RingElement(self, {})
 
     def one(self) -> RingElement:
-        return RingElement(self, {(0,) * len(self.generators): Fraction(1)})
+        return RingElement(self, {(0,) * len(self.generators): 1})
 
     def gen(self, name: str) -> RingElement:
-        return RingElement(self, {self.monomial({name: 1}): Fraction(1)})
+        return RingElement(self, {self.monomial({name: 1}): 1})
 
     def element(self, terms: dict[Monomial, int | Fraction]) -> RingElement:
         """Validating element constructor for externally built exponent tuples."""
@@ -234,7 +241,8 @@ class Ring:
 class Combination:
     """Sparse rational combination of keys over an owner, a ring or a space.
 
-    ``terms`` maps each key to its nonzero ``Fraction`` coefficient.  The
+    ``terms`` maps each key to its nonzero coefficient in the canonical form
+    of ``as_coeff``: an ``int``, or a ``Fraction`` with denominator > 1.  The
     ring, homology and loop-class types share this arithmetic.  A subclass
     supplies the degree and the printed body of a key through
     ``_key_degree`` and ``_body``, and names the owner by binding the
@@ -280,7 +288,7 @@ class Combination:
             )
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return type(self)(self.owner, out)
 
     def __neg__(self):
@@ -309,7 +317,7 @@ class Combination:
     def _sort_key(self, key):
         return (self._key_degree(key), key)
 
-    def sorted_terms(self) -> list[tuple[object, Fraction]]:
+    def sorted_terms(self) -> list[tuple[object, int | Fraction]]:
         """``(key, coefficient)`` pairs in printing order."""
         return [(key, self.terms[key]) for key in sorted(self.terms, key=self._sort_key)]
 
@@ -365,7 +373,7 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     if a.ring != b.ring:
         raise RingMismatchError("cup of elements over different rings")
     ring = a.ring
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             hit = ring.mul_monomials(ma, mb)
@@ -373,7 +381,7 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
                 continue
             m, sign = hit
             piece = ca * cb if sign > 0 else -(ca * cb)
-            out[m] = out.get(m, Fraction(0)) + piece
+            out[m] = out.get(m, 0) + piece
     return RingElement(ring, out)
 
 
@@ -422,9 +430,9 @@ def cross(a: Combination, b: Combination, tensor: TensorRing) -> Combination:
         raise TypeError(f"cross of {type(a).__name__} and {type(b).__name__}")
     if tensor.left != a.owner or tensor.right != b.owner:
         raise RingMismatchError("cross factors do not match the tensor ring")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             m = tensor.combine(ma, mb)
-            out[m] = out.get(m, Fraction(0)) + ca * cb
+            out[m] = out.get(m, 0) + ca * cb
     return type(a)(tensor, out)

@@ -20,7 +20,6 @@ catalogs are cached per (family, n); the pullbacks are rebuilt on each call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin
@@ -105,7 +104,7 @@ class SpaceCatalog:
     def __init__(self, params: SpaceParams):
         self.params = params
         self._gammas: dict[int, OrientedSpace] = {}
-        self._pv_tables: dict[tuple[int, int], dict[Monomial, tuple[Monomial, Fraction]]] = {}
+        self._pv_tables: dict[tuple[int, int], dict[Monomial, tuple[Monomial, int]]] = {}
 
     def _base_generators(self) -> list[Generator]:
         p = self.params
@@ -200,23 +199,30 @@ class SpaceCatalog:
         exps.update({f"x{j}": 1 for j in range(1, 2 * k)})
         return dual(ring, ring.monomial(exps), coeff)
 
-    def pv_gysin_table(self, k: int, m: int) -> dict[Monomial, tuple[Monomial, Fraction]]:
+    def pv_gysin_table(self, k: int, m: int) -> dict[Monomial, tuple[Monomial, int]]:
         """Wrong-way images of the full dual basis of SM x_M SM at (k, m).
 
         Maps each image monomial of the level-k ring to the source basis
         monomial and the sign it arrived with.  Covering the full basis lets
         callers detect any unexpected component instead of silently dropping
-        it.
+        it.  Every image coefficient must be +1 or -1, so that dividing by it
+        is multiplying by it; any other value breaks the sign conventions and
+        raises ``RuntimeError``.
         """
         key = (k, m)
         if key not in self._pv_tables:
             pmap = self.pullback_pV(k, m)
             pair = self.sm_pair
             gam = self.gamma(k)
-            table: dict[Monomial, tuple[Monomial, Fraction]] = {}
+            table: dict[Monomial, tuple[Monomial, int]] = {}
             for u in pair.ring.monomials():
                 image = gysin(pmap, pair, gam, dual(pair.ring, u))
                 ((mono, coeff),) = image.terms.items()
+                if coeff not in (1, -1):
+                    raise RuntimeError(
+                        f"wrong-way image of [{pair.ring.monomial_str(u)}] at level {k}, "
+                        f"break {m} has coefficient {coeff}, not +1 or -1"
+                    )
                 table[mono] = (u, coeff)
             self._pv_tables[key] = table
         return self._pv_tables[key]

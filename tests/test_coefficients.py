@@ -1,0 +1,135 @@
+"""Every coefficient loopalg stores or returns is exact and canonical.
+
+The canonical form is an ``int`` when the value is integral and otherwise a
+``Fraction`` with denominator > 1; a float or a bool never enters.  With a
+checking ``Combination.__init__`` in place, every verify suite and every CLI
+command must store canonical coefficients only.  The pipeline multiplies by
+the signs of the wrong-way tables where it means to divide by them, so a table
+coefficient other than +1 or -1 is refused as an internal error.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from loopalg import (
+    CohClass,
+    LoopClass,
+    SpaceParams,
+    cli,
+    coh_cross,
+    coproduct_closed,
+    dual,
+    gh_dual_pairing,
+    pairing,
+    spaces,
+    tensor_pairing,
+)
+from loopalg.ring import Combination, as_coeff
+
+CP2 = SpaceParams.from_token("cp", 2)
+HP2 = SpaceParams.from_token("hp", 2)
+
+
+def _canonical(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Every Combination built from here on asserts canonical coefficients."""
+    original = Combination.__init__
+
+    def init(self, owner, terms):
+        original(self, owner, terms)
+        bad = [c for c in self.terms.values() if not _canonical(c)]
+        assert not bad, f"non-canonical coefficients {bad!r} in {type(self).__name__}"
+
+    monkeypatch.setattr(Combination, "__init__", init)
+    # Fresh catalogs, so that the wrong-way tables are built under the check.
+    monkeypatch.setattr(spaces, "_CATALOGS", {})
+
+
+def test_as_coeff_canonical_form():
+    assert type(as_coeff(3)) is int
+    assert type(as_coeff(Fraction(6, 2))) is int and as_coeff(Fraction(6, 2)) == 3
+    assert as_coeff(Fraction(1, 3)) == Fraction(1, 3)
+    for bad in (1.0, 1.5, True, False, "1", None):
+        with pytest.raises(TypeError):
+            as_coeff(bad)
+
+
+@pytest.mark.parametrize("params", [CP2, HP2], ids=lambda p: p.token)
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_verify_suites_store_canonical_coefficients(checked, suite, params):
+    report = cli.SUITES[suite](params, 3)
+    assert report.passed, report.failures
+
+
+_COMMANDS = [
+    ["--space", "cp", "--n", "2", "coproduct", "A[3,1]"],
+    ["--space", "hp", "--n", "2", "coproduct", "B[3,1]", "--route", "pipeline"],
+    ["--space", "cp", "--n", "3", "coproduct", "2*A[4,2]-1/3*B[3,1]", "--route", "pipeline"],
+    ["--space", "cp", "--n", "2", "product", "s[1,0]", "m[1,1]"],
+    ["--space", "cp", "--n", "3", "product", "3/2*s[1,0] x m[1,1] + 1/2*s[2,1] x s[1,0]"],
+    ["--space", "cp", "--n", "2", "gysin", "a1", "--k", "2", "--map", "pL"],
+    ["--space", "hp", "--n", "3", "gysin", "ab2", "--k", "3", "--map", "pV:1"],
+    ["--space", "hp", "--n", "3", "cap", "ab2", "--k", "4", "--m", "3"],
+    ["--space", "cp", "--n", "2", "table"],
+    ["--space", "cp", "--n", "2", "verify", "pipeline", "--max-k", "3"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda a: " ".join(a[4:6]))
+def test_cli_commands_store_canonical_coefficients(checked, capsys, argv, fmt):
+    assert cli.run([*argv, "--format", fmt]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_pairings_return_exact_values():
+    third = Fraction(1, 3)
+    ring = spaces.catalog_for(CP2).sm.ring
+    top = ring.top_monomial
+    c = ring.element({top: 3})
+    assert type(pairing(c, dual(ring, top, 2))) is int
+    assert pairing(c, dual(ring, top, third)) == 1
+    assert type(pairing(c, dual(ring, top, third))) is int
+    assert pairing(c, dual(ring, top, Fraction(1, 2))) == Fraction(3, 2)
+
+    s10 = CohClass.generator(CP2, "s", 1, 0)
+    a10 = LoopClass.generator(CP2, "A", 1, 0)
+    for scale, want in ((2, 2), (third, third), (Fraction(3, 2), Fraction(3, 2))):
+        value = gh_dual_pairing(s10 * scale, a10)
+        assert value == want and _canonical(value)
+
+    split = coproduct_closed(LoopClass.generator(CP2, "A", 2, 1))
+    pair = coh_cross(s10, CohClass.generator(CP2, "s", 1, 1))
+    for scale, want in ((1, 1), (third, third), (Fraction(3), 3)):
+        value = tensor_pairing(pair * scale, split)
+        assert value == want and _canonical(value)
+
+
+def test_non_unit_wrongway_coefficient_is_refused(monkeypatch, capsys):
+    real = spaces.gysin
+
+    def doubled(pullback, source, target, x):
+        """The real wrong-way image, with coefficient 2 for the dual of the unit monomial."""
+        image = real(pullback, source, target, x)
+        if (0,) * len(x.ring.generators) not in x.terms:
+            return image
+        ((mono, _),) = image.terms.items()
+        return dual(image.ring, mono, 2)
+
+    monkeypatch.setattr(spaces, "gysin", doubled)
+    refused = r"wrong-way image of \[1\] at level 3, break 1 has coefficient 2, not"
+    with pytest.raises(RuntimeError, match=refused):
+        spaces.SpaceCatalog(CP2).pv_gysin_table(3, 1)
+
+    monkeypatch.setattr(spaces, "_CATALOGS", {})
+    argv = ["--space", "cp", "--n", "2", "coproduct", "B[3,1]", "--route", "pipeline"]
+    assert cli.run(argv) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("loopalg: internal error: RuntimeError: wrong-way image of [1]")

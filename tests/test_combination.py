@@ -26,6 +26,7 @@ from loopalg import (
     gh_product,
     tensor_pairing,
 )
+from loopalg.loops import _class_and_key
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
 OTHER_RING = Ring([Generator("a", 2, 3), Generator("u", 3, 2)])
@@ -66,7 +67,9 @@ def test_combination_contract(case):
     assert (3 * x) == x * 3
     assert (x * third).terms == {k1: Fraction(2, 3), k2: Fraction(1, 9)}
     assert (0 * x).is_zero()
-    assert all(type(c) is Fraction for c in (x * 3).terms.values())
+    # Canonical coefficients: an exact int when integral, else a proper Fraction.
+    assert all(type(c) is int for c in (x * 3).terms.values())
+    assert all(type(c) is Fraction and c.denominator > 1 for c in (x * third).terms.values())
 
     assert x == cls(owner, {k2: third, k1: 2})
     assert x != y
@@ -194,3 +197,30 @@ def test_printed_forms_are_pinned(value, text, rep):
 def test_malformed_keys_are_refused(cls, key):
     with pytest.raises(ValueError, match=f"^malformed {cls.__name__} key "):
         cls(CP2, {key: 1})
+
+
+# ``_class_and_key`` writes the key layout that ``_FormalSum._parts`` reads.
+@pytest.mark.parametrize(
+    "parts, cls",
+    [
+        ((("A", 2, 1),), LoopClass),
+        ((("m", 1, 0),), CohClass),
+        ((("B", 1, 0), ("A", 2, 1)), TensorLoopClass),
+        ((("s", 1, 1), ("m", 1, 0)), TensorCohClass),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_class_and_key_round_trip(parts, cls):
+    got, key = _class_and_key(parts)
+    assert got is cls
+    assert cls(CP2, {key: 1})._parts(key) == parts
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(("A", 1, 0), ("s", 1, 0)), (("A", 1, 0),) * 3, ()],
+    ids=["mixed", "three", "none"],
+)
+def test_class_and_key_refuses(parts):
+    with pytest.raises(ValueError):
+        _class_and_key(parts)
