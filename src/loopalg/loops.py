@@ -12,7 +12,8 @@ with the verification sweeps tying them together.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward
@@ -70,12 +71,14 @@ class _FormalSum(Combination):
 
     def __init__(self, params: SpaceParams, terms: dict | None = None):
         super().__init__(params, terms or {})
+        top = params.n - 1
         for key in self.terms:
             for kind, k, i in self._parts(key):
                 if kind not in self.kinds:
                     raise ValueError(f"unexpected generator kind {kind!r}")
-                params.check_level(k)
-                params.check_index(i)
+                if k < 1 or not 0 <= i <= top:  # the checks below raise the messages
+                    params.check_level(k)
+                    params.check_index(i)
 
     def _parts(self, key) -> tuple:
         """The one reader of the key layout: a key is one ``(kind, k, i)``, or two for a pair."""
@@ -103,7 +106,7 @@ class _FormalSum(Combination):
         return tuple((_KIND_RANK[kind], k, i) for kind, k, i in self._parts(key))
 
     def _body(self, key) -> str:
-        return " x ".join(f"{kind}[{k},{i}]" for kind, k, i in self._parts(key))
+        return " x ".join(map(_gen_text, self._parts(key)))
 
     def _latex_body(self, key) -> str:
         return " \\times ".join(
@@ -138,6 +141,12 @@ class TensorCohClass(_FormalSum):
 
     kinds = frozenset("sm")
     pair = True
+
+
+def _gen_text(part: tuple) -> str:
+    """One generator ``(kind, k, i)`` in the expression syntax, ``A[2,0]``."""
+    kind, k, i = part
+    return f"{kind}[{k},{i}]"
 
 
 def _class_and_key(parts: tuple) -> tuple[type[_FormalSum], tuple]:
@@ -250,9 +259,24 @@ def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[tuple[int, bool],
     return out
 
 
-def _loop_key(ring, mono, level: int) -> tuple[str, int, int]:
+def _loop_part(ring, mono) -> tuple[str, int]:
+    """The loop family and index of an SM monomial: B if it carries b, index its power of a."""
     exps = ring.exponents_by_name(mono)
-    return ("B" if exps.get("b") else "A", level, exps.get("a", 0))
+    return ("B" if exps.get("b") else "A", exps.get("a", 0))
+
+
+def _diagonal_spread(cat: SpaceCatalog, j: int, with_b: bool) -> list[tuple]:
+    """The diagonal pushforward of the dual of a^j (times b) over SM, without levels.
+
+    One ``((kind, i), (kind, i), coeff)`` per term, a ``_loop_part`` per factor.
+    """
+    ring = cat.sm.ring
+    spread = diagonal_pushforward(cat.sm_dual(j, with_b), cat.sm_tensor)
+    out = []
+    for tmono, dc in spread.terms.items():
+        ml, mr = cat.sm_tensor.split(tmono)
+        out.append((_loop_part(ring, ml), _loop_part(ring, mr), dc))
+    return out
 
 
 def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> TensorLoopClass:
@@ -262,23 +286,22 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
     class, recognize the result as a wrong-way image from SM x_M SM, replace
     the matched diagonal classes by diagonal pushforwards over SM, and read
     the tensor factors off at levels (m, k - m).  No sign enters in the last
-    step; the factor conventions already absorb it.
+    step; the factor conventions already absorb it.  A pushforward does not
+    depend on the level or the break, so one call builds each matched class's
+    pushforward once and reuses it at every break m.
     """
     cat = catalog or catalog_for(x.params)
+    spreads: dict[tuple[int, bool], list[tuple]] = {}
     out: dict = {}
     for (kind, k, i), c in x.terms.items():
         carrier = gamma_class(cat, kind, k, i)
         for m, z in cap_with_thom(cat, k, carrier):
-            matched = _match_wrongway(cat, k, m, z)
-            for (j, with_b), cu in matched.items():
-                spread = diagonal_pushforward(cat.sm_dual(j, with_b), cat.sm_tensor)
-                for tmono, dc in spread.terms.items():
-                    ml, mr = cat.sm_tensor.split(tmono)
-                    key = (
-                        _loop_key(cat.sm.ring, ml, m),
-                        _loop_key(cat.sm.ring, mr, k - m),
-                    )
-                    _bump(out, key, c * cu * dc)
+            for diag, cu in _match_wrongway(cat, k, m, z).items():
+                spread = spreads.get(diag)
+                if spread is None:
+                    spread = spreads[diag] = _diagonal_spread(cat, *diag)
+                for (kind_l, il), (kind_r, ir), dc in spread:
+                    _bump(out, ((kind_l, m, il), (kind_r, k - m, ir)), c * cu * dc)
     return TensorLoopClass(x.params, out)
 
 
@@ -303,7 +326,7 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
     Levels add, indices add and truncate above n - 1; the degree grows by
     deg a + deg b + N - 1.
     """
-    if a.params != b.params:
+    if a.params is not b.params and a.params != b.params:
         raise RingMismatchError("operands are classes over different spaces")
     out: dict = {}
     for ka, ca in a.terms.items():
@@ -374,17 +397,35 @@ class PresMonomial:
     ``alphas[j]`` is the exponent of alpha_{j+1} (indices 1 .. n-1) and
     ``betas[j]`` the exponent of beta_j (indices 0 .. n-1).  The constant
     monomial is excluded; the presentation ring has no unit adjoined.
+
+    The factor count, the sub-index (each alpha_i and beta_i counted i times)
+    and the beta count are computed once, from the exponents, when the
+    monomial is built.  They stay out of ``repr``, ``==`` and ``hash``, which
+    see only the exponents.
     """
 
     omega: int
     alphas: tuple[int, ...]
     betas: tuple[int, ...]
+    factor_count: int = field(init=False, repr=False, compare=False)
+    sub_index: int = field(init=False, repr=False, compare=False)
+    beta_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.omega < 0 or any(e < 0 for e in self.alphas + self.betas):
+        alphas, betas = self.alphas, self.betas
+        if min(self.omega, *alphas, *betas) < 0:
             raise ValueError("exponents must be non-negative")
-        if self.factor_count == 0:
+        beta_count = sum(betas)
+        factor_count = self.omega + sum(alphas) + beta_count
+        if factor_count == 0:
             raise ValueError("the constant monomial is not in the presentation ring")
+        sub_index = sum(map(operator.mul, alphas, itertools.count(1))) + sum(
+            map(operator.mul, betas, itertools.count())
+        )
+        fix = object.__setattr__  # the dataclass is frozen
+        fix(self, "factor_count", factor_count)
+        fix(self, "sub_index", sub_index)
+        fix(self, "beta_count", beta_count)
 
     @classmethod
     def build(
@@ -407,27 +448,14 @@ class PresMonomial:
             b[idx] = e
         return cls(omega, tuple(a), tuple(b))
 
-    @property
-    def factor_count(self) -> int:
-        return self.omega + sum(self.alphas) + sum(self.betas)
-
-    @property
-    def sub_index(self) -> int:
-        return sum((j + 1) * e for j, e in enumerate(self.alphas)) + sum(
-            j * e for j, e in enumerate(self.betas)
-        )
-
-    @property
-    def beta_count(self) -> int:
-        return sum(self.betas)
-
     def mul(self, other: PresMonomial) -> PresMonomial:
+        """The product, built through the constructor, so its counts are its own."""
         if len(self.alphas) != len(other.alphas):
             raise ValueError("presentation monomials over different n")
         return PresMonomial(
             self.omega + other.omega,
-            tuple(x + y for x, y in zip(self.alphas, other.alphas)),
-            tuple(x + y for x, y in zip(self.betas, other.betas)),
+            tuple(map(operator.add, self.alphas, other.alphas)),
+            tuple(map(operator.add, self.betas, other.betas)),
         )
 
 
@@ -514,7 +542,7 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
                 rep.note(
                     lhs == rhs,
                     lambda ka=ka, kb=kb, key=key, lhs=lhs, rhs=rhs: (
-                        f"<{ka}*{kb}, {key}>: {lhs} != {rhs}"
+                        f"<{_gen_text(ka)}*{_gen_text(kb)}, {_gen_text(key)}>: {lhs} != {rhs}"
                     ),
                 )
     rep.credit(pairs * len(position) - checked)
@@ -562,8 +590,8 @@ def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
         left = {t: c for t, c in left.items() if c}
         right = {t: c for t, c in right.items() if c}
         direct = _triple_closed(params, *key)
-        rep.note(left == right, lambda key=key: f"coassociativity fails at {key}")
-        rep.note(left == direct, lambda key=key: f"triple split mismatch at {key}")
+        rep.note(left == right, lambda key=key: f"coassociativity fails at {_gen_text(key)}")
+        rep.note(left == direct, lambda key=key: f"triple split mismatch at {_gen_text(key)}")
     return rep
 
 
@@ -575,11 +603,11 @@ def verify_pipeline(params: SpaceParams, max_k: int) -> Report:
         try:
             piped = coproduct_pipeline(x)
         except PipelineMatchError as err:
-            rep.note(False, f"{key}: {err}")
+            rep.note(False, f"{_gen_text(key)}: {err}")
             continue
         rep.note(
             piped == coproduct_closed(x),
-            lambda key=key, piped=piped: f"{key}: pipeline gives {piped}",
+            lambda key=key, piped=piped: f"{_gen_text(key)}: pipeline gives {piped}",
         )
     return rep
 
@@ -604,7 +632,9 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     Checks the generating relations, multiplicativity over monomial pairs up
     to the level bound, surjectivity witnesses for every s[k,i] and m[k,i],
     and that powers w^k of the level generator stay nonzero up to twice the
-    level bound.
+    level bound.  Each monomial is normalized once and kept next to its
+    normal form, grouped by factor count; each pair then costs one ``mul``,
+    one normalization of the product and one ``gh_product``.
     """
     rep = Report(f"presentation ({params.token}, n={params.n}, level<={max_level})")
     n = params.n
@@ -632,17 +662,17 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     for i, j in itertools.product(range(n), repeat=2):
         expect(beta[i].mul(beta[j]), None, 2, 0, f"beta_{i} beta_{j}")
 
-    by_count = {f: list(_pres_monomials(params, f)) for f in range(1, max_level)}
-    normals = {p: norm(p) for monos in by_count.values() for p in monos}
-    for f1, monos1 in by_count.items():
-        for f2, monos2 in by_count.items():
+    by_count = {
+        f: [(p, norm(p)) for p in _pres_monomials(params, f)] for f in range(1, max_level)
+    }
+    for f1, normals1 in by_count.items():
+        for f2, normals2 in by_count.items():
             if f1 + f2 > max_level:
                 continue
-            for p in monos1:
-                np_ = normals[p]
-                for q in monos2:
+            for p, np_ in normals1:
+                for q, nq in normals2:
                     rep.note(
-                        norm(p.mul(q)) == gh_product(np_, normals[q]),
+                        presentation_normalize(p.mul(q), params) == gh_product(np_, nq),
                         lambda p=p, q=q: f"multiplicativity fails at {p} * {q}",
                     )
 

@@ -308,7 +308,7 @@ class Combination:
     def __eq__(self, other: object) -> bool:
         return (
             type(other) is type(self)
-            and self.owner == other.owner
+            and (self.owner is other.owner or self.owner == other.owner)
             and self.terms == other.terms
         )
 

@@ -131,6 +131,11 @@ class TestDuality:
         assert verify_duality(hp1.params, 4).passed
 
 
+def _text(key):
+    kind, k, i = key
+    return f"{kind}[{k},{i}]"
+
+
 def _dense_duality(params, max_k):
     """Reference sweep: one gh_dual_pairing and one tensor_pairing per triple.
 
@@ -160,7 +165,7 @@ def _dense_duality(params, max_k):
                 rep.note(
                     lhs == rhs,
                     lambda ka=ka, kb=kb, key=key, lhs=lhs, rhs=rhs: (
-                        f"<{ka}*{kb}, {key}>: {lhs} != {rhs}"
+                        f"<{_text(ka)}*{_text(kb)}, {_text(key)}>: {lhs} != {rhs}"
                     ),
                 )
     return rep
@@ -203,8 +208,35 @@ class TestPresentation:
             PresMonomial.build(p, alphas={3: 1})
         with pytest.raises(ValueError, match="beta index"):
             PresMonomial.build(p, betas={3: 1})
-        with pytest.raises(ValueError, match="constant"):
+        with pytest.raises(
+            ValueError, match="^the constant monomial is not in the presentation ring$"
+        ):
             PresMonomial.build(p)
+        for args in [(-1, (0, 0), (1, 0, 0)), (0, (-1, 0), (1, 0, 0)), (1, (0, 0), (0, 0, -2))]:
+            with pytest.raises(ValueError, match="^exponents must be non-negative$"):
+                PresMonomial(*args)
+
+    @pytest.mark.parametrize("space", ["cp3", "hp3"])
+    def test_counts_are_read_from_the_exponents(self, request, space):
+        p = request.getfixturevalue(space).params
+        for factors in range(1, 5):
+            for x in loops._pres_monomials(p, factors):
+                alphas = sum((j + 1) * e for j, e in enumerate(x.alphas))
+                betas = sum(j * e for j, e in enumerate(x.betas))
+                assert (x.factor_count, x.sub_index, x.beta_count) == (
+                    x.omega + sum(x.alphas) + sum(x.betas),
+                    alphas + betas,
+                    sum(x.betas),
+                )
+                assert x.factor_count == factors
+
+    def test_counts_stay_out_of_repr_eq_and_hash(self, cp3):
+        x = PresMonomial.build(cp3.params, omega=1, alphas={2: 1}, betas={1: 1})
+        y = PresMonomial(1, (0, 1), (0, 1, 0))
+        object.__setattr__(y, "sub_index", -1)  # a stale count must not show
+        assert repr(x) == repr(y) == "PresMonomial(omega=1, alphas=(0, 1), betas=(0, 1, 0))"
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
 
     def test_omega_power_normalizes_to_bottom_class(self, cp2):
         p = cp2.params

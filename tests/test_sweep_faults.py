@@ -6,12 +6,17 @@ the sweep's structure, so a rewrite that stops checking a fact, or checks it
 against the broken function itself, changes them.
 """
 
+import operator
+
 import pytest
 
 from loopalg import loops, verify
 from loopalg.loops import (
     CohClass,
+    LoopClass,
+    PresMonomial,
     TensorLoopClass,
+    coproduct_pipeline,
     verify_coassociativity,
     verify_duality,
     verify_pipeline,
@@ -58,6 +63,20 @@ def test_presentation_sweep_catches_lost_beta_classes(monkeypatch):
     # alpha_1 beta_0 -> m[2,1], and the eight witnesses w^(k-1) beta_i -> m[k,i].
     assert (rep.checks, rep.failed) == (387, 9)
     assert all(" misses m[" in f for f in rep.failures)
+
+
+def test_presentation_sweep_catches_mul_dropping_the_right_betas(monkeypatch):
+    def dropped(self, other):
+        alphas = tuple(map(operator.add, self.alphas, other.alphas))
+        return PresMonomial(self.omega + other.omega, alphas, self.betas)
+
+    monkeypatch.setattr(PresMonomial, "mul", dropped)
+    rep = verify_presentation(CP2, 4)
+    # Every relation and multiplicativity check whose right factor carries a
+    # beta fails.  A product whose counts were added up from its operands'
+    # counts, not read from its own exponents, would hide most of them.
+    assert (rep.checks, rep.failed) == (387, 133)
+    assert rep.failures[0] == "alpha_1 beta_0 misses m[2,1]"
 
 
 def test_ring_sweep_catches_wrong_cross_sign(monkeypatch):
@@ -107,7 +126,7 @@ def test_duality_sweep_catches_wrong_product(monkeypatch):
     # One failure per nonzero m*s product: m[l,i] * s[l',j] with l + l' <= 6
     # and i + j <= 2 is 15 level pairs times 6 index pairs.
     assert (rep.checks, rep.failed) == (19440, 90)
-    assert all(f.startswith("<('m', ") and ": 2 != 1" in f for f in rep.failures)
+    assert all(f.startswith("<m[") and ": 2 != 1" in f for f in rep.failures)
 
 
 def test_duality_sweep_catches_wrong_coproduct_sign(monkeypatch):
@@ -138,7 +157,7 @@ def test_duality_sweep_catches_extra_coproduct_term(monkeypatch):
     rep = verify_duality(CP3, 6)
     # One failure per generator of level 2 .. 6: 5 levels * 2 kinds * 3 indices.
     assert (rep.checks, rep.failed) == (19440, 30)
-    assert all(f.startswith("<('s', 1, 0)*('s', ") for f in rep.failures)
+    assert all(f.startswith("<s[1,0]*s[") for f in rep.failures)
 
 
 def test_coassociativity_sweep_cannot_see_a_uniform_scale(monkeypatch):
@@ -180,7 +199,7 @@ def test_coassociativity_sweep_catches_wrong_triple_split(monkeypatch):
     rep = verify_coassociativity(CP3, 6)
     # Only B classes of level 3 or more have a B middle factor: 4 levels * 3.
     assert (rep.checks, rep.failed) == (72, 12)
-    assert all(f.startswith("triple split mismatch at ('B', ") for f in rep.failures)
+    assert all(f.startswith("triple split mismatch at B[") for f in rep.failures)
 
 
 def test_pipeline_sweep_catches_wrong_pushforward_sign(monkeypatch):
@@ -208,3 +227,22 @@ def test_sweeps_build_one_coproduct_per_generator(monkeypatch):
     built.clear()
     verify_duality(CP3, 6)
     assert len(built) == len(set(built)) == 36
+
+
+def test_pipeline_builds_one_pushforward_per_diagonal_class(monkeypatch):
+    pushforward = loops.diagonal_pushforward
+    built = []
+
+    def counted(x, tensor):
+        built.append(tuple(x.terms))
+        return pushforward(x, tensor)
+
+    monkeypatch.setattr(loops, "diagonal_pushforward", counted)
+    # Every break m = 1 .. 5 matches the same diagonal classes a^j (times b),
+    # so a pushforward per break would build each one five times.
+    for kind in "AB":
+        for i in range(CP3.n):
+            built.clear()
+            x = LoopClass.generator(CP3, kind, 6, i)
+            assert coproduct_pipeline(x) == loops.coproduct_closed(x)
+            assert 0 < len(built) == len(set(built))
