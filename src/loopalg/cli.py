@@ -16,7 +16,6 @@ Every number read here is a numeral by the expression lexer's rule,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -37,8 +36,8 @@ from .loops import (
     verify_pipeline,
     verify_presentation,
 )
+from .report import Report
 from .spaces import SpaceParams, catalog_for, generator_degree
-from .verify import Report, verify_gysin_values, verify_ring_axioms, verify_structure
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,21 +51,30 @@ class UsageError(ValueError):
     pass
 
 
+def _verify_gysin(params: SpaceParams, level: int) -> Report:
+    from .verify import verify_gysin_values
+
+    return verify_gysin_values(params, level)
+
+
 def _verify_rings(params: SpaceParams, level: int) -> Report:
+    from .verify import verify_ring_axioms, verify_structure
+
     report = verify_ring_axioms(params)
     report.absorb(verify_structure(params, max_k=level))
     return report
 
 
-# Suite name -> sweep(params, level).  Each entry looks its sweeps up on this
-# module when it runs, so a sweep rebound here (a test double, a tracer) is the
-# one called.
+# Suite name -> sweep(params, level).  Each entry looks its sweeps up when it
+# runs, so a sweep rebound on its module (a test double, a tracer) is the one
+# called: the four loops sweeps on this module, and the gysin and rings sweeps
+# on ``verify``, which only those two entries import.
 SUITES = {
     "duality": lambda params, level: verify_duality(params, level),
     "coassoc": lambda params, level: verify_coassociativity(params, level),
     "pipeline": lambda params, level: verify_pipeline(params, level),
     "presentation": lambda params, level: verify_presentation(params, level),
-    "gysin": lambda params, level: verify_gysin_values(params, level),
+    "gysin": _verify_gysin,
     "rings": _verify_rings,
 }
 
@@ -146,6 +154,8 @@ def _emit(
 ) -> None:
     """Print the result in the chosen format; JSON nests ``payload`` under ``result``."""
     if args.format == "json":
+        import json
+
         rec = {"space": params.token, "n": params.n, "command": args.command, "result": payload}
         if degree is not None:
             rec["degree"] = degree

@@ -17,7 +17,6 @@ strings that parse back to the same class.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .loops import (
@@ -30,10 +29,7 @@ from .loops import (
 from .spaces import SpaceParams
 
 __all__ = [
-    "ClassExpr",
     "ExprError",
-    "GenAtom",
-    "Term",
     "evaluate",
     "format_latex",
     "format_text",
@@ -49,25 +45,6 @@ class ExprError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-@dataclass(frozen=True)
-class GenAtom:
-    kind: str
-    k: int
-    i: int
-
-
-@dataclass(frozen=True)
-class Term:
-    coeff: Fraction
-    atoms: tuple[GenAtom, ...]
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class ClassExpr:
-    terms: tuple[Term, ...]
 
 
 def _numeral(text: str) -> int:
@@ -130,7 +107,7 @@ class _Lexer:
         return True
 
 
-def _parse_gen(lex: _Lexer, n: int) -> GenAtom:
+def _parse_gen(lex: _Lexer, n: int) -> tuple[str, int, int]:
     lex._skip_ws()
     pos = lex.pos
     ch = lex.peek()
@@ -146,7 +123,7 @@ def _parse_gen(lex: _Lexer, n: int) -> GenAtom:
         raise ExprError("k must be >= 1", pos)
     if i > n - 1:
         raise ExprError(f"index out of range for n={n}", pos)
-    return GenAtom(ch, k, i)
+    return (ch, k, i)
 
 
 def _parse_rational(lex: _Lexer) -> Fraction:
@@ -161,7 +138,7 @@ def _parse_rational(lex: _Lexer) -> Fraction:
     return Fraction(num)
 
 
-def _parse_term(lex: _Lexer, sign: int, n: int) -> Term:
+def _parse_term(lex: _Lexer, sign: int, n: int) -> tuple:
     lex._skip_ws()
     pos = lex.pos
     ch = lex.peek()
@@ -173,17 +150,22 @@ def _parse_term(lex: _Lexer, sign: int, n: int) -> Term:
         else:
             if coeff != 0:
                 raise ExprError("constant term without a generator", pos)
-            return Term(coeff, (), pos)
-    atoms = [_parse_gen(lex, n)]
+            return (coeff, (), pos)
+    parts = [_parse_gen(lex, n)]
     if lex.tensor_sep():
-        atoms.append(_parse_gen(lex, n))
-    return Term(coeff, tuple(atoms), pos)
+        parts.append(_parse_gen(lex, n))
+    return (coeff, tuple(parts), pos)
 
 
-def parse(text: str, n: int) -> ClassExpr:
-    """Parse an expression, validating levels and indices against n."""
+def parse(text: str, n: int) -> tuple:
+    """Parse an expression, validating levels and indices against n.
+
+    The result holds one ``(coeff, parts, pos)`` per term: its coefficient,
+    its generators as ``(kind, k, i)`` parts (none for the bare zero) and the
+    position where it starts.
+    """
     lex = _Lexer(text)
-    terms: list[Term] = []
+    terms: list[tuple] = []
     sign = 1
     ch = lex.peek()
     if ch in ("+", "-"):
@@ -198,11 +180,11 @@ def parse(text: str, n: int) -> ClassExpr:
             raise ExprError("expected '+' or '-'", lex.pos)
         lex.pos += 1
         terms.append(_parse_term(lex, 1 if ch == "+" else -1, n))
-    return ClassExpr(tuple(terms))
+    return tuple(terms)
 
 
 def evaluate(
-    expr: ClassExpr, params: SpaceParams
+    expr: tuple, params: SpaceParams
 ) -> LoopClass | CohClass | TensorLoopClass | TensorCohClass | None:
     """Build the class a parsed expression denotes; None for the bare zero.
 
@@ -211,20 +193,20 @@ def evaluate(
     """
     cls = None
     terms: dict = {}
-    for term in expr.terms:
-        if not term.atoms:
+    for coeff, parts, pos in expr:
+        if not parts:
             continue
         try:
-            term_cls, key = _class_and_key(tuple((a.kind, a.k, a.i) for a in term.atoms))
+            term_cls, key = _class_and_key(parts)
         except ValueError as err:
-            raise ExprError(str(err), term.pos) from None
+            raise ExprError(str(err), pos) from None
         if cls is None:
             cls = term_cls
         elif term_cls.kinds != cls.kinds:
-            raise ExprError("cannot mix homology and cohomology generators", term.pos)
+            raise ExprError("cannot mix homology and cohomology generators", pos)
         elif term_cls.pair != cls.pair:
-            raise ExprError("cannot mix plain and tensor terms", term.pos)
-        terms[key] = terms.get(key, 0) + term.coeff
+            raise ExprError("cannot mix plain and tensor terms", pos)
+        terms[key] = terms.get(key, 0) + coeff
     if cls is None:
         return None
     return cls(params, terms)

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward
-from .ring import Combination, RingElement, RingMismatchError, as_coeff
+from .report import Report
+from .ring import Combination, RingElement, RingMismatchError, _Frozen, as_coeff
 from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
-from .verify import Report
 
 __all__ = [
     "CohClass",
@@ -390,8 +389,7 @@ def tensor_pairing(t: TensorCohClass, x: TensorLoopClass) -> int | Fraction:
 # -- presentation ring -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresMonomial:
+class PresMonomial(_Frozen):
     """Monomial w^e of the level generator times alpha_i and beta_i powers.
 
     ``alphas[j]`` is the exponent of alpha_{j+1} (indices 1 .. n-1) and
@@ -404,25 +402,23 @@ class PresMonomial:
     see only the exponents.
     """
 
-    omega: int
-    alphas: tuple[int, ...]
-    betas: tuple[int, ...]
-    factor_count: int = field(init=False, repr=False, compare=False)
-    sub_index: int = field(init=False, repr=False, compare=False)
-    beta_count: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("omega", "alphas", "betas", "factor_count", "sub_index", "beta_count")
+    _fields = ("omega", "alphas", "betas")
 
-    def __post_init__(self) -> None:
-        alphas, betas = self.alphas, self.betas
-        if min(self.omega, *alphas, *betas) < 0:
+    def __init__(self, omega: int, alphas: tuple[int, ...], betas: tuple[int, ...]) -> None:
+        if min(omega, *alphas, *betas) < 0:
             raise ValueError("exponents must be non-negative")
         beta_count = sum(betas)
-        factor_count = self.omega + sum(alphas) + beta_count
+        factor_count = omega + sum(alphas) + beta_count
         if factor_count == 0:
             raise ValueError("the constant monomial is not in the presentation ring")
         sub_index = sum(map(operator.mul, alphas, itertools.count(1))) + sum(
             map(operator.mul, betas, itertools.count())
         )
-        fix = object.__setattr__  # the dataclass is frozen
+        fix = object.__setattr__  # the type is immutable
+        fix(self, "omega", omega)
+        fix(self, "alphas", alphas)
+        fix(self, "betas", betas)
         fix(self, "factor_count", factor_count)
         fix(self, "sub_index", sub_index)
         fix(self, "beta_count", beta_count)
@@ -480,17 +476,24 @@ def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
 
 
 def betti_table(params: SpaceParams, max_degree: int) -> list[tuple[int, int]]:
-    """Pairs (d, dim) for d = 0 .. max_degree."""
+    """Pairs (d, dim) for d = 0 .. max_degree.
+
+    Degrees grow with the index i, and B[k,i] sits above A[k,i], so each
+    level's index walk stops at the first A[k,i] above the bound.
+    """
     if max_degree < 0:
         raise ValueError("degree must be non-negative")
     counts = [0] * (max_degree + 1)
     k = 1
     while params.lambda_k(k) <= max_degree:
         for i in range(params.n):
-            for kind in "AB":
-                d = generator_degree(params, kind, k, i)
-                if d <= max_degree:
-                    counts[d] += 1
+            d = generator_degree(params, "A", k, i)
+            if d > max_degree:
+                break
+            counts[d] += 1
+            d = generator_degree(params, "B", k, i)
+            if d <= max_degree:
+                counts[d] += 1
         k += 1
     return list(enumerate(counts))
 

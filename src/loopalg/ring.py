@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 Monomial = tuple[int, ...]
@@ -62,25 +61,64 @@ def as_coeff(value: int | Fraction) -> int | Fraction:
     raise TypeError(f"exact rational expected, not {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Generator:
+class _Frozen:
+    """Base of the immutable value types: compared, hashed and printed by field.
+
+    A subclass lists its compared fields in ``_fields``, in the order its
+    ``__init__`` takes them, and ``__init__`` sets every slot once with
+    ``object.__setattr__``.  ``repr``, ``==`` and
+    ``hash`` read ``_fields`` only, an instance equals only instances of its
+    own class, and assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._astuple = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == self._astuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._astuple(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        """Copy and pickle through ``__init__``, which takes the fields in order."""
+        return type(self), self._astuple(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Generator(_Frozen):
     """A ring generator; ``g ** truncation == 0`` is the defining relation.
 
     An odd-degree generator squares to zero over the rationals by graded
     commutativity, so odd degree forces truncation 2.
     """
 
-    name: str
-    degree: int
-    truncation: int
+    __slots__ = _fields = ("name", "degree", "truncation")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"generator {self.name!r}: degree must be non-negative")
-        if self.truncation < 2:
-            raise ValueError(f"generator {self.name!r}: truncation must be at least 2")
-        if self.degree % 2 == 1 and self.truncation != 2:
-            raise ValueError(f"generator {self.name!r}: odd degree forces truncation 2")
+    def __init__(self, name: str, degree: int, truncation: int) -> None:
+        if degree < 0:
+            raise ValueError(f"generator {name!r}: degree must be non-negative")
+        if truncation < 2:
+            raise ValueError(f"generator {name!r}: truncation must be at least 2")
+        if degree % 2 == 1 and truncation != 2:
+            raise ValueError(f"generator {name!r}: odd degree forces truncation 2")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "truncation", truncation)
 
 
 class Ring:

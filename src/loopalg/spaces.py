@@ -19,11 +19,10 @@ catalogs are cached per (family, n); the pullbacks are rebuilt on each call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin
-from .ring import Generator, Monomial, Ring, RingElement, TensorRing
+from .ring import Generator, Monomial, Ring, RingElement, TensorRing, _Frozen
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
 
@@ -35,18 +34,18 @@ _FAMILY_TOKENS = {
 }
 
 
-@dataclass(frozen=True)
-class SpaceParams:
+class SpaceParams(_Frozen):
     """Family and rank of the base projective space."""
 
-    family: str
-    n: int
+    __slots__ = _fields = ("family", "n")
 
-    def __post_init__(self) -> None:
-        if self.family not in ("complex", "quaternionic"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
+    def __init__(self, family: str, n: int) -> None:
+        if family not in ("complex", "quaternionic"):
+            raise ValueError(f"unknown family {family!r}")
+        if n < 1:
             raise ValueError("n must be at least 1")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def from_token(cls, token: str, n: int) -> SpaceParams:

@@ -7,7 +7,6 @@ counterexamples; an empty list means every check passed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .homology import (
@@ -20,62 +19,19 @@ from .homology import (
     pd,
     pd_inverse,
 )
+from .report import Report
 from .ring import TensorRing, cross
 from .spaces import SpaceParams, catalog_for, generator_degree
 
 __all__ = [
-    "Report",
     "verify_gysin_values",
     "verify_ring_axioms",
     "verify_structure",
 ]
 
 
-# Counterexamples a Report keeps in full; later failures are only counted.
-KEEP_FAILURES = 12
 # Rounds of randomized checks in verify_ring_axioms, four checks each.
 RANDOM_ROUNDS = 250
-
-
-@dataclass
-class Report:
-    """Outcome of a verification sweep."""
-
-    name: str
-    checks: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    def note(self, ok: bool, message) -> bool:
-        """Record one check; ``message`` may be a thunk to defer formatting."""
-        self.checks += 1
-        if not ok:
-            self.failed += 1
-            if len(self.failures) < KEEP_FAILURES:
-                self.failures.append(message() if callable(message) else str(message))
-        return ok
-
-    def credit(self, count: int) -> None:
-        """Record ``count`` checks known to pass without noting each one."""
-        if count < 0:
-            raise ValueError(f"cannot credit {count} checks")
-        self.checks += count
-
-    def absorb(self, other: Report) -> None:
-        self.checks += other.checks
-        self.failed += other.failed
-        for f in other.failures:
-            if len(self.failures) < KEEP_FAILURES:
-                self.failures.append(f)
-
-    @property
-    def passed(self) -> bool:
-        return self.failed == 0
-
-    def summary(self) -> str:
-        if self.passed:
-            return f"PASS ({self.checks} checks)"
-        return f"FAIL ({self.failed} of {self.checks} checks failed)"
 
 
 def verify_gysin_values(params: SpaceParams, max_k: int) -> Report:

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -239,6 +240,17 @@ class TestTable:
         code, out_large, _ = call(capsys, "--space", "cp", "--n", "2", "table")
         assert code == 0
         assert len(out_large.splitlines()) > len(out_small.splitlines())
+
+    def test_huge_n_walks_only_the_degrees_in_range(self, capsys):
+        # With N = 2n far above 20, only A[1,0] .. A[1,9] fall in range, in the
+        # odd degrees 1 .. 19; the index walk must stop there, not at n.
+        start = time.perf_counter()
+        code, out, _ = call(
+            capsys, "--space", "cp", "--n", "100000000", "table", "--max-degree", "20"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines() == [f"{d} {d % 2}" for d in range(21)]
 
 
 class TestVerify:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from loopalg.verify import KEEP_FAILURES, Report
+from loopalg.report import KEEP_FAILURES, Report
 
 
 def test_message_thunk_runs_only_on_failure():
