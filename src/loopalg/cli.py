@@ -5,18 +5,18 @@
 Exit codes: 0 on success, 1 when a verification sweep finds a counterexample,
 2 for usage or expression errors, 3 for an internal error (an exception the
 package did not expect, such as a PipelineMatchError or RingMismatchError),
-reported on one line of stderr.  The environment variable LOOPALG_MAX_LEVEL
-(default 8) caps verification sweeps when --max-k is not given, and sets the
-default --max-degree of `table` to the degree of B[level, n-1].
+reported on one line of stderr.  Output depends on the arguments alone:
+verification sweeps run to level DEFAULT_LEVEL (8) unless --max-k is given,
+and `table` runs to the degree of B[DEFAULT_LEVEL, n-1] unless --max-degree
+is given.
 
 Every number read here is a numeral by the expression lexer's rule,
-``expr._numeral``; options and LOOPALG_MAX_LEVEL may also start with '-'.
+``expr._numeral``; an option value may also start with '-'.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
@@ -43,6 +43,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# Level of `verify` without --max-k, and of `table`'s default degree bound.
+DEFAULT_LEVEL = 8
 
 _GEN_TOKEN = re.compile(r"(ab|a)(\d+)")
 
@@ -134,19 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("suite", choices=list(SUITES))
-    p.add_argument("--max-k", type=_positive_int, default=None)
+    p.add_argument("--max-k", type=_positive_int, default=DEFAULT_LEVEL)
     common(p)
 
     return ap
-
-
-def _max_level(args) -> int:
-    if getattr(args, "max_k", None):
-        return args.max_k
-    try:
-        return _positive_int(os.environ.get("LOOPALG_MAX_LEVEL") or "8")
-    except argparse.ArgumentTypeError as err:
-        raise UsageError(f"LOOPALG_MAX_LEVEL: {err}") from None
 
 
 def _emit(
@@ -257,7 +251,7 @@ def _cmd_cap(args, params: SpaceParams) -> int:
 def _cmd_table(args, params: SpaceParams) -> int:
     max_degree = args.max_degree
     if max_degree is None:
-        max_degree = generator_degree(params, "B", _max_level(args), params.n - 1)
+        max_degree = generator_degree(params, "B", DEFAULT_LEVEL, params.n - 1)
     if max_degree < 0:
         raise UsageError("--max-degree must be non-negative")
     rows = betti_table(params, max_degree)
@@ -267,7 +261,7 @@ def _cmd_table(args, params: SpaceParams) -> int:
 
 
 def _cmd_verify(args, params: SpaceParams) -> int:
-    report = SUITES[args.suite](params, _max_level(args))
+    report = SUITES[args.suite](params, args.max_k)
     payload = {
         "suite": args.suite,
         "passed": report.passed,

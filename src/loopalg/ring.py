@@ -206,13 +206,6 @@ class Ring:
         """All monomials of the ring, in lexicographic exponent order."""
         return itertools.product(*(range(t) for t in self.truncations))
 
-    @property
-    def total_dimension(self) -> int:
-        dim = 1
-        for t in self.truncations:
-            dim *= t
-        return dim
-
     # -- products --------------------------------------------------------
 
     def merge_sign(self, left: Monomial, right: Monomial) -> int:

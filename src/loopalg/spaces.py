@@ -26,12 +26,7 @@ from .ring import Generator, Monomial, Ring, RingElement, TensorRing, _Frozen
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
 
-_FAMILY_TOKENS = {
-    "cp": "complex",
-    "hp": "quaternionic",
-    "complex": "complex",
-    "quaternionic": "quaternionic",
-}
+_FAMILY_TOKENS = {"cp": "complex", "hp": "quaternionic"}
 
 
 class SpaceParams(_Frozen):
@@ -42,6 +37,8 @@ class SpaceParams(_Frozen):
     def __init__(self, family: str, n: int) -> None:
         if family not in ("complex", "quaternionic"):
             raise ValueError(f"unknown family {family!r}")
+        if type(n) is not int:  # a float or bool rank would share the int's catalog
+            raise TypeError(f"n must be an int, not {type(n).__name__}")
         if n < 1:
             raise ValueError("n must be at least 1")
         object.__setattr__(self, "family", family)
@@ -49,7 +46,7 @@ class SpaceParams(_Frozen):
 
     @classmethod
     def from_token(cls, token: str, n: int) -> SpaceParams:
-        family = _FAMILY_TOKENS.get(token.lower())
+        family = _FAMILY_TOKENS.get(token)
         if family is None:
             raise ValueError(f"unknown space token {token!r}")
         return cls(family, n)

@@ -209,7 +209,7 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
     return rep
 
 
-def verify_structure(params: SpaceParams, max_k: int = 12) -> Report:
+def verify_structure(params: SpaceParams, max_k: int) -> Report:
     """Structural facts about the level rings up to max_k.
 
     Total dimension 2n * 2^(2k-1), top degree lambda_k + 2N - 1 attained

@@ -232,14 +232,13 @@ class TestTable:
         ]
         assert "degree" not in rec or rec["command"] == "table"
 
-    def test_default_bound_follows_env(self, capsys, monkeypatch):
+    def test_default_bound_is_the_degree_of_b_8(self, capsys, monkeypatch):
+        # deg B[8,1] = 36 on CP^2; no environment setting moves the bound
         monkeypatch.setenv("LOOPALG_MAX_LEVEL", "2")
-        code, out_small, _ = call(capsys, "--space", "cp", "--n", "2", "table")
+        code, out, _ = call(capsys, "--space", "cp", "--n", "2", "table")
         assert code == 0
-        monkeypatch.setenv("LOOPALG_MAX_LEVEL", "3")
-        code, out_large, _ = call(capsys, "--space", "cp", "--n", "2", "table")
-        assert code == 0
-        assert len(out_large.splitlines()) > len(out_small.splitlines())
+        assert len(out.splitlines()) == 37
+        assert out.splitlines()[-1].startswith("36 ")
 
     def test_huge_n_walks_only_the_degrees_in_range(self, capsys):
         # With N = 2n far above 20, only A[1,0] .. A[1,9] fall in range, in the
@@ -269,26 +268,14 @@ class TestVerify:
             assert code == 0, (suite, err)
             assert out.startswith("PASS ("), suite
 
-    def test_env_var_controls_depth(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOOPALG_MAX_LEVEL", "2")
-        rec2 = call_json(capsys, "--space", "cp", "--n", "2", "verify", "coassoc")
-        monkeypatch.setenv("LOOPALG_MAX_LEVEL", "4")
-        rec4 = call_json(capsys, "--space", "cp", "--n", "2", "verify", "coassoc")
-        assert rec4["result"]["checks"] > rec2["result"]["checks"]
-
-    def test_max_k_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOOPALG_MAX_LEVEL", "2")
-        rec = call_json(
-            capsys, "--space", "cp", "--n", "2", "verify", "coassoc", "--max-k", "4"
-        )
-        big = call_json(capsys, "--space", "cp", "--n", "2", "verify", "coassoc")
-        assert rec["result"]["checks"] > big["result"]["checks"]
-
-    def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOOPALG_MAX_LEVEL", "soon")
-        code, _, err = call(capsys, "--space", "cp", "--n", "2", "verify", "coassoc")
-        assert code == 2
-        assert "LOOPALG_MAX_LEVEL" in err
+    @pytest.mark.parametrize("setting", ["2", "soon"])
+    def test_default_level_is_8_whatever_the_environment(
+        self, capsys, monkeypatch, setting
+    ):
+        argv = ["--space", "cp", "--n", "2", "verify", "coassoc"]
+        explicit = call(capsys, *argv, "--max-k", "8")
+        monkeypatch.setenv("LOOPALG_MAX_LEVEL", setting)
+        assert call(capsys, *argv) == explicit == (0, "PASS (64 checks)\n", "")
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
         bad = Report("duality")
@@ -404,13 +391,6 @@ class TestNumerals:
         assert code == 2
         assert out == ""
         assert err.endswith(f": error: argument {option}: expected a number\n")
-
-    def test_env_level_must_be_a_plain_decimal(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOOPALG_MAX_LEVEL", " 0_3")
-        code, out, err = call(capsys, "--space", "cp", "--n", "2", "verify", "coassoc")
-        assert code == 2
-        assert out == ""
-        assert err == "loopalg: error: LOOPALG_MAX_LEVEL: expected a number\n"
 
     def test_overlong_option_names_the_limit(self, capsys):
         code, out, err = call(

@@ -86,15 +86,12 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_cli_output_matches_golden(argv, golden, monkeypatch):
-    # The table's default bound reads LOOPALG_MAX_LEVEL, and argparse wraps
-    # its usage lines to the terminal width.
-    monkeypatch.delenv("LOOPALG_MAX_LEVEL", raising=False)
+    # argparse wraps its usage lines to the terminal width.
     monkeypatch.setenv("COLUMNS", "80")
     assert invoke(argv) == golden[" ".join(argv)]
 
 
 if __name__ == "__main__":
-    os.environ.pop("LOOPALG_MAX_LEVEL", None)
     os.environ["COLUMNS"] = "80"
     record = {" ".join(argv): invoke(argv) for argv in ARGVS}
     FIXTURE.write_text(json.dumps(record, indent=1) + "\n")

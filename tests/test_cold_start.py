@@ -33,7 +33,6 @@ WATCHED = {"dataclasses", "inspect", "json", "loopalg.verify"}
 def _run(*argv):
     """Stdout and the set of loaded module names of one command, which must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("LOOPALG_MAX_LEVEL", None)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", CHILD, "--space", "cp", "--n", "2", *argv],
         env=env,

@@ -36,8 +36,7 @@ def test_readme_has_examples():
 
 
 @pytest.mark.parametrize(("command", "expected"), EXAMPLES, ids=[c for c, _ in EXAMPLES])
-def test_cli_example(capsys, monkeypatch, command, expected):
-    monkeypatch.delenv("LOOPALG_MAX_LEVEL", raising=False)
+def test_cli_example(capsys, command, expected):
     assert run(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == expected
 

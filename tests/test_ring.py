@@ -101,8 +101,9 @@ class TestBasisAndSeries:
             assert series.get(d, 0) == len(brute_basis(mixed, d))
 
     def test_total_dimension(self, mixed):
-        assert mixed.total_dimension == 3 * 2 * 2 * 2 * 2
-        assert mixed.total_dimension == sum(1 for _ in mixed.monomials())
+        series = mixed.poincare_series(mixed.top_degree)
+        assert sum(c for _, c in series) == 3 * 2 * 2 * 2 * 2
+        assert sum(c for _, c in series) == sum(1 for _ in mixed.monomials())
 
     def test_poincare_series_palindrome(self, mixed):
         # the rings here satisfy exact duality, so the series is symmetric
@@ -258,7 +259,7 @@ class TestPropertyBased:
 class TestTensor:
     def test_tensor_dimension(self, small):
         t = TensorRing(small, small)
-        assert t.total_dimension == small.total_dimension ** 2
+        assert sum(1 for _ in t.monomials()) == sum(1 for _ in small.monomials()) ** 2
 
     def test_cross_has_no_sign(self, small):
         t = TensorRing(small, small)
@@ -348,7 +349,7 @@ class TestProjectiveRings:
         assert g2.monomial_str(g2.top_monomial) == "a b x1 x2 x3"
 
     def test_tensor_square_dimension(self, cp2):
-        assert cp2.sm_tensor.total_dimension == 16
+        assert sum(1 for _ in cp2.sm_tensor.monomials()) == 16
 
     def test_cross_of_units(self, cp2):
         sm = cp2.sm.ring
@@ -377,6 +378,6 @@ class TestProjectiveRings:
 
     def test_empty_ring_is_the_ground_field(self):
         r = Ring([])
-        assert r.total_dimension == 1
+        assert sum(c for _, c in r.poincare_series(3)) == 1
         assert r.poincare_series(3) == [(0, 1), (1, 0), (2, 0), (3, 0)]
         assert list(r.monomials()) == [r.monomial()]
