@@ -75,9 +75,8 @@ class _FormalSum(Combination):
             for kind, k, i in self._parts(key):
                 if kind not in self.kinds:
                     raise ValueError(f"unexpected generator kind {kind!r}")
-                if k < 1 or not 0 <= i <= top:  # the checks below raise the messages
-                    params.check_level(k)
-                    params.check_index(i)
+                if type(k) is not int or type(i) is not int or k < 1 or not 0 <= i <= top:
+                    _refuse_part(params, k, i)
 
     def _parts(self, key) -> tuple:
         """The one reader of the key layout: a key is one ``(kind, k, i)``, or two for a pair."""
@@ -114,6 +113,16 @@ class _FormalSum(Combination):
 
     def _json_body(self, key) -> dict:
         return {"gen": [{"kind": kind, "k": k, "i": i} for kind, k, i in self._parts(key)]}
+
+
+def _refuse_part(params: SpaceParams, k, i) -> None:
+    """Raise the error of a bad level or index: a non-int first, then its range."""
+    for what, value in (("level k", k), ("index i", i)):
+        # A float or bool would print as a level, and fail only when used.
+        if type(value) is not int:
+            raise TypeError(f"{what} must be an int, not {value!r}")
+    params.check_level(k)
+    params.check_index(i)
 
 
 class LoopClass(_FormalSum):

@@ -199,6 +199,32 @@ def test_malformed_keys_are_refused(cls, key):
         cls(CP2, {key: 1})
 
 
+# A level or index must be an int: a float or bool would print as a level
+# (``B[3.0,1]``) and fail only when a computation uses it.
+@pytest.mark.parametrize("cls, kind", [(LoopClass, "B"), (CohClass, "m")])
+@pytest.mark.parametrize(
+    "k, i, message",
+    [
+        (3.0, 1, "level k must be an int, not 3.0"),
+        (True, 1, "level k must be an int, not True"),
+        (3, 1.0, "index i must be an int, not 1.0"),
+        (3, False, "index i must be an int, not False"),
+    ],
+)
+def test_non_int_level_or_index_is_refused(cls, kind, k, i, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        cls.generator(CP2, kind, k, i)
+
+
+@pytest.mark.parametrize(
+    "k, i, message",
+    [(0, 1, "level k must be >= 1"), (3, 2, "index out of range for n=2")],
+)
+def test_level_and_index_range_messages(k, i, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LoopClass.generator(CP2, "B", k, i)
+
+
 # ``_class_and_key`` writes the key layout that ``_FormalSum._parts`` reads.
 @pytest.mark.parametrize(
     "parts, cls",

@@ -7,10 +7,11 @@ against the broken function itself, changes them.
 """
 
 import operator
+from collections import Counter
 
 import pytest
 
-from loopalg import loops, verify
+from loopalg import loops, report, ring, verify
 from loopalg.loops import (
     CohClass,
     LoopClass,
@@ -22,6 +23,7 @@ from loopalg.loops import (
     verify_pipeline,
     verify_presentation,
 )
+from loopalg.ring import RingElement
 from loopalg.spaces import SpaceParams
 from loopalg.verify import verify_gysin_values, verify_ring_axioms
 
@@ -106,12 +108,92 @@ def test_ring_sweep_catches_wrong_cap_sign(monkeypatch, params, seed, counts):
     )
 
 
+def _unsigned_cup(a, b):
+    # ring.cup without the Koszul sign of normal-ordering the merged monomial.
+    out: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            hit = a.ring.mul_monomials(ma, mb)
+            if hit is not None:
+                out[hit[0]] = out.get(hit[0], 0) + ca * cb
+    return RingElement(a.ring, out)
+
+
+@pytest.mark.parametrize(
+    ("params", "seed", "counts"), [(CP1, 0, (18024, 137)), (CP2, 7, (135625, 409))]
+)
+def test_ring_sweep_catches_unsigned_cup(monkeypatch, params, seed, counts):
+    monkeypatch.setattr(ring, "cup", _unsigned_cup)
+    rep = verify_ring_axioms(params, seed=seed)
+    # A product of two odd classes loses its sign, so graded commutativity
+    # fails on every odd pair, and the cap, pairing and diagonal adjunctions,
+    # whose caps and pushforwards keep their signs, fail wherever that product
+    # is nonzero.  The unsigned product is still associative: on CP1 the
+    # failures are 22 + 47 + 21 + 21 exhaustive and 15 + 6 + 5 randomized,
+    # none of them associativity.  The first twelve kept are exhaustive ones.
+    assert (rep.checks, rep.failed) == counts
+    assert not any("associativity" in f for f in rep.failures)
+
+
+def test_ring_sweep_catches_non_associative_cup(monkeypatch):
+    product = ring.cup
+
+    def skewed(a, b):
+        out = product(a, b)
+        return -out if (a.degree() or 0) % 2 else out
+
+    monkeypatch.setattr(ring, "cup", skewed)
+    monkeypatch.setattr(report, "KEEP_FAILURES", 1000)
+    rep = verify_ring_axioms(CP1, seed=0)
+    # Negating every product with an odd left factor makes (ab)c and a(bc)
+    # differ in sign wherever a is odd and abc != 0, and breaks every other
+    # law that multiplies an odd class on the left.
+    assert (rep.checks, rep.failed) == (18024, 566)
+    assert Counter(f.split(" fails at ")[0].split(":")[0] for f in rep.failures) == {
+        "unit law": 11,
+        "graded commutativity": 46,
+        "associativity": 127,
+        "cap module axiom": 127,
+        "pairing adjunction": 45,
+        "diagonal adjunction": 45,
+        "random commutativity": 67,
+        "random associativity": 35,
+        "random cap module axiom": 33,
+        "random pairing adjunction": 30,
+    }
+
+
 def test_ring_sweep_catches_wrong_pd_inverse(monkeypatch):
     monkeypatch.setattr(verify, "pd_inverse", _negated(verify.pd_inverse))
     rep = verify_ring_axioms(CP1, seed=0)
     # One pd_inverse . pd check per basis monomial: 2 + 4 + 16.
     assert (rep.checks, rep.failed) == (18024, 22)
     assert all(f.startswith("pd_inverse . pd != id at ") for f in rep.failures)
+
+
+def test_ring_sweep_calls_the_kernel_per_distinct_operand_pair(monkeypatch):
+    calls = dict.fromkeys(("cap", "pairing", "cup"), 0)
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(verify, "cap")
+    counted(verify, "pairing")
+    counted(ring, "cup")
+    monkeypatch.setattr(verify, "RANDOM_ROUNDS", 0)
+    rep = verify_ring_axioms(CP2)
+    assert (rep.checks, rep.failed) == (134625, 0)
+    # Fresh kernel calls on every basis triple made 67,792 caps, 133,376
+    # pairings and 67,900 cups here.  The pair pass's tables call the kernel
+    # once per distinct operand pair; only the diagonal adjunction still
+    # pairs once per triple: 4^3 + 8^3 + 32^3 = 33,344 of the pairings.
+    assert calls == {"cap": 4648, "pairing": 36888, "cup": 4948}
 
 
 def test_duality_sweep_catches_wrong_product(monkeypatch):
