@@ -24,10 +24,9 @@ _ORIGIN = {
         ),
         "loops": (
             "CohClass", "LoopClass", "PipelineMatchError", "PresMonomial", "TensorCohClass",
-            "TensorLoopClass", "betti_table", "coh_cross", "coproduct_closed",
-            "coproduct_pipeline", "gh_dual_pairing", "gh_product", "gh_product_pairs",
-            "presentation_normalize", "tensor_pairing", "verify_coassociativity",
-            "verify_duality", "verify_pipeline", "verify_presentation",
+            "TensorLoopClass", "betti_table", "coproduct_closed", "coproduct_pipeline",
+            "gh_product", "gh_product_pairs", "presentation_normalize",
+            "verify_coassociativity", "verify_duality", "verify_pipeline", "verify_presentation",
         ),
         "report": ("Report",),
         "ring": (

@@ -15,9 +15,9 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward
+from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
 from .report import Report
-from .ring import Combination, RingElement, RingMismatchError, _Frozen, as_coeff
+from .ring import Combination, Monomial, RingMismatchError, _Frozen, as_coeff
 from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 
 __all__ = [
@@ -29,16 +29,12 @@ __all__ = [
     "TensorLoopClass",
     "betti_table",
     "cap_with_thom",
-    "coh_cross",
     "coproduct_closed",
     "coproduct_pipeline",
     "gamma_class",
-    "gh_dual_pairing",
     "gh_product",
     "gh_product_pairs",
     "presentation_normalize",
-    "tensor_pairing",
-    "thom_pullback",
     "verify_coassociativity",
     "verify_duality",
     "verify_pipeline",
@@ -201,17 +197,6 @@ def _bump(d: dict, key, c) -> None:
 # -- the coproduct, completing-manifold pipeline ----------------------
 
 
-def thom_pullback(catalog: SpaceCatalog, k: int) -> tuple[tuple[int, RingElement], ...]:
-    """Pullback of the tubular Thom class to the level-k manifold.
-
-    One fiber class x_{2m} per interior break index m, as ``(m, x_{2m})``
-    pairs; the index doubles as the marker of the interval factor it pairs
-    with.  Empty at level 1.
-    """
-    catalog.params.check_level(k)
-    return tuple((m, catalog.fiber_class(k, m)) for m in range(1, k))
-
-
 def gamma_class(catalog: SpaceCatalog, kind: str, k: int, i: int) -> HomologyElement:
     """The level-k carrier of A[k,i] or B[k,i], with its intrinsic sign.
 
@@ -226,25 +211,33 @@ def gamma_class(catalog: SpaceCatalog, kind: str, k: int, i: int) -> HomologyEle
 def cap_with_thom(
     catalog: SpaceCatalog, k: int, x: HomologyElement
 ) -> list[tuple[int, HomologyElement]]:
-    """Cap each Thom fiber class into x, with the cross-product sign.
+    """Cap each Thom fiber class x_{2m} into x, with the cross-product sign.
 
-    Capping x_{2m} x [interval] into x x [interval] leaves the interval
-    factor alone at the cost of (-1)^{deg x}, which is the sign applied here.
+    One ``(m, capped class)`` per interior break index m = 1 .. k - 1; the
+    index doubles as the marker of the interval factor it pairs with, so the
+    list is empty at level 1.  Capping x_{2m} x [interval] into x x [interval]
+    leaves the interval factor alone at the cost of (-1)^{deg x}, which is the
+    sign applied here.
     """
     _require_homogeneous(x, "cap_with_thom input")
+    catalog.params.check_level(k)
     sign = -1 if (x.degree() or 0) % 2 else 1
-    return [(m, cap(xi, x) * sign) for m, xi in thom_pullback(catalog, k)]
+    return [(m, cap(catalog.fiber_class(k, m), x) * sign) for m in range(1, k)]
 
 
-def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[tuple[int, bool], int | Fraction]:
+def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[Monomial, int | Fraction]:
     """Express a capped class as a wrong-way image from SM x_M SM.
 
     Matches against the precomputed images of the full dual basis and then
     insists the matched class is spanned by the diagonal duals (a^j and
-    a^j b); anything else trips PipelineMatchError.
+    a^j b); anything else trips PipelineMatchError.  The match is returned
+    over SM, as ``{SM monomial: coeff}``: each source monomial with its xi
+    slot dropped, since SM x_M SM has SM's generators, in order, and xi.
     """
     table = catalog.pv_gysin_table(k, m)
-    acc: dict = {}
+    ring = catalog.sm_pair.ring
+    xi = ring.index["xi"]
+    out: dict[Monomial, int | Fraction] = {}
     for mono, c in z.terms.items():
         hit = table.get(mono)
         if hit is None:
@@ -252,18 +245,13 @@ def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[tuple[int, bool],
                 f"unmatched component [{z.ring.monomial_str(mono)}] at level {k}, break {m}"
             )
         u, sign = hit
-        _bump(acc, u, c * sign)  # equals c / sign: pv_gysin_table admits only +-1
-    ring = catalog.sm_pair.ring
-    out: dict[tuple[int, bool], int | Fraction] = {}
-    for u, cu in acc.items():
-        if not cu:
-            continue
-        exps = ring.exponents_by_name(u)
-        if exps.get("xi"):
+        if u[xi]:
             raise PipelineMatchError(
                 f"fiber-class component [{ring.monomial_str(u)}] at level {k}, break {m}"
             )
-        out[(exps.get("a", 0), bool(exps.get("b")))] = cu
+        # Distinct table entries have distinct sources, so no key repeats;
+        # c * sign equals c / sign, since pv_gysin_table admits only +-1.
+        out[u[:xi] + u[xi + 1 :]] = c * sign
     return out
 
 
@@ -273,13 +261,13 @@ def _loop_part(ring, mono) -> tuple[str, int]:
     return ("B" if exps.get("b") else "A", exps.get("a", 0))
 
 
-def _diagonal_spread(cat: SpaceCatalog, j: int, with_b: bool) -> list[tuple]:
-    """The diagonal pushforward of the dual of a^j (times b) over SM, without levels.
+def _diagonal_spread(cat: SpaceCatalog, mono: Monomial) -> list[tuple]:
+    """The diagonal pushforward of the dual of an SM monomial, without levels.
 
     One ``((kind, i), (kind, i), coeff)`` per term, a ``_loop_part`` per factor.
     """
     ring = cat.sm.ring
-    spread = diagonal_pushforward(cat.sm_dual(j, with_b), cat.sm_tensor)
+    spread = diagonal_pushforward(dual(ring, mono), cat.sm_tensor)
     out = []
     for tmono, dc in spread.terms.items():
         ml, mr = cat.sm_tensor.split(tmono)
@@ -299,15 +287,15 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
     pushforward once and reuses it at every break m.
     """
     cat = catalog or catalog_for(x.params)
-    spreads: dict[tuple[int, bool], list[tuple]] = {}
+    spreads: dict[Monomial, list[tuple]] = {}
     out: dict = {}
     for (kind, k, i), c in x.terms.items():
         carrier = gamma_class(cat, kind, k, i)
         for m, z in cap_with_thom(cat, k, carrier):
-            for diag, cu in _match_wrongway(cat, k, m, z).items():
-                spread = spreads.get(diag)
+            for mono, cu in _match_wrongway(cat, k, m, z).items():
+                spread = spreads.get(mono)
                 if spread is None:
-                    spread = spreads[diag] = _diagonal_spread(cat, *diag)
+                    spread = spreads[mono] = _diagonal_spread(cat, mono)
                 for (kind_l, il), (kind_r, ir), dc in spread:
                     _bump(out, ((kind_l, m, il), (kind_r, k - m, ir)), c * cu * dc)
     return TensorLoopClass(x.params, out)

@@ -17,14 +17,12 @@ from loopalg import (
     LoopClass,
     SpaceParams,
     cli,
-    coh_cross,
     coproduct_closed,
     dual,
-    gh_dual_pairing,
     pairing,
     spaces,
-    tensor_pairing,
 )
+from loopalg.loops import coh_cross, gh_dual_pairing, tensor_pairing
 from loopalg.ring import Combination, as_coeff
 
 CP2 = SpaceParams.from_token("cp", 2)

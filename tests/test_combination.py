@@ -21,12 +21,9 @@ from loopalg import (
     SpaceParams,
     TensorCohClass,
     TensorLoopClass,
-    coh_cross,
-    gh_dual_pairing,
     gh_product,
-    tensor_pairing,
 )
-from loopalg.loops import _class_and_key
+from loopalg.loops import _class_and_key, coh_cross, gh_dual_pairing, tensor_pairing
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
 OTHER_RING = Ring([Generator("a", 2, 3), Generator("u", 3, 2)])

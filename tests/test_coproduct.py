@@ -11,13 +11,14 @@ from loopalg import (
     LoopClass,
     PipelineMatchError,
     TensorLoopClass,
+    cap,
     coproduct_closed,
     coproduct_pipeline,
     dual,
     verify_coassociativity,
     verify_pipeline,
 )
-from loopalg.loops import cap_with_thom, gamma_class, thom_pullback
+from loopalg.loops import cap_with_thom, gamma_class
 
 
 def A(params, k, i):
@@ -109,14 +110,14 @@ class TestClosedFormula:
 
 
 class TestPipelineStages:
-    def test_thom_pullback_terms(self, cp2):
+    def test_cap_with_thom_breaks(self, cp2):
+        # One capped class per interior break m, capped by the fiber class x_{2m}.
         with pytest.raises(ValueError, match="level k"):
-            thom_pullback(cp2, 0)
-        assert thom_pullback(cp2, 1) == ()
-        t2 = thom_pullback(cp2, 2)
-        assert [(m, str(c)) for m, c in t2] == [(1, "x2")]
-        t4 = thom_pullback(cp2, 4)
-        assert [(m, str(c)) for m, c in t4] == [(1, "x2"), (2, "x4"), (3, "x6")]
+            cap_with_thom(cp2, 0, gamma_class(cp2, "A", 1, 0))
+        assert cap_with_thom(cp2, 1, gamma_class(cp2, "A", 1, 0)) == []
+        assert [str(cp2.fiber_class(4, m)) for m in (1, 2, 3)] == ["x2", "x4", "x6"]
+        x = gamma_class(cp2, "B", 4, 1)  # of even degree, so no sign
+        assert cap_with_thom(cp2, 4, x) == [(m, cap(cp2.fiber_class(4, m), x)) for m in (1, 2, 3)]
 
     def test_carrier_classes(self, cp2):
         ring = cp2.gamma(2).ring

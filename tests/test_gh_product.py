@@ -10,18 +10,16 @@ from loopalg import (
     PresMonomial,
     Report,
     betti_table,
-    coh_cross,
     coproduct_closed,
     generator_degree,
-    gh_dual_pairing,
     gh_product,
     gh_product_pairs,
     loops,
     presentation_normalize,
-    tensor_pairing,
     verify_duality,
     verify_presentation,
 )
+from loopalg.loops import coh_cross, gh_dual_pairing, tensor_pairing
 
 
 def s(params, k, i):
