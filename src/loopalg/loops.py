@@ -87,7 +87,11 @@ class _FormalSum(Combination):
 
     @classmethod
     def zero(cls, params: SpaceParams):
-        return cls(params, {})
+        """The empty sum, built without ``__init__``: it has no key to check."""
+        empty = object.__new__(cls)
+        empty.owner = params
+        empty.terms = {}
+        return empty
 
     @classmethod
     def generator(cls, params: SpaceParams, kind: str, k: int, i: int):
@@ -393,32 +397,56 @@ class PresMonomial(_Frozen):
     ``betas[j]`` the exponent of beta_j (indices 0 .. n-1).  The constant
     monomial is excluded; the presentation ring has no unit adjoined.
 
-    The factor count, the sub-index (each alpha_i and beta_i counted i times)
-    and the beta count are computed once, from the exponents, when the
-    monomial is built.  They stay out of ``repr``, ``==`` and ``hash``, which
-    see only the exponents.
+    The exponents are kept as one flat tuple ``(omega, *alphas, *betas)``,
+    next to the slot weights ``(0, 1 .. n-1, 0 .. n-1)`` that a product
+    shares with its left factor.  The factor count, the sub-index (each
+    alpha_i and beta_i counted i times) and the beta count are computed
+    once, from the flat exponents, when the monomial is built.  They stay
+    out of ``repr``, ``==`` and ``hash``, which see only the exponents.
     """
 
-    __slots__ = ("omega", "alphas", "betas", "factor_count", "sub_index", "beta_count")
+    __slots__ = ("_exps", "_weights", "factor_count", "sub_index", "beta_count")
     _fields = ("omega", "alphas", "betas")
 
     def __init__(self, omega: int, alphas: tuple[int, ...], betas: tuple[int, ...]) -> None:
-        if min(omega, *alphas, *betas) < 0:
+        for what, part in (("alphas", alphas), ("betas", betas)):
+            if type(part) is not tuple:
+                raise TypeError(f"{what} must be a tuple, not {part!r}")
+        exps = (omega, *alphas, *betas)
+        for e in exps:
+            # A bool or float would count as an exponent, and a product of
+            # floats would normalize to a level no generator has.
+            if type(e) is not int:
+                raise TypeError(f"exponents must be ints, not {e!r}")
+        n = len(betas)
+        if len(alphas) != n - 1:
+            raise ValueError(f"alphas of length {len(alphas)} and betas of length {n} fit no n")
+        if min(exps) < 0:
             raise ValueError("exponents must be non-negative")
-        beta_count = sum(betas)
-        factor_count = omega + sum(alphas) + beta_count
-        if factor_count == 0:
+        self._fill(exps, (0, *range(1, n), *range(n)))
+        if self.factor_count == 0:
             raise ValueError("the constant monomial is not in the presentation ring")
-        sub_index = sum(map(operator.mul, alphas, itertools.count(1))) + sum(
-            map(operator.mul, betas, itertools.count())
-        )
-        fix = object.__setattr__  # the type is immutable
-        fix(self, "omega", omega)
-        fix(self, "alphas", alphas)
-        fix(self, "betas", betas)
-        fix(self, "factor_count", factor_count)
-        fix(self, "sub_index", sub_index)
-        fix(self, "beta_count", beta_count)
+
+    def _fill(self, exps: tuple[int, ...], weights: tuple[int, ...]) -> None:
+        """Set the exponents, their slot weights and the three counts read from the exponents."""
+        set_exps, set_weights, set_factors, set_sub_index, set_betas = _PRES_SLOT_SETTERS
+        set_exps(self, exps)
+        set_weights(self, weights)
+        set_factors(self, sum(exps))
+        set_sub_index(self, sum(map(operator.mul, exps, weights)))
+        set_betas(self, sum(exps[len(exps) // 2 :]))
+
+    @property
+    def omega(self) -> int:
+        return self._exps[0]
+
+    @property
+    def alphas(self) -> tuple[int, ...]:
+        return self._exps[1 : len(self._exps) // 2]
+
+    @property
+    def betas(self) -> tuple[int, ...]:
+        return self._exps[len(self._exps) // 2 :]
 
     @classmethod
     def build(
@@ -442,14 +470,20 @@ class PresMonomial(_Frozen):
         return cls(omega, tuple(a), tuple(b))
 
     def mul(self, other: PresMonomial) -> PresMonomial:
-        """The product, built through the constructor, so its counts are its own."""
-        if len(self.alphas) != len(other.alphas):
+        """The product: the exponents added once, and the counts read from the sum.
+
+        A sum of valid exponents is valid, so only the shapes are compared.
+        """
+        if len(self._exps) != len(other._exps):
             raise ValueError("presentation monomials over different n")
-        return PresMonomial(
-            self.omega + other.omega,
-            tuple(map(operator.add, self.alphas, other.alphas)),
-            tuple(map(operator.add, self.betas, other.betas)),
-        )
+        product = object.__new__(PresMonomial)
+        product._fill(tuple(map(operator.add, self._exps, other._exps)), self._weights)
+        return product
+
+
+# The type is immutable: its slots are set through their descriptors, which
+# skip ``_Frozen.__setattr__`` and cost less than ``object.__setattr__``.
+_PRES_SLOT_SETTERS = tuple(getattr(PresMonomial, name).__set__ for name in PresMonomial.__slots__)
 
 
 def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
@@ -459,7 +493,7 @@ def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
     to s[k,s] when c = 0, to m[k,s] when c = 1, and to zero otherwise or when
     s exceeds n - 1.
     """
-    if len(p.alphas) != params.n - 1 or len(p.betas) != params.n:
+    if len(p._exps) != 2 * params.n:
         raise ValueError("presentation monomial does not match n")
     k = p.factor_count
     s = p.sub_index
@@ -633,8 +667,10 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     to the level bound, surjectivity witnesses for every s[k,i] and m[k,i],
     and that powers w^k of the level generator stay nonzero up to twice the
     level bound.  Each monomial is normalized once and kept next to its
-    normal form, grouped by factor count; each pair then costs one ``mul``,
-    one normalization of the product and one ``gh_product``.
+    normal form, grouped by factor count; equal normal forms share one
+    object.  Each pair then costs one ``mul`` and one normalization of the
+    product, and ``gh_product`` runs once per distinct pair of normal
+    forms, at its first use.
     """
     rep = Report(f"presentation ({params.token}, n={params.n}, level<={max_level})")
     n = params.n
@@ -662,17 +698,28 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     for i, j in itertools.product(range(n), repeat=2):
         expect(beta[i].mul(beta[j]), None, 2, 0, f"beta_{i} beta_{j}")
 
+    normals: dict = {}
+
+    def shared_norm(p: PresMonomial) -> tuple[int, CohClass]:
+        """p's normal form as the one shared object of its value, with its index."""
+        value = norm(p)
+        return normals.setdefault(tuple(value.terms.items()), (len(normals), value))
+
     by_count = {
-        f: [(p, norm(p)) for p in _pres_monomials(params, f)] for f in range(1, max_level)
+        f: [(p, *shared_norm(p)) for p in _pres_monomials(params, f)] for f in range(1, max_level)
     }
+    products: dict = {}
     for f1, normals1 in by_count.items():
         for f2, normals2 in by_count.items():
             if f1 + f2 > max_level:
                 continue
-            for p, np_ in normals1:
-                for q, nq in normals2:
+            for p, i, np_ in normals1:
+                for q, j, nq in normals2:
+                    expected = products.get((i, j))
+                    if expected is None:
+                        expected = products[i, j] = gh_product(np_, nq)
                     rep.note(
-                        presentation_normalize(p.mul(q), params) == gh_product(np_, nq),
+                        presentation_normalize(p.mul(q), params) == expected,
                         lambda p=p, q=q: f"multiplicativity fails at {p} * {q}",
                     )
 

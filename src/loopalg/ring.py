@@ -66,7 +66,7 @@ class _Frozen:
 
     A subclass lists its compared fields in ``_fields``, in the order its
     ``__init__`` takes them, and ``__init__`` sets every slot once with
-    ``object.__setattr__``.  ``repr``, ``==`` and
+    ``object.__setattr__`` or the slot's own descriptor.  ``repr``, ``==`` and
     ``hash`` read ``_fields`` only, an instance equals only instances of its
     own class, and assigning or deleting an attribute raises ``AttributeError``.
     """

@@ -1,8 +1,11 @@
 """Cohomology product, its duality with the coproduct, and the presentation."""
 
 import itertools
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopalg import (
     CohClass,
@@ -20,6 +23,9 @@ from loopalg import (
     verify_presentation,
 )
 from loopalg.loops import coh_cross, gh_dual_pairing, tensor_pairing
+
+
+_counts = operator.attrgetter("factor_count", "sub_index", "beta_count")
 
 
 def s(params, k, i):
@@ -213,6 +219,49 @@ class TestPresentation:
         for args in [(-1, (0, 0), (1, 0, 0)), (0, (-1, 0), (1, 0, 0)), (1, (0, 0), (0, 0, -2))]:
             with pytest.raises(ValueError, match="^exponents must be non-negative$"):
                 PresMonomial(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0, (1,), (1,)), (0, (), (1, 0)), (1, (0, 0), (0, 0)), (0, (1,), (0, 1, 0))],
+    )
+    def test_shape_that_fits_no_n_is_refused(self, args):
+        with pytest.raises(ValueError, match="^alphas of length .* fit no n$"):
+            PresMonomial(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((True, (), (False,)), "exponents must be ints, not True"),
+            ((0.5, (), (0,)), "exponents must be ints, not 0.5"),
+            ((1, (0,), (0, 1.0)), "exponents must be ints, not 1.0"),
+            ((0, [1], (0, 1)), "alphas must be a tuple, not [1]"),
+            ((0, (1,), [0, 1]), "betas must be a tuple, not [0, 1]"),
+        ],
+    )
+    def test_non_int_exponent_and_non_tuple_part_are_refused(self, args, message):
+        with pytest.raises(TypeError) as err:
+            PresMonomial(*args)
+        assert str(err.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_product_counts_match_the_naive_formulas(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        parts = st.tuples(
+            st.integers(0, 6),
+            st.lists(st.integers(0, 6), min_size=n - 1, max_size=n - 1).map(tuple),
+            st.lists(st.integers(0, 6), min_size=n, max_size=n).map(tuple),
+        ).filter(lambda row: row[0] + sum(row[1]) + sum(row[2]) > 0)
+        (w1, a1, b1), (w2, a2, b2) = data.draw(parts), data.draw(parts)
+        p, q = PresMonomial(w1, a1, b1), PresMonomial(w2, a2, b2)
+        row = (w1 + w2, tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2)))
+        product, summed = p.mul(q), PresMonomial(*row)
+        for x, (w, a, b) in ((p, (w1, a1, b1)), (q, (w2, a2, b2)), (product, row)):
+            assert (x.omega, x.alphas, x.betas) == (w, a, b)
+            sub_index = sum(i * e for i, e in enumerate(a, 1)) + sum(i * e for i, e in enumerate(b))
+            assert _counts(x) == (w + sum(a) + sum(b), sub_index, sum(b))
+        assert product == summed and hash(product) == hash(summed)
+        assert _counts(product) == _counts(summed)
 
     @pytest.mark.parametrize("space", ["cp3", "hp3"])
     def test_counts_are_read_from_the_exponents(self, request, space):

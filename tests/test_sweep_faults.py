@@ -81,6 +81,43 @@ def test_presentation_sweep_catches_mul_dropping_the_right_betas(monkeypatch):
     assert rep.failures[0] == "alpha_1 beta_0 misses m[2,1]"
 
 
+def test_presentation_sweep_calls_gh_product_per_distinct_normal_pair(monkeypatch):
+    cp4 = SpaceParams.from_token("cp", 4)
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def normal_key(p):
+        return tuple(loops.presentation_normalize(p, cp4).terms.items())
+
+    by_count = {f: [normal_key(p) for p in loops._pres_monomials(cp4, f)] for f in range(1, 5)}
+    pairs = {
+        (a, b)
+        for f1, keys1 in by_count.items()
+        for f2, keys2 in by_count.items()
+        if f1 + f2 <= 5
+        for a in keys1
+        for b in keys2
+    }
+    counted(PresMonomial, "mul")
+    counted(loops, "presentation_normalize")
+    counted(loops, "gh_product")
+    rep = verify_presentation(cp4, 5)
+    assert (rep.checks, rep.failed) == (17863, 0)
+    # Every product is still built and normalized.  A dual product per
+    # monomial pair made 17,776 gh_product calls here; equal normal forms
+    # share one object, and each distinct pair of them is multiplied once.
+    assert len(pairs) == 689
+    assert calls == {"mul": 17813, "presentation_normalize": 18357, "gh_product": len(pairs)}
+
+
 def test_ring_sweep_catches_wrong_cross_sign(monkeypatch):
     monkeypatch.setattr(verify, "cross", _negated(verify.cross))
     rep = verify_ring_axioms(CP1, seed=0)
