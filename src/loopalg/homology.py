@@ -77,6 +77,8 @@ def dual(ring: Ring, m: Monomial, coeff: int | Fraction = 1) -> HomologyElement:
 
 def pairing(c: RingElement, x: HomologyElement) -> int | Fraction:
     """Kronecker pairing of a cohomology element against a homology class."""
+    if type(c) is not RingElement or type(x) is not HomologyElement:
+        raise TypeError(f"pairing of {type(c).__name__} and {type(x).__name__}")
     if c.ring != x.ring:
         raise RingMismatchError("pairing of classes over different rings")
     total = 0
@@ -93,6 +95,8 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
     On dual classes: ``cap(a, dual(m)) = merge_sign(m - a, a) * dual(m - a)``
     whenever the exponent difference stays non-negative, and 0 otherwise.
     """
+    if type(a) is not RingElement or type(x) is not HomologyElement:
+        raise TypeError(f"cap of {type(a).__name__} and {type(x).__name__}")
     if a.ring != x.ring:
         raise RingMismatchError("cap of classes over different rings")
     ring = a.ring
@@ -133,6 +137,8 @@ class OrientedSpace:
 
 def pd(space: OrientedSpace, c: RingElement) -> HomologyElement:
     """Poincare duality, cap against the fundamental class."""
+    if type(c) is not RingElement:
+        raise TypeError(f"pd of {type(c).__name__}")
     if c.ring != space.ring:
         raise RingMismatchError("class does not live over the space's ring")
     _require_homogeneous(c, "Poincare duality input")
@@ -146,6 +152,8 @@ def pd_inverse(space: OrientedSpace, x: HomologyElement) -> RingElement:
     * dual(m)``, a signed permutation of bases, so inverting is exact and
     needs no linear solve.
     """
+    if type(x) is not HomologyElement:
+        raise TypeError(f"pd_inverse of {type(x).__name__}")
     if x.ring != space.ring:
         raise RingMismatchError("class does not live over the space's ring")
     _require_homogeneous(x, "inverse duality input")
@@ -192,6 +200,8 @@ class RingMap:
         self._powers = powers
 
     def __call__(self, elem: RingElement) -> RingElement:
+        if type(elem) is not RingElement:
+            raise TypeError(f"RingMap applied to {type(elem).__name__}")
         if elem.ring != self.source:
             raise RingMismatchError("element does not live over the map's source")
         out: dict[Monomial, int | Fraction] = {}
@@ -243,6 +253,8 @@ def diagonal_pushforward(x: HomologyElement, tensor: TensorRing) -> HomologyElem
     On a dual class this is the sum over exponent splittings ``m = l + r`` of
     ``merge_sign(l, r) * dual(l x r)``.
     """
+    if type(x) is not HomologyElement:
+        raise TypeError(f"diagonal_pushforward of {type(x).__name__}")
     ring = x.ring
     if tensor.left != ring or tensor.right != ring:
         raise RingMismatchError("tensor ring is not the square of the class's ring")

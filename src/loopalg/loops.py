@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
-from .report import Report
+from .report import Report, _intern
 from .ring import Combination, Monomial, RingMismatchError, _Frozen, as_coeff
 from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 
@@ -182,6 +182,8 @@ def coproduct_closed(x: LoopClass) -> TensorLoopClass:
     A[k,i] splits into sum_{m,j} A[m,j] x A[k-m,i-j]; B[k,i] into the two
     mixed A/B families over the same ranges.  Level-1 classes map to zero.
     """
+    if type(x) is not LoopClass:
+        raise TypeError(f"coproduct_closed of {type(x).__name__}")
     out: dict = {}
     for (kind, k, i), c in x.terms.items():
         for m in range(1, k):
@@ -290,6 +292,8 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
     depend on the level or the break, so one call builds each matched class's
     pushforward once and reuses it at every break m.
     """
+    if type(x) is not LoopClass:
+        raise TypeError(f"coproduct_pipeline of {type(x).__name__}")
     cat = catalog or catalog_for(x.params)
     spreads: dict[Monomial, list[tuple]] = {}
     out: dict = {}
@@ -326,6 +330,8 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
     Levels add, indices add and truncate above n - 1; the degree grows by
     deg a + deg b + N - 1.
     """
+    if type(a) is not CohClass or type(b) is not CohClass:
+        raise TypeError(f"gh_product of {type(a).__name__} and {type(b).__name__}")
     if a.params is not b.params and a.params != b.params:
         raise RingMismatchError("operands are classes over different spaces")
     out: dict = {}
@@ -339,6 +345,8 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
 
 def gh_product_pairs(t: TensorCohClass) -> CohClass:
     """Multiply out a sum of tensor pairs, bilinearly."""
+    if type(t) is not TensorCohClass:
+        raise TypeError(f"gh_product_pairs of {type(t).__name__}")
     out: dict = {}
     for (ka, kb), c in t.terms.items():
         key = _gh_key(t.params, ka, kb)
@@ -571,13 +579,15 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
             keys = (left.keys() | right.keys()) & position.keys()
             checked += len(keys)
             for key in sorted(keys, key=position.__getitem__):
-                lhs = left.get(key, 0)
-                rhs = right.get(key, 0)
+                lhs, rhs = left.get(key, 0), right.get(key, 0)
                 rep.note(
                     lhs == rhs,
-                    lambda ka=ka, kb=kb, key=key, lhs=lhs, rhs=rhs: (
-                        f"<{_gen_text(ka)}*{_gen_text(kb)}, {_gen_text(key)}>: {lhs} != {rhs}"
-                    ),
+                    "<{}[{},{}]*{}[{},{}], {}[{},{}]>: {} != {}",
+                    *ka,
+                    *kb,
+                    *key,
+                    lhs,
+                    rhs,
                 )
     rep.credit(pairs * len(position) - checked)
     return rep
@@ -624,8 +634,8 @@ def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
         left = {t: c for t, c in left.items() if c}
         right = {t: c for t, c in right.items() if c}
         direct = _triple_closed(params, *key)
-        rep.note(left == right, lambda key=key: f"coassociativity fails at {_gen_text(key)}")
-        rep.note(left == direct, lambda key=key: f"triple split mismatch at {_gen_text(key)}")
+        rep.note(left == right, "coassociativity fails at {}[{},{}]", *key)
+        rep.note(left == direct, "triple split mismatch at {}[{},{}]", *key)
     return rep
 
 
@@ -637,12 +647,9 @@ def verify_pipeline(params: SpaceParams, max_k: int) -> Report:
         try:
             piped = coproduct_pipeline(x)
         except PipelineMatchError as err:
-            rep.note(False, f"{_gen_text(key)}: {err}")
+            rep.note(False, "{}[{},{}]: {}", *key, err)
             continue
-        rep.note(
-            piped == coproduct_closed(x),
-            lambda key=key, piped=piped: f"{_gen_text(key)}: pipeline gives {piped}",
-        )
+        rep.note(piped == coproduct_closed(x), "{}[{},{}]: pipeline gives {}", *key, piped)
     return rep
 
 
@@ -681,32 +688,27 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     alpha = {i: PresMonomial.build(params, alphas={i: 1}) for i in range(1, n)}
     beta = {i: PresMonomial.build(params, betas={i: 1}) for i in range(n)}
 
-    def expect(p: PresMonomial, kind: str | None, k: int, i: int, what: str) -> None:
-        """Check that p normalizes to kind[k,i]; to zero if kind is None or i > n - 1."""
+    def expect(p: PresMonomial, kind: str | None, k: int, i: int, what: str, *args) -> None:
+        """Check that p, named ``what.format(*args)``, normalizes to kind[k,i];
+        to zero if kind is None or i > n - 1."""
         value = norm(p)
         if kind is None or i > n - 1:
-            rep.note(value.is_zero(), f"{what} does not vanish")
+            rep.note(value.is_zero(), what + " does not vanish", *args)
         else:
-            rep.note(
-                value == CohClass.generator(params, kind, k, i), f"{what} misses {kind}[{k},{i}]"
-            )
+            generator = CohClass.generator(params, kind, k, i)
+            rep.note(value == generator, what + " misses {}[{},{}]", *args, kind, k, i)
 
     for i, j in itertools.product(range(1, n), repeat=2):
-        expect(alpha[i].mul(alpha[j]), "s", 2, i + j, f"alpha_{i} alpha_{j}")
+        expect(alpha[i].mul(alpha[j]), "s", 2, i + j, "alpha_{} alpha_{}", i, j)
     for i, j in itertools.product(range(1, n), range(n)):
-        expect(alpha[i].mul(beta[j]), "m", 2, i + j, f"alpha_{i} beta_{j}")
+        expect(alpha[i].mul(beta[j]), "m", 2, i + j, "alpha_{} beta_{}", i, j)
     for i, j in itertools.product(range(n), repeat=2):
-        expect(beta[i].mul(beta[j]), None, 2, 0, f"beta_{i} beta_{j}")
+        expect(beta[i].mul(beta[j]), None, 2, 0, "beta_{} beta_{}", i, j)
 
     normals: dict = {}
-
-    def shared_norm(p: PresMonomial) -> tuple[int, CohClass]:
-        """p's normal form as the one shared object of its value, with its index."""
-        value = norm(p)
-        return normals.setdefault(tuple(value.terms.items()), (len(normals), value))
-
     by_count = {
-        f: [(p, *shared_norm(p)) for p in _pres_monomials(params, f)] for f in range(1, max_level)
+        f: [(p, *_intern(normals, norm(p))) for p in _pres_monomials(params, f)]
+        for f in range(1, max_level)
     }
     products: dict = {}
     for f1, normals1 in by_count.items():
@@ -718,20 +720,18 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
                     expected = products.get((i, j))
                     if expected is None:
                         expected = products[i, j] = gh_product(np_, nq)
-                    rep.note(
-                        presentation_normalize(p.mul(q), params) == expected,
-                        lambda p=p, q=q: f"multiplicativity fails at {p} * {q}",
-                    )
+                    got = presentation_normalize(p.mul(q), params)
+                    rep.note(got == expected, "multiplicativity fails at {} * {}", p, q)
 
     for k in range(1, max_level + 1):
-        expect(PresMonomial.build(params, omega=k), "s", k, 0, f"w^{k}")
+        expect(PresMonomial.build(params, omega=k), "s", k, 0, "w^{}", k)
         for i in range(1, n):
             p = PresMonomial.build(params, omega=k - 1, alphas={i: 1})
-            expect(p, "s", k, i, f"w^{k - 1} alpha_{i}")
+            expect(p, "s", k, i, "w^{} alpha_{}", k - 1, i)
         for i in range(n):
             p = PresMonomial.build(params, omega=k - 1, betas={i: 1})
-            expect(p, "m", k, i, f"w^{k - 1} beta_{i}")
+            expect(p, "m", k, i, "w^{} beta_{}", k - 1, i)
 
     for k in range(1, 2 * max_level + 1):
-        expect(PresMonomial.build(params, omega=k), "s", k, 0, f"w^{k}")
+        expect(PresMonomial.build(params, omega=k), "s", k, 0, "w^{}", k)
     return rep

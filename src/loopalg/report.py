@@ -1,4 +1,6 @@
-"""The outcome of a verification sweep, shared by the sweeps in ``loops`` and ``verify``."""
+"""What the sweeps in ``loops`` and ``verify`` share: ``Report``, a sweep's
+outcome, which formats a failure's message only when it keeps the failure,
+and ``_intern``, which gives equal values one shared object and one index."""
 
 from __future__ import annotations
 
@@ -6,6 +8,14 @@ __all__ = ["KEEP_FAILURES", "Report"]
 
 # Counterexamples a Report keeps in full; later failures are only counted.
 KEEP_FAILURES = 12
+
+
+def _intern(seen: dict, value) -> tuple[int, object]:
+    """The index of ``value`` among the distinct values in ``seen``, and their one object.
+
+    Values are the same when their types and their terms, in order, are equal.
+    """
+    return seen.setdefault((type(value), tuple(value.terms.items())), (len(seen), value))
 
 
 class Report:
@@ -23,13 +33,13 @@ class Report:
             f"failed={self.failed!r}, failures={self.failures!r})"
         )
 
-    def note(self, ok: bool, message) -> bool:
-        """Record one check; ``message`` may be a thunk to defer formatting."""
+    def note(self, ok: bool, message: str, *args) -> bool:
+        """Record one check; a kept failure's text is ``message.format(*args)``."""
         self.checks += 1
         if not ok:
             self.failed += 1
             if len(self.failures) < KEEP_FAILURES:
-                self.failures.append(message() if callable(message) else str(message))
+                self.failures.append(message.format(*args))
         return ok
 
     def credit(self, count: int) -> None:

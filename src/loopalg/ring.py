@@ -391,7 +391,10 @@ class RingElement(Combination):
         return super().__mul__(other)
 
     def __pow__(self, power: int) -> RingElement:
-        if not isinstance(power, int) or power < 0:
+        # A bool would pass for 0 or 1; it is refused, as ``as_coeff`` refuses it.
+        if type(power) is not int:
+            raise TypeError(f"power must be an int, not {type(power).__name__}")
+        if power < 0:
             raise ValueError("power must be a non-negative integer")
         out = self.ring.one()
         for _ in range(power):
@@ -401,6 +404,8 @@ class RingElement(Combination):
 
 def cup(a: RingElement, b: RingElement) -> RingElement:
     """Graded product of ``a`` and ``b``; truncated monomials drop out."""
+    if type(a) is not RingElement or type(b) is not RingElement:
+        raise TypeError(f"cup of {type(a).__name__} and {type(b).__name__}")
     if a.ring != b.ring:
         raise RingMismatchError("cup of elements over different rings")
     ring = a.ring

@@ -19,7 +19,7 @@ from .homology import (
     pd,
     pd_inverse,
 )
-from .report import Report
+from .report import Report, _intern
 from .ring import TensorRing, cross
 from .spaces import SpaceParams, catalog_for, generator_degree
 
@@ -65,9 +65,7 @@ def verify_gysin_values(params: SpaceParams, max_k: int) -> Report:
                 shown = f"{'-' if sign < 0 else ''}[{name} x..]"
 
                 got = gysin(p_l, cat.sm, gam, cat.sm_dual(i, with_b))
-                rep.note(
-                    got == carrier, lambda g=got, k=k, s=name: f"retraction_!({s}) at k={k}: {g}"
-                )
+                rep.note(got == carrier, "retraction_!({}) at k={}: {}", name, k, got)
 
                 for m in range(1, k):
                     omit = {f"x{j}": 1 for j in range(1, 2 * k) if j != 2 * m}
@@ -76,26 +74,18 @@ def verify_gysin_values(params: SpaceParams, max_k: int) -> Report:
 
                     got = cap(x2m, carrier)
                     rep.note(
-                        got == omitted * cap_sign,
-                        lambda g=got, k=k, m=m, s=shown: f"cap(x{2 * m}, {s}) at k={k}: {g}",
+                        got == omitted * cap_sign, "cap(x{}, {}) at k={}: {}", 2 * m, shown, k, got
                     )
                     got = gysin(p_v[m], cat.sm_pair, gam, cat.sm_pair_dual(i, with_b))
-                    rep.note(
-                        got == -omitted,
-                        lambda g=got, k=k, m=m, s=name: f"figure8_!({s}) at k={k}, m={m}: {g}",
-                    )
+                    rep.note(got == -omitted, "figure8_!({}) at k={}, m={}: {}", name, k, m, got)
     return rep
-
-
-def _value_key(value) -> tuple:
-    return type(value), tuple(value.terms.items())
 
 
 def _distinct(table) -> tuple[list, list]:
     """``table`` with each entry replaced by its index among the distinct
     values, and those values in index order."""
     first: dict = {}
-    rows = [[first.setdefault(_value_key(v), (len(first), v))[0] for v in row] for row in table]
+    rows = [[_intern(first, v)[0] for v in row] for row in table]
     return rows, [v for _, v in first.values()]
 
 
@@ -145,24 +135,19 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
         one = ring.one()
 
         for g in ring.generators:
-            rep.note(
-                (ring.gen(g.name) ** g.truncation).is_zero(),
-                f"{ring!r}: {g.name}^{g.truncation} != 0",
-            )
+            vanishes = (ring.gen(g.name) ** g.truncation).is_zero()
+            rep.note(vanishes, "{!r}: {}^{} != 0", ring, g.name, g.truncation)
 
         seen = set()
         by_degree: dict = {}
         for m, e in zip(monos, elems):
             by_degree.setdefault(ring.monomial_degree(m), []).append(m)
-            rep.note(one * e == e and e * one == e, lambda m=m: f"unit law fails at {m}")
+            rep.note(one * e == e and e * one == e, "unit law fails at {}", m)
             image = pd(space, e)
-            rep.note(len(image.terms) == 1, lambda m=m: f"pd not monomial at {m}")
+            rep.note(len(image.terms) == 1, "pd not monomial at {}", m)
             seen.update(image.terms)
-            rep.note(
-                pd_inverse(space, image) == e,
-                lambda m=m: f"pd_inverse . pd != id at {m}",
-            )
-        rep.note(seen == set(monos), f"{ring!r}: pd is not a bijection on bases")
+            rep.note(pd_inverse(space, image) == e, "pd_inverse . pd != id at {}", m)
+        rep.note(seen == set(monos), "{!r}: pd is not a bijection on bases", ring)
         pool.append((ring, [by_degree[d] for d in sorted(by_degree)], monos))
 
         square = TensorRing(ring, ring)
@@ -170,7 +155,7 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
         shared: dict = {}
 
         def share(value):
-            return shared.setdefault(_value_key(value), value)
+            return _intern(shared, value)[1]
 
         prod, products = _distinct((ea * eb for eb in elems) for ea in elems)
         capped, caps = _distinct((cap(ea, dx) for dx in duals) for ea in elems)
@@ -188,32 +173,23 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
                 db = ring.monomial_degree(mb)
                 ab, ba = prod[i][j], prod[j][i]
                 flip = -1 if (da % 2 and db % 2) else 1
-                rep.note(
-                    products[ab] == products[ba] * flip,
-                    lambda ma=ma, mb=mb: f"graded commutativity fails at {ma}, {mb}",
-                )
+                commute = products[ab] == products[ba] * flip
+                rep.note(commute, "graded commutativity fails at {}, {}", ma, mb)
                 for mc, abc, bc in zip(monos, u_c[ab], prod[j]):
-                    rep.note(
-                        abc == a_row[bc],
-                        lambda ma=ma, mb=mb, mc=mc: f"associativity fails at {ma},{mb},{mc}",
-                    )
+                    rep.note(abc == a_row[bc], "associativity fails at {},{},{}", ma, mb, mc)
                 ab_cross = cross(ea, eb, square)
                 ba_cap, ba_pair, ab_pair = u_cap[ba], u_pair[ba], u_pair[ab]
                 b_caps, b_pairs = b_cap[j], b_pair[j]
                 for x, mx in enumerate(monos):
                     h = a_caps[x]
                     rep.note(
-                        ba_cap[x] == b_caps[h],
-                        lambda ma=ma, mb=mb, mx=mx: f"cap module axiom fails at {ma},{mb},{mx}",
+                        ba_cap[x] == b_caps[h], "cap module axiom fails at {},{},{}", ma, mb, mx
                     )
                     rep.note(
-                        b_pairs[h] == ba_pair[x],
-                        lambda ma=ma, mb=mb, mx=mx: f"pairing adjunction fails at {ma},{mb},{mx}",
+                        b_pairs[h] == ba_pair[x], "pairing adjunction fails at {},{},{}", ma, mb, mx
                     )
-                    rep.note(
-                        pairing(ab_cross, pushes[x]) == ab_pair[x],
-                        lambda ma=ma, mb=mb, mx=mx: f"diagonal adjunction fails at {ma},{mb},{mx}",
-                    )
+                    adjoint = pairing(ab_cross, pushes[x]) == ab_pair[x]
+                    rep.note(adjoint, "diagonal adjunction fails at {},{},{}", ma, mb, mx)
 
     rng = random.Random(seed)
     for _ in range(RANDOM_ROUNDS):
@@ -224,16 +200,11 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
         x = HomologyElement(ring, _random_terms(rng, monos))
         da, db = a.degree() or 0, b.degree() or 0
         flip = -1 if (da % 2 and db % 2) else 1
-        rep.note(a * b == (b * a) * flip, lambda: f"random commutativity: {a} vs {b}")
-        rep.note((a * b) * c == a * (b * c), lambda: f"random associativity: {a},{b},{c}")
-        rep.note(
-            cap(b * a, x) == cap(b, cap(a, x)),
-            lambda: f"random cap module axiom: {a},{b},{x}",
-        )
-        rep.note(
-            pairing(b, cap(a, x)) == pairing(b * a, x),
-            lambda: f"random pairing adjunction: {a},{b},{x}",
-        )
+        rep.note(a * b == (b * a) * flip, "random commutativity: {} vs {}", a, b)
+        rep.note((a * b) * c == a * (b * c), "random associativity: {},{},{}", a, b, c)
+        rep.note(cap(b * a, x) == cap(b, cap(a, x)), "random cap module axiom: {},{},{}", a, b, x)
+        adjoint = pairing(b, cap(a, x)) == pairing(b * a, x)
+        rep.note(adjoint, "random pairing adjunction: {},{},{}", a, b, x)
     return rep
 
 
@@ -249,17 +220,11 @@ def verify_structure(params: SpaceParams, max_k: int) -> Report:
         ring = cat.gamma(k).ring
         series = dict(ring.poincare_series(ring.top_degree))
         total = sum(series.values())
-        rep.note(
-            total == 2 * params.n * 2 ** (2 * k - 1),
-            f"k={k}: total dimension {total}",
-        )
-        expected_top = params.lambda_k(k) + 2 * params.N - 1
-        rep.note(
-            ring.top_degree == expected_top,
-            f"k={k}: top degree {ring.top_degree} != {expected_top}",
-        )
-        rep.note(series[ring.top_degree] == 1, f"k={k}: top degree not one-dimensional")
+        rep.note(total == 2 * params.n * 2 ** (2 * k - 1), "k={}: total dimension {}", k, total)
+        top, expected_top = ring.top_degree, params.lambda_k(k) + 2 * params.N - 1
+        rep.note(top == expected_top, "k={}: top degree {} != {}", k, top, expected_top)
+        rep.note(series[top] == 1, "k={}: top degree not one-dimensional", k)
         for i in range(params.n):
-            rep.note(generator_degree(params, "A", k, i) % 2 == 1, f"A[{k},{i}] has even degree")
-            rep.note(generator_degree(params, "B", k, i) % 2 == 0, f"B[{k},{i}] has odd degree")
+            rep.note(generator_degree(params, "A", k, i) % 2 == 1, "A[{},{}] has even degree", k, i)
+            rep.note(generator_degree(params, "B", k, i) % 2 == 0, "B[{},{}] has odd degree", k, i)
     return rep

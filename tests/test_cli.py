@@ -120,6 +120,24 @@ class TestProduct:
         assert code == 2
         assert "tensor" in err
 
+    def test_homology_argument_rejected(self, capsys):
+        code, out, err = call(
+            capsys, "--space", "cp", "--n", "2", "product", "A[1,0]", "s[1,0]"
+        )
+        assert (code, out) == (2, "")
+        assert err == "loopalg: error: product expects cohomology expressions in s and m\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("coproduct", "0"), ("product", "0"), ("product", "0", "s[1,0]")]
+)
+def test_zero_input_gives_zero(capsys, argv):
+    code, out, err = call(capsys, "--space", "cp", "--n", "2", *argv)
+    assert (code, out, err) == (0, "0\n", "")
+    rec = call_json(capsys, "--space", "cp", "--n", "2", *argv)
+    assert rec["result"]["terms"] == []
+    assert "degree" not in rec
+
 
 class TestGysinAndCap:
     def test_pL_image(self, capsys):

@@ -166,12 +166,7 @@ def _dense_duality(params, max_k):
             for key, (x, vee) in split.items():
                 lhs = gh_dual_pairing(prod, x)
                 rhs = tensor_pairing(crossed, vee)
-                rep.note(
-                    lhs == rhs,
-                    lambda ka=ka, kb=kb, key=key, lhs=lhs, rhs=rhs: (
-                        f"<{_text(ka)}*{_text(kb)}, {_text(key)}>: {lhs} != {rhs}"
-                    ),
-                )
+                rep.note(lhs == rhs, "<{}*{}, {}>: {} != {}", *map(_text, (ka, kb, key)), lhs, rhs)
     return rep
 
 

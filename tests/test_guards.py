@@ -1,9 +1,10 @@
 """Guards that refuse operands of the wrong kind, with their exact messages.
 
 Every correct computation passes these checks by, so only a deliberately bad
-call reaches them: a class over another ring, a map between other spaces, a
-generator kind a type does not hold, or a CLI expression mixing homology and
-cohomology generators.
+call reaches them: a class over another ring, a class of the wrong type
+(homology for cohomology, a loop class for a cohomology class, a bool for a
+power), a map between other spaces, a generator kind a type does not hold, or
+a CLI expression mixing homology and cohomology generators.
 """
 
 import contextlib
@@ -23,8 +24,16 @@ from loopalg.homology import (
     pd,
     pd_inverse,
 )
-from loopalg.loops import LoopClass
-from loopalg.ring import Generator, Ring, RingMismatchError, TensorRing, cross
+from loopalg.loops import (
+    CohClass,
+    LoopClass,
+    TensorLoopClass,
+    coproduct_closed,
+    coproduct_pipeline,
+    gh_product,
+    gh_product_pairs,
+)
+from loopalg.ring import Generator, Ring, RingMismatchError, TensorRing, cross, cup
 from loopalg.spaces import SpaceParams, generator_degree
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
@@ -32,6 +41,10 @@ OTHER = Ring([Generator("a", 2, 3), Generator("u", 3, 2)])
 SPACE = OrientedSpace(RING)
 IDENTITY = RingMap(RING, RING, {"a": RING.gen("a"), "u": RING.gen("u")})
 CP2 = SpaceParams.from_token("cp", 2)
+HOM = dual(RING, (1, 0))
+COH = RING.gen("a")
+LOOP = LoopClass.generator(CP2, "A", 1, 0)
+SIGMA = CohClass.generator(CP2, "s", 2, 0)
 
 
 def _point(ring):
@@ -124,6 +137,81 @@ def _cli(*argv):
             ValueError,
             "unknown generator kind 'C'",
         ),
+        (
+            lambda: gh_product(LOOP, LOOP),
+            TypeError,
+            "gh_product of LoopClass and LoopClass",
+        ),
+        (
+            lambda: gh_product(SIGMA, 2),
+            TypeError,
+            "gh_product of CohClass and int",
+        ),
+        (
+            lambda: gh_product_pairs(TensorLoopClass(CP2, {(("A", 1, 0), ("A", 1, 1)): 1})),
+            TypeError,
+            "gh_product_pairs of TensorLoopClass",
+        ),
+        (
+            lambda: coproduct_closed(SIGMA),
+            TypeError,
+            "coproduct_closed of CohClass",
+        ),
+        (
+            lambda: coproduct_pipeline(SIGMA),
+            TypeError,
+            "coproduct_pipeline of CohClass",
+        ),
+        (
+            lambda: cup(HOM, HOM),
+            TypeError,
+            "cup of HomologyElement and HomologyElement",
+        ),
+        (
+            lambda: cap(HOM, HOM),
+            TypeError,
+            "cap of HomologyElement and HomologyElement",
+        ),
+        (
+            lambda: pairing(HOM, HOM),
+            TypeError,
+            "pairing of HomologyElement and HomologyElement",
+        ),
+        (
+            lambda: pairing(COH, COH),
+            TypeError,
+            "pairing of RingElement and RingElement",
+        ),
+        (
+            lambda: pd(SPACE, HOM),
+            TypeError,
+            "pd of HomologyElement",
+        ),
+        (
+            lambda: pd_inverse(SPACE, COH),
+            TypeError,
+            "pd_inverse of RingElement",
+        ),
+        (
+            lambda: diagonal_pushforward(COH, TensorRing(RING, RING)),
+            TypeError,
+            "diagonal_pushforward of RingElement",
+        ),
+        (
+            lambda: IDENTITY(HOM),
+            TypeError,
+            "RingMap applied to HomologyElement",
+        ),
+        (
+            lambda: gysin(IDENTITY, SPACE, SPACE, COH),
+            TypeError,
+            "pd_inverse of RingElement",
+        ),
+        (
+            lambda: COH**True,
+            TypeError,
+            "power must be an int, not bool",
+        ),
     ],
     ids=[
         "pairing",
@@ -140,6 +228,21 @@ def _cli(*argv):
         "cli-mixed-tensor-term",
         "LoopClass-kind",
         "generator_degree-kind",
+        "gh_product-loop",
+        "gh_product-int",
+        "gh_product_pairs-loop",
+        "coproduct_closed-coh",
+        "coproduct_pipeline-coh",
+        "cup-homology",
+        "cap-homology",
+        "pairing-homology",
+        "pairing-cohomology",
+        "pd-homology",
+        "pd_inverse-cohomology",
+        "diagonal_pushforward-cohomology",
+        "RingMap-call-homology",
+        "gysin-cohomology",
+        "power-bool",
     ],
 )
 def test_guard_refuses_with_its_message(call, error, message):

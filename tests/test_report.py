@@ -1,23 +1,32 @@
-"""Report: deferred messages, the verdict, the kept-failure cap, credit and absorb."""
+"""Report: messages formatted on failure, the verdict, the kept-failure cap,
+credit and absorb, and the interning of equal values."""
 
 import pytest
 
-from loopalg.report import KEEP_FAILURES, Report
+from loopalg.homology import dual
+from loopalg.report import KEEP_FAILURES, Report, _intern
+from loopalg.ring import Generator, Ring
 
 
-def test_message_thunk_runs_only_on_failure():
-    calls = []
+class _Counted:
+    """An argument that counts how often it is formatted."""
 
-    def message():
-        calls.append(1)
+    def __init__(self):
+        self.calls = 0
+
+    def __format__(self, spec):
+        self.calls += 1
         return "broken"
 
-    rep = Report("thunks")
-    rep.note(True, message)
-    assert calls == []
-    rep.note(False, message)
-    assert calls == [1]
-    assert rep.failures == ["broken"]
+
+def test_message_is_formatted_only_on_failure():
+    arg = _Counted()
+    rep = Report("lazy")
+    rep.note(True, "{} at {}", arg, (1, 0))
+    assert arg.calls == 0
+    rep.note(False, "{} at {}", arg, (1, 0))
+    assert arg.calls == 1
+    assert rep.failures == ["broken at (1, 0)"]
 
 
 def test_note_returns_the_verdict():
@@ -32,7 +41,7 @@ def test_failures_beyond_the_cap_are_only_counted():
     assert KEEP_FAILURES == 12
     rep = Report("cap")
     for j in range(20):
-        rep.note(False, lambda j=j: f"failure {j}")
+        rep.note(False, "failure {}", j)
     assert rep.failed == 20
     assert rep.failures == [f"failure {j}" for j in range(KEEP_FAILURES)]
     assert rep.summary() == "FAIL (20 of 20 checks failed)"
@@ -86,3 +95,19 @@ def test_summary_and_absorb_see_credited_checks():
     total.credit(2)
     total.absorb(rep)
     assert (total.checks, total.failed, total.failures) == (10, 1, ["broken"])
+
+
+def test_intern_shares_one_object_per_value_and_type():
+    ring = Ring([Generator("a", 2, 3)])
+    seen: dict = {}
+    first = ring.gen("a")
+    assert _intern(seen, first) == (0, first)
+    again = _intern(seen, ring.gen("a"))
+    assert again[0] == 0 and again[1] is first
+    square = ring.gen("a") * ring.gen("a")
+    assert _intern(seen, square) == (1, square)
+    # A homology class with the same terms is another value.
+    point = dual(ring, (1,))
+    assert _intern(seen, point) == (2, point)
+    assert _intern(seen, ring.gen("a"))[1] is first
+    assert len(seen) == 3
