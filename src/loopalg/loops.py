@@ -18,7 +18,7 @@ from fractions import Fraction
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
 from .report import Report, _intern
 from .ring import Combination, Monomial, RingMismatchError, _Frozen, as_coeff
-from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
+from .spaces import SpaceCatalog, SpaceParams, _require_int, catalog_for, generator_degree
 
 __all__ = [
     "CohClass",
@@ -117,10 +117,8 @@ class _FormalSum(Combination):
 
 def _refuse_part(params: SpaceParams, k, i) -> None:
     """Raise the error of a bad level or index: a non-int first, then its range."""
-    for what, value in (("level k", k), ("index i", i)):
-        # A float or bool would print as a level, and fail only when used.
-        if type(value) is not int:
-            raise TypeError(f"{what} must be an int, not {value!r}")
+    _require_int("level k", k)
+    _require_int("index i", i)
     params.check_level(k)
     params.check_index(i)
 

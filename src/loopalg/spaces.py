@@ -15,6 +15,9 @@ the same ring.
 
 Rings, oriented spaces and wrong-way tables are cached per catalog, and
 catalogs are cached per (family, n); the pullbacks are rebuilt on each call.
+The wrong-way tables of a level are built together, for every break at once:
+a source of SM x_M SM that carries xi has a Poincare dual free of xi, so its
+image does not depend on the break and is computed once per level.
 """
 
 from __future__ import annotations
@@ -27,6 +30,13 @@ from .ring import Generator, Monomial, Ring, RingElement, TensorRing, _Frozen
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
 
 _FAMILY_TOKENS = {"cp": "complex", "hp": "quaternionic"}
+
+
+def _require_int(what: str, value) -> None:
+    """Refuse a non-int level, index or break, bools included."""
+    # A float or bool would print as a level, and fail only when used.
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, not {value!r}")
 
 
 class SpaceParams(_Frozen):
@@ -71,10 +81,12 @@ class SpaceParams(_Frozen):
         return k * self.lam + (k - 1) * (self.N - 1)
 
     def check_level(self, k: int) -> None:
+        _require_int("level k", k)
         if k < 1:
             raise ValueError("level k must be >= 1")
 
     def check_index(self, i: int) -> None:
+        _require_int("index i", i)
         if not 0 <= i <= self.n - 1:
             raise ValueError(f"index out of range for n={self.n}")
 
@@ -100,7 +112,8 @@ class SpaceCatalog:
     def __init__(self, params: SpaceParams):
         self.params = params
         self._gammas: dict[int, OrientedSpace] = {}
-        self._pv_tables: dict[tuple[int, int], dict[Monomial, tuple[Monomial, int]]] = {}
+        # One list per level k, the table of break m at position m - 1.
+        self._pv_tables: dict[int, list[dict[Monomial, tuple[Monomial, int]]]] = {}
 
     def _base_generators(self) -> list[Generator]:
         p = self.params
@@ -139,11 +152,15 @@ class SpaceCatalog:
             self._gammas[k] = OrientedSpace(Ring(gens))
         return self._gammas[k]
 
-    def fiber_class(self, k: int, m: int) -> RingElement:
-        """Thom fiber class x_{2m} of the m-th break at level k; 1 <= m <= k - 1."""
+    def _check_break(self, k: int, m: int) -> None:
         self.params.check_level(k)
+        _require_int("break index m", m)
         if not 1 <= m <= k - 1:
             raise ValueError(f"break index m={m} outside 1 .. {k - 1}")
+
+    def fiber_class(self, k: int, m: int) -> RingElement:
+        """Thom fiber class x_{2m} of the m-th break at level k; 1 <= m <= k - 1."""
+        self._check_break(k, m)
         return self.gamma(k).ring.gen(f"x{2 * m}")
 
     def pullback_pL(self, k: int) -> RingMap:
@@ -202,26 +219,57 @@ class SpaceCatalog:
         monomial and the sign it arrived with.  Covering the full basis lets
         callers detect any unexpected component instead of silently dropping
         it.  Every image coefficient must be +1 or -1, so that dividing by it
-        is multiplying by it; any other value breaks the sign conventions and
-        raises ``RuntimeError``.
+        is multiplying by it, and no two sources may share an image; either
+        fault breaks the match and raises ``RuntimeError``.
+
+        The first call at level k builds the tables of every break
+        m = 1 .. k - 1.  A source carrying xi has a Poincare dual free of xi,
+        which every break's pullback fixes, so its image is the same at every
+        break: it is computed once, through break 1's map.  A level costs 2nk
+        ``gysin`` calls, 2n for the sources with xi and 2n per break for the
+        rest.
         """
-        key = (k, m)
-        if key not in self._pv_tables:
+        self._check_break(k, m)
+        tables = self._pv_tables.get(k)
+        if tables is None:
+            tables = self._pv_tables[k] = self._build_pv_tables(k)
+        return tables[m - 1]
+
+    def _build_pv_tables(self, k: int) -> list[dict[Monomial, tuple[Monomial, int]]]:
+        pair = self.sm_pair
+        ring = pair.ring
+        gam = self.gamma(k)
+        xi = ring.index["xi"]
+        sources = list(ring.monomials())
+        shared: dict[Monomial, tuple[Monomial, int]] = {}
+        tables = []
+        for m in range(1, k):
             pmap = self.pullback_pV(k, m)
-            pair = self.sm_pair
-            gam = self.gamma(k)
             table: dict[Monomial, tuple[Monomial, int]] = {}
-            for u in pair.ring.monomials():
-                image = gysin(pmap, pair, gam, dual(pair.ring, u))
-                ((mono, coeff),) = image.terms.items()
-                if coeff not in (1, -1):
+            for u in sources:
+                hit = shared.get(u)
+                if hit is None:
+                    image = gysin(pmap, pair, gam, dual(ring, u))
+                    ((mono, coeff),) = image.terms.items()
+                    if coeff not in (1, -1):
+                        raise RuntimeError(
+                            f"wrong-way image of [{ring.monomial_str(u)}] at level {k}, "
+                            f"break {m} has coefficient {coeff}, not +1 or -1"
+                        )
+                    hit = (mono, coeff)
+                    if u[xi]:
+                        shared[u] = hit
+                mono, coeff = hit
+                seen = table.get(mono)
+                if seen is not None:
                     raise RuntimeError(
-                        f"wrong-way image of [{pair.ring.monomial_str(u)}] at level {k}, "
-                        f"break {m} has coefficient {coeff}, not +1 or -1"
+                        f"wrong-way images of [{ring.monomial_str(seen[0])}] and "
+                        f"[{ring.monomial_str(u)}] at level {k}, break {m} are both "
+                        f"[{gam.ring.monomial_str(mono)}]"
                     )
                 table[mono] = (u, coeff)
-            self._pv_tables[key] = table
-        return self._pv_tables[key]
+            tables.append(table)
+        return tables
 
 
 _CATALOGS: dict[SpaceParams, SpaceCatalog] = {}

@@ -34,7 +34,7 @@ from loopalg.loops import (
     gh_product_pairs,
 )
 from loopalg.ring import Generator, Ring, RingMismatchError, TensorRing, cross, cup
-from loopalg.spaces import SpaceParams, generator_degree
+from loopalg.spaces import SpaceCatalog, SpaceParams, generator_degree
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
 OTHER = Ring([Generator("a", 2, 3), Generator("u", 3, 2)])
@@ -249,3 +249,50 @@ def test_guard_refuses_with_its_message(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+# A level, index or break of the space catalog must be an int, bools included,
+# in the words LoopClass.generator uses: a float used to reach a generator
+# name (``x2.0``) or a degree (``7.0``), and True built a level-1 ring.
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda cat: cat.params.check_level(2.0), "level k must be an int, not 2.0"),
+        (lambda cat: cat.params.check_index(True), "index i must be an int, not True"),
+        (lambda cat: cat.params.lambda_k(2.5), "level k must be an int, not 2.5"),
+        (
+            lambda cat: generator_degree(cat.params, "A", 2, 1.0),
+            "index i must be an int, not 1.0",
+        ),
+        (lambda cat: cat.gamma(True), "level k must be an int, not True"),
+        (lambda cat: cat.gamma_dual(2, 1.0), "index i must be an int, not 1.0"),
+        (lambda cat: cat.fiber_class(3, 1.0), "break index m must be an int, not 1.0"),
+        (lambda cat: cat.fiber_class(3.0, 1), "level k must be an int, not 3.0"),
+        (lambda cat: cat.pullback_pV(3, True), "break index m must be an int, not True"),
+        (lambda cat: cat.pv_gysin_table(3, 1.0), "break index m must be an int, not 1.0"),
+        # LoopClass.generator checks both types before either range.
+        (
+            lambda cat: LoopClass.generator(cat.params, "A", 0, 1.0),
+            "index i must be an int, not 1.0",
+        ),
+    ],
+    ids=[
+        "check_level",
+        "check_index",
+        "lambda_k",
+        "generator_degree",
+        "gamma",
+        "gamma_dual",
+        "fiber_class-m",
+        "fiber_class-k",
+        "pullback_pV",
+        "pv_gysin_table",
+        "LoopClass-order",
+    ],
+)
+def test_space_catalog_refuses_a_non_int(call, message):
+    cat = SpaceCatalog(CP2)
+    with pytest.raises(TypeError) as err:
+        call(cat)
+    assert str(err.value) == message
+    assert 1 not in cat._gammas and cat._pv_tables == {}

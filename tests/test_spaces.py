@@ -20,6 +20,7 @@ from loopalg import (
     gysin,
     pd,
 )
+from loopalg import spaces
 from loopalg.spaces import SpaceCatalog, generator_degree
 
 
@@ -330,23 +331,74 @@ class TestBundleDuality:
 
 
 class TestGysinTable:
-    def test_table_covers_full_dual_basis(self, cp2):
-        table = cp2.pv_gysin_table(2, 1)
-        pair_monos = set(cp2.sm_pair.ring.monomials())
-        assert {src for src, _ in table.values()} == pair_monos
-        assert len(table) == len(pair_monos)
-
     def test_table_signs_are_units(self, cp2, hp2):
         for cat in (cp2, hp2):
             for sign in (s for _, s in cat.pv_gysin_table(3, 1).values()):
                 assert sign in (1, -1)
 
-    def test_table_matches_direct_gysin(self, cp3):
-        table = cp3.pv_gysin_table(2, 1)
-        pmap = cp3.pullback_pV(2, 1)
-        for mono, (src, sign) in table.items():
-            image = gysin(pmap, cp3.sm_pair, cp3.gamma(2), dual(cp3.sm_pair.ring, src))
-            assert image == dual(cp3.gamma(2).ring, mono, sign)
+    @pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "hp1", "hp2", "hp3"])
+    def test_table_matches_direct_gysin(self, name, request):
+        # Every break's table covers the full dual basis, and each entry is
+        # the image through that break's own map, although a level's tables
+        # share the images of the sources carrying xi.
+        cat = request.getfixturevalue(name)
+        pair = cat.sm_pair
+        sources = set(pair.ring.monomials())
+        assert len(sources) == 4 * cat.params.n
+        for k in range(2, 7):
+            gam = cat.gamma(k)
+            for m in range(1, k):
+                table = cat.pv_gysin_table(k, m)
+                assert len(table) == len(sources)
+                assert {src for src, _ in table.values()} == sources
+                pmap = cat.pullback_pV(k, m)
+                for mono, (src, sign) in table.items():
+                    image = gysin(pmap, pair, gam, dual(pair.ring, src))
+                    assert image == dual(gam.ring, mono, sign)
+
+    @pytest.mark.parametrize(("token", "n", "k"), [("cp", 1, 5), ("cp", 3, 10), ("hp", 2, 7)])
+    def test_a_cold_level_makes_2nk_gysin_calls(self, monkeypatch, token, n, k):
+        # 2n sources carry xi and are imaged once per level; the other 2n are
+        # imaged at each of the k - 1 breaks.
+        calls = []
+        real = spaces.gysin
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spaces, "gysin", counted)
+        params = SpaceParams.from_token(token, n)
+        cat = SpaceCatalog(params)
+        x = LoopClass.generator(params, "B", k, 0)
+        assert coproduct_pipeline(x, cat) == coproduct_closed(x)
+        assert len(calls) == 2 * n * k
+        coproduct_pipeline(x, cat)
+        assert len(calls) == 2 * n * k
+        for kk, m in [(k, 0), (k, -1), (k, k), (1, 1)]:
+            with pytest.raises(ValueError) as err:
+                cat.pv_gysin_table(kk, m)
+            assert str(err.value) == f"break index m={m} outside 1 .. {kk - 1}"
+        assert len(calls) == 2 * n * k
+
+    def test_repeated_image_is_refused(self, monkeypatch):
+        real = spaces.gysin
+        cat = SpaceCatalog(SpaceParams.from_token("cp", 2))
+        unit, b = cat.sm_pair.ring.monomial(), cat.sm_pair.ring.monomial({"b": 1})
+
+        def collide(pullback, source, target, x):
+            """The real wrong-way image, with [b] sent where [1] goes."""
+            if b in x.terms:
+                x = dual(x.ring, unit)
+            return real(pullback, source, target, x)
+
+        monkeypatch.setattr(spaces, "gysin", collide)
+        refused = "wrong-way images of [1] and [b] at level 3, break 1 are both [x1 x3 x4 x5]"
+        # Asking for break 2 builds the whole level, so break 1 trips first.
+        with pytest.raises(RuntimeError) as err:
+            cat.pv_gysin_table(3, 2)
+        assert str(err.value) == refused
+        assert cat._pv_tables == {}
 
 
 class TestCatalogCache:
