@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
 from .report import Report, _intern
-from .ring import Combination, Monomial, RingMismatchError, _Frozen, as_coeff
-from .spaces import SpaceCatalog, SpaceParams, _require_int, catalog_for, generator_degree
+from .ring import Combination, Monomial, RingMismatchError, _Frozen, _require_int, as_coeff
+from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 
 __all__ = [
     "CohClass",
@@ -205,11 +205,11 @@ def gamma_class(catalog: SpaceCatalog, kind: str, k: int, i: int) -> HomologyEle
     """The level-k carrier of A[k,i] or B[k,i], with its intrinsic sign.
 
     A classes are carried by -[a^i x_1 .. x_{2k-1}] and B classes by
-    +[a^i b x_1 .. x_{2k-1}].
+    +[a^i b x_1 .. x_{2k-1}]; the sign is applied here to ``gamma_dual``.
     """
     if kind not in ("A", "B"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    return catalog.gamma_dual(k, i, kind == "B", 1 if kind == "B" else -1)
+    return catalog.gamma_dual(k, i, kind == "B") * (1 if kind == "B" else -1)
 
 
 def cap_with_thom(
@@ -518,6 +518,7 @@ def betti_table(params: SpaceParams, max_degree: int) -> list[tuple[int, int]]:
     Degrees grow with the index i, and B[k,i] sits above A[k,i], so each
     level's index walk stops at the first A[k,i] above the bound.
     """
+    _require_int("degree", max_degree)
     if max_degree < 0:
         raise ValueError("degree must be non-negative")
     counts = [0] * (max_degree + 1)

@@ -61,6 +61,13 @@ def as_coeff(value: int | Fraction) -> int | Fraction:
     raise TypeError(f"exact rational expected, not {type(value).__name__}")
 
 
+def _require_int(what: str, value) -> None:
+    """Refuse a non-int value, bools included, naming it ``what``."""
+    # A float or bool would pass range checks, and fail only when used.
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, not {value!r}")
+
+
 class _Frozen:
     """Base of the immutable value types: compared, hashed and printed by field.
 
@@ -110,6 +117,8 @@ class Generator(_Frozen):
     __slots__ = _fields = ("name", "degree", "truncation")
 
     def __init__(self, name: str, degree: int, truncation: int) -> None:
+        _require_int(f"generator {name!r}: degree", degree)
+        _require_int(f"generator {name!r}: truncation", truncation)
         if degree < 0:
             raise ValueError(f"generator {name!r}: degree must be non-negative")
         if truncation < 2:
@@ -170,7 +179,8 @@ class Ring:
             if name not in self.index:
                 raise KeyError(f"unknown generator {name!r}")
             pos = self.index[name]
-            if not 0 <= e < self.truncations[pos]:
+            if type(e) is not int or not 0 <= e < self.truncations[pos]:
+                _require_int(f"exponent of {name!r}", e)
                 raise ValueError(
                     f"exponent {e} of {name!r} outside [0, {self.truncations[pos]})"
                 )
@@ -183,7 +193,9 @@ class Ring:
         if len(m) != len(self.generators):
             raise ValueError(f"monomial {m} has wrong length for {self!r}")
         for e, t in zip(m, self.truncations):
-            if not 0 <= e < t:
+            # One test per exponent; a failing one is refused as a non-int first.
+            if type(e) is not int or not 0 <= e < t:
+                _require_int("exponent", e)
                 raise ValueError(f"exponent out of range in monomial {m}")
         return m
 
@@ -252,6 +264,7 @@ class Ring:
 
     def poincare_series(self, max_degree: int) -> list[tuple[int, int]]:
         """Pairs ``(d, dim)`` for d = 0 .. max_degree, counted without signs."""
+        _require_int("degree", max_degree)
         if max_degree < 0:
             raise ValueError("degree must be non-negative")
         dims = [0] * (max_degree + 1)

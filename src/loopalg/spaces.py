@@ -25,18 +25,11 @@ from __future__ import annotations
 from functools import cached_property
 
 from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin
-from .ring import Generator, Monomial, Ring, RingElement, TensorRing, _Frozen
+from .ring import Generator, Monomial, Ring, RingElement, TensorRing, _Frozen, _require_int
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
 
 _FAMILY_TOKENS = {"cp": "complex", "hp": "quaternionic"}
-
-
-def _require_int(what: str, value) -> None:
-    """Refuse a non-int level, index or break, bools included."""
-    # A float or bool would print as a level, and fail only when used.
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an int, not {value!r}")
 
 
 class SpaceParams(_Frozen):
@@ -166,8 +159,7 @@ class SpaceCatalog:
     def pullback_pL(self, k: int) -> RingMap:
         """Pullback along the retraction of the level-k manifold onto SM."""
         gam = self.gamma(k).ring
-        images = {g.name: gam.gen(g.name) for g in self.sm.ring.generators}
-        return RingMap(self.sm.ring, gam, images)
+        return RingMap(self.sm.ring, gam, self._fixed_images(gam))
 
     def pullback_pV(self, k: int, m: int) -> RingMap:
         """Pullback along the m-th figure-eight retraction onto SM x_M SM.
@@ -176,41 +168,38 @@ class SpaceCatalog:
         ``fiber_class(k, m)``.
         """
         xi = self.fiber_class(k, m)
-        gam = xi.ring
-        images = {g.name: gam.gen(g.name) for g in self.sm.ring.generators}
+        images = self._fixed_images(xi.ring)
         images["xi"] = xi
-        return RingMap(self.sm_pair.ring, gam, images)
+        return RingMap(self.sm_pair.ring, xi.ring, images)
+
+    def _fixed_images(self, target: Ring) -> dict[str, RingElement]:
+        """The SM generators, each sent to its namesake in ``target``."""
+        return {g.name: target.gen(g.name) for g in self.sm.ring.generators}
 
     # -- distinguished classes ----------------------------------------
 
-    def _sm_exponents(self, i: int, with_b: bool) -> dict[str, int]:
-        """Exponents of a^i (times b), the part shared by SM and the rings over it."""
+    def _named_dual(self, ring: Ring, i: int, with_b: bool, words=()) -> HomologyElement:
+        """Dual class of a^i (times b) times the generators named in ``words``, over ``ring``."""
         self.params.check_index(i)
-        exps: dict[str, int] = {}
+        exps = dict.fromkeys(words, 1)
         if i:
             exps["a"] = i
         if with_b:
             exps["b"] = 1
-        return exps
+        return dual(ring, ring.monomial(exps))
 
     def sm_dual(self, i: int, with_b: bool = False) -> HomologyElement:
         """Dual class of a^i (times b) over SM."""
-        ring = self.sm.ring
-        return dual(ring, ring.monomial(self._sm_exponents(i, with_b)))
+        return self._named_dual(self.sm.ring, i, with_b)
 
     def sm_pair_dual(self, i: int, with_b: bool = False) -> HomologyElement:
         """Dual class of a^i (times b) over SM x_M SM."""
-        ring = self.sm_pair.ring
-        return dual(ring, ring.monomial(self._sm_exponents(i, with_b)))
+        return self._named_dual(self.sm_pair.ring, i, with_b)
 
-    def gamma_dual(
-        self, k: int, i: int, with_b: bool = False, coeff: int = 1
-    ) -> HomologyElement:
-        """Dual class of the carrier a^i (times b) x_1 .. x_{2k-1} at level k."""
+    def gamma_dual(self, k: int, i: int, with_b: bool = False) -> HomologyElement:
+        """Dual class of the carrier a^i (times b) x_1 .. x_{2k-1} at level k, unsigned."""
         ring = self.gamma(k).ring
-        exps = self._sm_exponents(i, with_b)
-        exps.update({f"x{j}": 1 for j in range(1, 2 * k)})
-        return dual(ring, ring.monomial(exps), coeff)
+        return self._named_dual(ring, i, with_b, (f"x{j}" for j in range(1, 2 * k)))
 
     def pv_gysin_table(self, k: int, m: int) -> dict[Monomial, tuple[Monomial, int]]:
         """Wrong-way images of the full dual basis of SM x_M SM at (k, m).

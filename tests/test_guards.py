@@ -3,8 +3,10 @@
 Every correct computation passes these checks by, so only a deliberately bad
 call reaches them: a class over another ring, a class of the wrong type
 (homology for cohomology, a loop class for a cohomology class, a bool for a
-power), a map between other spaces, a generator kind a type does not hold, or
-a CLI expression mixing homology and cohomology generators.
+power), a map between other spaces, a generator kind a type does not hold, a
+CLI expression mixing homology and cohomology generators, a float or bool
+where the kernel counts (an exponent, a generator's degree or truncation, a
+degree bound), or a count out of range.
 """
 
 import contextlib
@@ -27,11 +29,14 @@ from loopalg.homology import (
 from loopalg.loops import (
     CohClass,
     LoopClass,
+    PresMonomial,
     TensorLoopClass,
+    betti_table,
     coproduct_closed,
     coproduct_pipeline,
     gh_product,
     gh_product_pairs,
+    presentation_normalize,
 )
 from loopalg.ring import Generator, Ring, RingMismatchError, TensorRing, cross, cup
 from loopalg.spaces import SpaceCatalog, SpaceParams, generator_degree
@@ -212,6 +217,91 @@ def _cli(*argv):
             TypeError,
             "power must be an int, not bool",
         ),
+        (
+            lambda: COH**-1,
+            ValueError,
+            "power must be a non-negative integer",
+        ),
+        (
+            lambda: RING.monomial({"a": 3}),
+            ValueError,
+            "exponent 3 of 'a' outside [0, 3)",
+        ),
+        (
+            lambda: RING.monomial({"a": 1.5}),
+            TypeError,
+            "exponent of 'a' must be an int, not 1.5",
+        ),
+        (
+            lambda: RING.check_monomial((True, 0)),
+            TypeError,
+            "exponent must be an int, not True",
+        ),
+        (
+            lambda: dual(RING, (1.5, 0)),
+            TypeError,
+            "exponent must be an int, not 1.5",
+        ),
+        (
+            lambda: RING.element({(1.0, 0): 1}),
+            TypeError,
+            "exponent must be an int, not 1.0",
+        ),
+        (
+            lambda: Generator("a", 2.0, 3),
+            TypeError,
+            "generator 'a': degree must be an int, not 2.0",
+        ),
+        (
+            lambda: Generator("a", True, 2),
+            TypeError,
+            "generator 'a': degree must be an int, not True",
+        ),
+        (
+            lambda: Generator("a", 2, 3.0),
+            TypeError,
+            "generator 'a': truncation must be an int, not 3.0",
+        ),
+        (
+            lambda: RING.poincare_series(-1),
+            ValueError,
+            "degree must be non-negative",
+        ),
+        (
+            lambda: RING.poincare_series(2.5),
+            TypeError,
+            "degree must be an int, not 2.5",
+        ),
+        (
+            lambda: RING.poincare_series(True),
+            TypeError,
+            "degree must be an int, not True",
+        ),
+        (
+            lambda: betti_table(CP2, -1),
+            ValueError,
+            "degree must be non-negative",
+        ),
+        (
+            lambda: betti_table(CP2, 2.5),
+            TypeError,
+            "degree must be an int, not 2.5",
+        ),
+        (
+            lambda: betti_table(CP2, True),
+            TypeError,
+            "degree must be an int, not True",
+        ),
+        (
+            lambda: PresMonomial(1, (), (0,)).mul(PresMonomial(1, (0,), (0, 0))),
+            ValueError,
+            "presentation monomials over different n",
+        ),
+        (
+            lambda: presentation_normalize(PresMonomial(1, (), (0,)), CP2),
+            ValueError,
+            "presentation monomial does not match n",
+        ),
     ],
     ids=[
         "pairing",
@@ -243,6 +333,23 @@ def _cli(*argv):
         "RingMap-call-homology",
         "gysin-cohomology",
         "power-bool",
+        "power-negative",
+        "monomial-range",
+        "monomial-float",
+        "check_monomial-bool",
+        "dual-float",
+        "element-float",
+        "Generator-float-degree",
+        "Generator-bool-degree",
+        "Generator-float-truncation",
+        "poincare_series-negative",
+        "poincare_series-float",
+        "poincare_series-bool",
+        "betti_table-negative",
+        "betti_table-float",
+        "betti_table-bool",
+        "PresMonomial-mul-n",
+        "presentation_normalize-n",
     ],
 )
 def test_guard_refuses_with_its_message(call, error, message):

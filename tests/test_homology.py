@@ -293,6 +293,12 @@ class TestDiagonal:
         )
         assert out == expect
 
+    def test_pushforward_prints_each_tensor_factor(self):
+        # TensorRing.monomial_str writes the two factors' monomials around "x".
+        ring = Ring([Generator("a", 2, 3), Generator("b", 3, 2)])
+        out = diagonal_pushforward(dual(ring, (1, 1)), TensorRing(ring, ring))
+        assert str(out) == "[1 x a b] + [b x a] + [a x b] + [a b x 1]"
+
     def test_homology_cross_pairs_against_cross_unsigned(self, space):
         ring = space.ring
         t = TensorRing(ring, ring)

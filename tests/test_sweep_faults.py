@@ -23,8 +23,9 @@ from loopalg.loops import (
     verify_pipeline,
     verify_presentation,
 )
+from loopalg.homology import HomologyElement
 from loopalg.ring import RingElement
-from loopalg.spaces import SpaceParams
+from loopalg.spaces import SpaceCatalog, SpaceParams
 from loopalg.verify import verify_gysin_values, verify_ring_axioms
 
 CP1 = SpaceParams.from_token("cp", 1)
@@ -50,6 +51,23 @@ def test_gysin_sweep_catches_wrong_gysin_sign(monkeypatch):
     # 12 retraction checks plus 12 figure-eight checks.
     assert (rep.checks, rep.failed) == (36, 24)
     assert not any(f.startswith("cap(x") for f in rep.failures)
+
+
+def test_gysin_sweep_catches_a_misnamed_carrier(monkeypatch):
+    named = SpaceCatalog.gamma_dual
+
+    def without_x1(self, k, i, with_b=False):
+        x = named(self, k, i, with_b)
+        pos = x.ring.index["x1"]
+        terms = {m[:pos] + (0,) + m[pos + 1 :]: c for m, c in x.terms.items()}
+        return HomologyElement(x.ring, terms)
+
+    monkeypatch.setattr(SpaceCatalog, "gamma_dual", without_x1)
+    rep = verify_gysin_values(CP2, 3)
+    # The gate takes its carriers from gamma_dual, so a carrier missing x1
+    # fails the 12 retraction checks and the 12 caps made from it.
+    assert (rep.checks, rep.failed) == (36, 24)
+    assert rep.failures[0] == "retraction_!(a^0) at k=1: -[x1]"
 
 
 def test_presentation_sweep_catches_lost_beta_classes(monkeypatch):
