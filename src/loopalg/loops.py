@@ -403,15 +403,13 @@ class PresMonomial(_Frozen):
     ``betas[j]`` the exponent of beta_j (indices 0 .. n-1).  The constant
     monomial is excluded; the presentation ring has no unit adjoined.
 
-    The exponents are kept as one flat tuple ``(omega, *alphas, *betas)``,
-    next to the slot weights ``(0, 1 .. n-1, 0 .. n-1)`` that a product
-    shares with its left factor.  The factor count, the sub-index (each
-    alpha_i and beta_i counted i times) and the beta count are computed
-    once, from the flat exponents, when the monomial is built.  They stay
-    out of ``repr``, ``==`` and ``hash``, which see only the exponents.
+    The exponents are the one stored field, a flat tuple
+    ``(omega, *alphas, *betas)``.  The factor count, the sub-index (each
+    alpha_i and beta_i counted i times) and the beta count are read from it
+    when asked for, so ``repr``, ``==`` and ``hash`` see only the exponents.
     """
 
-    __slots__ = ("_exps", "_weights", "factor_count", "sub_index", "beta_count")
+    __slots__ = ("_exps",)
     _fields = ("omega", "alphas", "betas")
 
     def __init__(self, omega: int, alphas: tuple[int, ...], betas: tuple[int, ...]) -> None:
@@ -422,25 +420,15 @@ class PresMonomial(_Frozen):
         for e in exps:
             # A bool or float would count as an exponent, and a product of
             # floats would normalize to a level no generator has.
-            if type(e) is not int:
-                raise TypeError(f"exponents must be ints, not {e!r}")
+            _require_int("exponent", e)
         n = len(betas)
         if len(alphas) != n - 1:
             raise ValueError(f"alphas of length {len(alphas)} and betas of length {n} fit no n")
         if min(exps) < 0:
             raise ValueError("exponents must be non-negative")
-        self._fill(exps, (0, *range(1, n), *range(n)))
-        if self.factor_count == 0:
+        if not any(exps):
             raise ValueError("the constant monomial is not in the presentation ring")
-
-    def _fill(self, exps: tuple[int, ...], weights: tuple[int, ...]) -> None:
-        """Set the exponents, their slot weights and the three counts read from the exponents."""
-        set_exps, set_weights, set_factors, set_sub_index, set_betas = _PRES_SLOT_SETTERS
-        set_exps(self, exps)
-        set_weights(self, weights)
-        set_factors(self, sum(exps))
-        set_sub_index(self, sum(map(operator.mul, exps, weights)))
-        set_betas(self, sum(exps[len(exps) // 2 :]))
+        object.__setattr__(self, "_exps", exps)
 
     @property
     def omega(self) -> int:
@@ -453,6 +441,19 @@ class PresMonomial(_Frozen):
     @property
     def betas(self) -> tuple[int, ...]:
         return self._exps[len(self._exps) // 2 :]
+
+    @property
+    def factor_count(self) -> int:
+        return sum(self._exps)
+
+    @property
+    def sub_index(self) -> int:
+        n = len(self._exps) // 2
+        return sum(map(operator.mul, self._exps, (0, *range(1, n), *range(n))))
+
+    @property
+    def beta_count(self) -> int:
+        return sum(self.betas)
 
     @classmethod
     def build(
@@ -476,20 +477,15 @@ class PresMonomial(_Frozen):
         return cls(omega, tuple(a), tuple(b))
 
     def mul(self, other: PresMonomial) -> PresMonomial:
-        """The product: the exponents added once, and the counts read from the sum.
+        """The product: the exponents added, with no count computed.
 
         A sum of valid exponents is valid, so only the shapes are compared.
         """
         if len(self._exps) != len(other._exps):
             raise ValueError("presentation monomials over different n")
         product = object.__new__(PresMonomial)
-        product._fill(tuple(map(operator.add, self._exps, other._exps)), self._weights)
+        object.__setattr__(product, "_exps", tuple(map(operator.add, self._exps, other._exps)))
         return product
-
-
-# The type is immutable: its slots are set through their descriptors, which
-# skip ``_Frozen.__setattr__`` and cost less than ``object.__setattr__``.
-_PRES_SLOT_SETTERS = tuple(getattr(PresMonomial, name).__set__ for name in PresMonomial.__slots__)
 
 
 def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
@@ -497,16 +493,17 @@ def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
 
     With k factors, total sub-index s and c beta factors the monomial maps
     to s[k,s] when c = 0, to m[k,s] when c = 1, and to zero otherwise or when
-    s exceeds n - 1.
+    s exceeds n - 1.  c is read first, then s, and k only for a nonzero result.
     """
     if len(p._exps) != 2 * params.n:
         raise ValueError("presentation monomial does not match n")
-    k = p.factor_count
-    s = p.sub_index
     c = p.beta_count
-    if c > 1 or s > params.n - 1:
+    if c > 1:
         return CohClass.zero(params)
-    return CohClass.generator(params, "s" if c == 0 else "m", k, s)
+    s = p.sub_index
+    if s > params.n - 1:
+        return CohClass.zero(params)
+    return CohClass.generator(params, "s" if c == 0 else "m", p.factor_count, s)
 
 
 # -- Betti numbers -----------------------------------------------------
@@ -674,15 +671,12 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     and that powers w^k of the level generator stay nonzero up to twice the
     level bound.  Each monomial is normalized once and kept next to its
     normal form, grouped by factor count; equal normal forms share one
-    object.  Each pair then costs one ``mul`` and one normalization of the
-    product, and ``gh_product`` runs once per distinct pair of normal
-    forms, at its first use.
+    object.  Each pair then costs one ``mul`` (an exponent sum) and one
+    normalization of the product, mostly stopped by its beta count, and
+    ``gh_product`` runs once per distinct pair of normal forms.
     """
     rep = Report(f"presentation ({params.token}, n={params.n}, level<={max_level})")
     n = params.n
-
-    def norm(p: PresMonomial) -> CohClass:
-        return presentation_normalize(p, params)
 
     alpha = {i: PresMonomial.build(params, alphas={i: 1}) for i in range(1, n)}
     beta = {i: PresMonomial.build(params, betas={i: 1}) for i in range(n)}
@@ -690,7 +684,7 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     def expect(p: PresMonomial, kind: str | None, k: int, i: int, what: str, *args) -> None:
         """Check that p, named ``what.format(*args)``, normalizes to kind[k,i];
         to zero if kind is None or i > n - 1."""
-        value = norm(p)
+        value = presentation_normalize(p, params)
         if kind is None or i > n - 1:
             rep.note(value.is_zero(), what + " does not vanish", *args)
         else:
@@ -706,7 +700,10 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
 
     normals: dict = {}
     by_count = {
-        f: [(p, *_intern(normals, norm(p))) for p in _pres_monomials(params, f)]
+        f: [
+            (p, *_intern(normals, presentation_normalize(p, params)))
+            for p in _pres_monomials(params, f)
+        ]
         for f in range(1, max_level)
     }
     products: dict = {}

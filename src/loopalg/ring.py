@@ -117,6 +117,8 @@ class Generator(_Frozen):
     __slots__ = _fields = ("name", "degree", "truncation")
 
     def __init__(self, name: str, degree: int, truncation: int) -> None:
+        if not isinstance(name, str):  # monomial_str joins names as text
+            raise TypeError(f"generator name must be a str, not {name!r}")
         _require_int(f"generator {name!r}: degree", degree)
         _require_int(f"generator {name!r}: truncation", truncation)
         if degree < 0:
@@ -405,8 +407,7 @@ class RingElement(Combination):
 
     def __pow__(self, power: int) -> RingElement:
         # A bool would pass for 0 or 1; it is refused, as ``as_coeff`` refuses it.
-        if type(power) is not int:
-            raise TypeError(f"power must be an int, not {type(power).__name__}")
+        _require_int("power", power)
         if power < 0:
             raise ValueError("power must be a non-negative integer")
         out = self.ring.one()

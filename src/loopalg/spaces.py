@@ -40,8 +40,7 @@ class SpaceParams(_Frozen):
     def __init__(self, family: str, n: int) -> None:
         if family not in ("complex", "quaternionic"):
             raise ValueError(f"unknown family {family!r}")
-        if type(n) is not int:  # a float or bool rank would share the int's catalog
-            raise TypeError(f"n must be an int, not {type(n).__name__}")
+        _require_int("n", n)  # a float or bool rank would share the int's catalog
         if n < 1:
             raise ValueError("n must be at least 1")
         object.__setattr__(self, "family", family)

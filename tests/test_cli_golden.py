@@ -2,10 +2,10 @@
 
 Every command line runs in-process through ``cli.run`` in each output format
 and is compared byte for byte with ``cli_golden.json``.  The usage and
-invalid-choice messages of the argument errors are written by argparse, so
-those entries hold the wording of the Python 3.11 argparse the fixture was
-made with.  To rewrite the fixture from the current code (only when an output
-change is intended):
+invalid-choice messages of the argument errors are written by argparse; its
+wording of them is the same on every supported Python, 3.10 to 3.13, so one
+fixture serves them all.  To rewrite the fixture from the current code (only
+when an output change is intended):
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """

@@ -1,7 +1,9 @@
 """Cohomology product, its duality with the coproduct, and the presentation."""
 
 import itertools
+import math
 import operator
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from loopalg import (
     LoopClass,
     PresMonomial,
     Report,
+    SpaceParams,
     betti_table,
     coproduct_closed,
     generator_degree,
@@ -226,9 +229,9 @@ class TestPresentation:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((True, (), (False,)), "exponents must be ints, not True"),
-            ((0.5, (), (0,)), "exponents must be ints, not 0.5"),
-            ((1, (0,), (0, 1.0)), "exponents must be ints, not 1.0"),
+            ((True, (), (False,)), "exponent must be an int, not True"),
+            ((0.5, (), (0,)), "exponent must be an int, not 0.5"),
+            ((1, (0,), (0, 1.0)), "exponent must be an int, not 1.0"),
             ((0, [1], (0, 1)), "alphas must be a tuple, not [1]"),
             ((0, (1,), [0, 1]), "betas must be a tuple, not [0, 1]"),
         ],
@@ -275,10 +278,41 @@ class TestPresentation:
     def test_counts_stay_out_of_repr_eq_and_hash(self, cp3):
         x = PresMonomial.build(cp3.params, omega=1, alphas={2: 1}, betas={1: 1})
         y = PresMonomial(1, (0, 1), (0, 1, 0))
-        object.__setattr__(y, "sub_index", -1)  # a stale count must not show
         assert repr(x) == repr(y) == "PresMonomial(omega=1, alphas=(0, 1), betas=(0, 1, 0))"
         assert x == y and hash(x) == hash(y)
         assert len({x, y}) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("token", ["cp", "hp"])
+    def test_normal_form_follows_its_rule_on_every_small_monomial(self, token, n):
+        # k factors, sub-index s and c betas give s[k,s] (c = 0), m[k,s]
+        # (c = 1), and zero when c > 1 or s > n - 1; the rule reads the
+        # monomial's fields, not its stored exponents.
+        params = SpaceParams.from_token(token, n)
+        slots = 2 * n  # omega, alpha_1 .. alpha_{n-1}, beta_0 .. beta_{n-1}
+        zeros = Counter()
+        seen = 0
+        for factors in range(1, 6):
+            for combo in itertools.combinations_with_replacement(range(slots), factors):
+                exps = [combo.count(slot) for slot in range(slots)]
+                omega, alphas, betas = exps[0], tuple(exps[1:n]), tuple(exps[n:])
+                c = sum(betas)
+                s = sum(i * e for i, e in enumerate(alphas, 1)) + sum(
+                    i * e for i, e in enumerate(betas)
+                )
+                if c > 1 or s > n - 1:
+                    zeros[c > 1, s > n - 1] += 1
+                    expected = CohClass.zero(params)
+                else:
+                    kind = "s" if c == 0 else "m"
+                    expected = CohClass.generator(params, kind, omega + sum(alphas) + c, s)
+                got = presentation_normalize(PresMonomial(omega, alphas, betas), params)
+                assert got == expected, (omega, alphas, betas)
+                seen += 1
+        assert seen == math.comb(slots + 5, 5) - 1
+        # Every zero case occurs; with n = 1 the sub-index is always 0.
+        cases = {(True, False)} if n == 1 else {(True, False), (False, True), (True, True)}
+        assert set(zeros) == cases
 
     def test_omega_power_normalizes_to_bottom_class(self, cp2):
         p = cp2.params

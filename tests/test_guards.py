@@ -215,7 +215,7 @@ def _cli(*argv):
         (
             lambda: COH**True,
             TypeError,
-            "power must be an int, not bool",
+            "power must be an int, not True",
         ),
         (
             lambda: COH**-1,
@@ -261,6 +261,11 @@ def _cli(*argv):
             lambda: Generator("a", 2, 3.0),
             TypeError,
             "generator 'a': truncation must be an int, not 3.0",
+        ),
+        (
+            lambda: Generator(5, 2, 3),
+            TypeError,
+            "generator name must be a str, not 5",
         ),
         (
             lambda: RING.poincare_series(-1),
@@ -342,6 +347,7 @@ def _cli(*argv):
         "Generator-float-degree",
         "Generator-bool-degree",
         "Generator-float-truncation",
+        "Generator-int-name",
         "poincare_series-negative",
         "poincare_series-float",
         "poincare_series-bool",

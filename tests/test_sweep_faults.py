@@ -349,6 +349,23 @@ def test_pipeline_sweep_catches_wrong_pushforward_sign(monkeypatch):
     assert all(": pipeline gives -A[" in f for f in rep.failures)
 
 
+def test_pipeline_sweep_catches_lost_index_3_terms(monkeypatch):
+    coproduct = loops.coproduct_closed
+
+    def without_index_3(x):
+        terms = coproduct(x).terms
+        return TensorLoopClass(
+            x.params, {key: c for key, c in terms.items() if 3 not in (key[0][2], key[1][2])}
+        )
+
+    monkeypatch.setattr(loops, "coproduct_closed", without_index_3)
+    rep = verify_pipeline(SpaceParams.from_token("cp", 4), 12)
+    # Index 3 exists only for n >= 4, so no sweep at n <= 3 can see this.
+    # Every A[k,3] and B[k,3] above level 1 has such a term: 2 kinds * 11.
+    assert (rep.checks, rep.failed) == (96, 22)
+    assert rep.failures[0].startswith("A[2,3]: pipeline gives A[1,0] x A[1,3] + ")
+
+
 def test_sweeps_build_one_coproduct_per_generator(monkeypatch):
     coproduct = loops.coproduct_closed
     built = []
