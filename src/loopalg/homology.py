@@ -79,14 +79,14 @@ def pairing(c: RingElement, x: HomologyElement) -> int | Fraction:
     """Kronecker pairing of a cohomology element against a homology class."""
     if type(c) is not RingElement or type(x) is not HomologyElement:
         raise TypeError(f"pairing of {type(c).__name__} and {type(x).__name__}")
-    if c.ring != x.ring:
+    if x.ring is not c.ring and c.ring != x.ring:
         raise RingMismatchError("pairing of classes over different rings")
     total = 0
     for m, cc in c.terms.items():
         cx = x.terms.get(m)
         if cx is not None:
             total += cc * cx
-    return as_coeff(total)
+    return total if type(total) is int else as_coeff(total)
 
 
 def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
@@ -97,9 +97,9 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
     """
     if type(a) is not RingElement or type(x) is not HomologyElement:
         raise TypeError(f"cap of {type(a).__name__} and {type(x).__name__}")
-    if a.ring != x.ring:
-        raise RingMismatchError("cap of classes over different rings")
     ring = a.ring
+    if x.ring is not ring and ring != x.ring:
+        raise RingMismatchError("cap of classes over different rings")
     out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mx, cx in x.terms.items():

@@ -466,11 +466,13 @@ class PresMonomial(_Frozen):
         n = params.n
         a = [0] * (n - 1)
         for idx, e in (alphas or {}).items():
+            _require_int("alpha index", idx)
             if not 1 <= idx <= n - 1:
                 raise ValueError(f"alpha index {idx} outside 1 .. {n - 1}")
             a[idx - 1] = e
         b = [0] * n
         for idx, e in (betas or {}).items():
+            _require_int("beta index", idx)
             if not 0 <= idx <= n - 1:
                 raise ValueError(f"beta index {idx} outside 0 .. {n - 1}")
             b[idx] = e

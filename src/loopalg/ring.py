@@ -303,7 +303,8 @@ class Combination:
     def __init__(self, owner, terms: dict):
         clean: dict = {}
         for key, c in terms.items():
-            c = as_coeff(c)
+            if type(c) is not int:
+                c = as_coeff(c)
             if c:
                 clean[key] = c
         self.owner = owner
@@ -420,9 +421,9 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     """Graded product of ``a`` and ``b``; truncated monomials drop out."""
     if type(a) is not RingElement or type(b) is not RingElement:
         raise TypeError(f"cup of {type(a).__name__} and {type(b).__name__}")
-    if a.ring != b.ring:
-        raise RingMismatchError("cup of elements over different rings")
     ring = a.ring
+    if b.ring is not ring and ring != b.ring:
+        raise RingMismatchError("cup of elements over different rings")
     out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():

@@ -5,8 +5,8 @@ call reaches them: a class over another ring, a class of the wrong type
 (homology for cohomology, a loop class for a cohomology class, a bool for a
 power), a map between other spaces, a generator kind a type does not hold, a
 CLI expression mixing homology and cohomology generators, a float or bool
-where the kernel counts (an exponent, a generator's degree or truncation, a
-degree bound), or a count out of range.
+where the kernel counts (an exponent, a presentation index, a generator's
+degree or truncation, a degree bound), or a count out of range.
 """
 
 import contextlib
@@ -46,6 +46,7 @@ OTHER = Ring([Generator("a", 2, 3), Generator("u", 3, 2)])
 SPACE = OrientedSpace(RING)
 IDENTITY = RingMap(RING, RING, {"a": RING.gen("a"), "u": RING.gen("u")})
 CP2 = SpaceParams.from_token("cp", 2)
+CP3 = SpaceParams.from_token("cp", 3)
 HOM = dual(RING, (1, 0))
 COH = RING.gen("a")
 LOOP = LoopClass.generator(CP2, "A", 1, 0)
@@ -307,6 +308,16 @@ def _cli(*argv):
             ValueError,
             "presentation monomial does not match n",
         ),
+        (
+            lambda: PresMonomial.build(CP3, alphas={True: 1}),
+            TypeError,
+            "alpha index must be an int, not True",
+        ),
+        (
+            lambda: PresMonomial.build(CP3, betas={1.0: 1}),
+            TypeError,
+            "beta index must be an int, not 1.0",
+        ),
     ],
     ids=[
         "pairing",
@@ -356,6 +367,8 @@ def _cli(*argv):
         "betti_table-bool",
         "PresMonomial-mul-n",
         "presentation_normalize-n",
+        "PresMonomial-build-bool-alpha",
+        "PresMonomial-build-float-beta",
     ],
 )
 def test_guard_refuses_with_its_message(call, error, message):

@@ -22,6 +22,7 @@ from loopalg import (
     cross,
     cup,
 )
+from loopalg.homology import cap, dual, pairing
 
 
 def sign_by_transpositions(ring, left, right):
@@ -92,6 +93,36 @@ class TestConstruction:
         gens = [Generator("a", 2, 3)]
         assert Ring(gens) == Ring(list(gens))
         assert Ring(gens) != Ring([Generator("a", 2, 4)])
+
+    def test_kernel_accepts_equal_rings_built_apart(self):
+        # cup, cap and pairing compare rings by identity first; a ring equal
+        # to the operand's but built separately still passes, and an unequal
+        # one is still refused.
+        gens = [Generator("a", 2, 3), Generator("u", 1, 2)]
+        one, twin, other = Ring(gens), Ring(list(gens)), Ring([Generator("a", 2, 3)])
+        a, u = one.gen("a"), twin.gen("u")
+        x = dual(one, (2, 1), 3)
+        assert cup(a, u) == cup(a, one.gen("u"))
+        assert cap(u, x) == cap(one.gen("u"), x) == dual(one, (2, 0), 3)
+        assert pairing(cup(a, twin.gen("a")) * u, x) == pairing(cup(a, a) * one.gen("u"), x) == 3
+        half = pairing(u * Fraction(1, 2), dual(one, (0, 1), 2))
+        assert half == 1 and type(half) is int
+        with pytest.raises(RingMismatchError, match="cup of elements over different rings"):
+            cup(a, other.gen("a"))
+        with pytest.raises(RingMismatchError, match="cap of classes over different rings"):
+            cap(other.gen("a"), x)
+        with pytest.raises(RingMismatchError, match="pairing of classes over different rings"):
+            pairing(other.gen("a"), x)
+
+    def test_combination_keeps_canonical_coefficients(self):
+        # Only a coefficient that is not exactly an int goes through as_coeff.
+        ring = Ring([Generator("a", 2, 3)])
+        flag = type("Flag", (int,), {})
+        terms = ring.element({(1,): flag(2), (2,): Fraction(6, 3)}).terms
+        assert terms == {(1,): 2, (2,): 2}
+        assert all(type(c) is int for c in terms.values())
+        with pytest.raises(TypeError, match="exact rational expected, not bool"):
+            ring.element({(1,): True})
 
 
 class TestBasisAndSeries:

@@ -23,8 +23,8 @@ from loopalg.loops import (
     verify_pipeline,
     verify_presentation,
 )
-from loopalg.homology import HomologyElement
-from loopalg.ring import RingElement
+from loopalg.homology import HomologyElement, diagonal_pushforward, dual
+from loopalg.ring import RingElement, TensorRing, cross
 from loopalg.spaces import SpaceCatalog, SpaceParams
 from loopalg.verify import verify_gysin_values, verify_ring_axioms
 
@@ -226,14 +226,67 @@ def test_ring_sweep_catches_wrong_pd_inverse(monkeypatch):
     assert all(f.startswith("pd_inverse . pd != id at ") for f in rep.failures)
 
 
-def test_ring_sweep_calls_the_kernel_per_distinct_operand_pair(monkeypatch):
-    calls = dict.fromkeys(("cap", "pairing", "cup"), 0)
+def test_ring_sweep_compares_every_associativity_cell(monkeypatch):
+    ring_ = SpaceCatalog(CP1).gamma(2).ring
+    x1x2, b = (0, 1, 1, 0), (1, 0, 0, 0)
+    product = ring.cup
+
+    def perturbed(u, c):
+        out = product(u, c)
+        if u.ring == ring_ and u.terms == {x1x2: -1} and c.terms == {b: 1}:
+            return -out
+        return out
+
+    monkeypatch.setattr(ring, "cup", perturbed)
+    rep = verify_ring_axioms(CP1, seed=0)
+    # Only x2 * x1 is -x1 x2, so the table entry (x2 x1) b of that one product
+    # feeds one associativity cell, in the middle of its row over c; nothing
+    # else multiplies -x1 x2 by b.
+    assert (rep.checks, rep.failed) == (18024, 1)
+    assert rep.failures == ["associativity fails at (0, 0, 1, 0),(0, 1, 0, 0),(1, 0, 0, 0)"]
+
+
+def test_ring_sweep_compares_every_diagonal_adjunction_cell(monkeypatch):
+    ring_ = SpaceCatalog(CP1).gamma(2).ring
+    square = TensorRing(ring_, ring_)
+    ma, mb, mx = (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 1, 1)
+    cell = (
+        cross(ring_.element({ma: 1}), ring_.element({mb: 1}), square),
+        diagonal_pushforward(dual(ring_, mx), square),
+    )
+    kronecker = verify.pairing
+
+    def perturbed(c, x):
+        value = kronecker(c, x)
+        return value + 1 if (c, x) == cell else value
+
+    monkeypatch.setattr(verify, "pairing", perturbed)
+    rep = verify_ring_axioms(CP1, seed=0)
+    # Each (cross, push) operand pair is paired once, for one diagonal
+    # adjunction check, away from the ends of its row over x.
+    assert (rep.checks, rep.failed) == (18024, 1)
+    assert rep.failures == ["diagonal adjunction fails at (0, 1, 0, 0),(0, 0, 1, 0),(1, 0, 1, 1)"]
+
+
+@pytest.mark.parametrize(
+    ("params", "rounds", "checks", "calls"),
+    [
+        (CP2, 0, 134625, {"cap": 4648, "pairing": 36888, "cup": 4948}),
+        (CP1, 250, 18024, {"cap": 1934, "pairing": 5576, "cup": 2540}),
+        (CP2, 250, 135625, {"cap": 5398, "pairing": 37388, "cup": 6198}),
+    ],
+    ids=["cp2-pairs-only", "cp1", "cp2"],
+)
+def test_ring_sweep_calls_the_kernel_per_distinct_operand_pair(
+    monkeypatch, params, rounds, checks, calls
+):
+    counts = dict.fromkeys(("cap", "pairing", "cup"), 0)
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            counts[name] += 1
             return fn(*args)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -241,14 +294,17 @@ def test_ring_sweep_calls_the_kernel_per_distinct_operand_pair(monkeypatch):
     counted(verify, "cap")
     counted(verify, "pairing")
     counted(ring, "cup")
-    monkeypatch.setattr(verify, "RANDOM_ROUNDS", 0)
-    rep = verify_ring_axioms(CP2)
-    assert (rep.checks, rep.failed) == (134625, 0)
-    # Fresh kernel calls on every basis triple made 67,792 caps, 133,376
-    # pairings and 67,900 cups here.  The pair pass's tables call the kernel
-    # once per distinct operand pair; only the diagonal adjunction still
-    # pairs once per triple: 4^3 + 8^3 + 32^3 = 33,344 of the pairings.
-    assert calls == {"cap": 4648, "pairing": 36888, "cup": 4948}
+    monkeypatch.setattr(verify, "RANDOM_ROUNDS", rounds)
+    rep = verify_ring_axioms(params, seed=0)
+    assert (rep.checks, rep.failed) == (checks, 0)
+    # Without the random rounds on CP2: fresh kernel calls on every basis
+    # triple made 67,792 caps, 133,376 pairings and 67,900 cups there.  The
+    # pair pass's tables call the kernel once per distinct operand pair; only
+    # the diagonal adjunction still pairs once per triple: 4^3 + 8^3 + 32^3 =
+    # 33,344 of the pairings.  A random round builds a*b, b*a and cap(a, x)
+    # once each, for five cups, three caps and two pairings; with three cups
+    # and one cap more per round, 250 rounds made 750 cups and 250 caps more.
+    assert counts == calls
 
 
 def test_duality_sweep_catches_wrong_product(monkeypatch):
