@@ -23,7 +23,6 @@ from .ring import (
     Ring,
     RingElement,
     RingMismatchError,
-    TensorRing,
     as_coeff,
 )
 
@@ -246,8 +245,8 @@ def _splits(m: Monomial):
         yield left, right
 
 
-def diagonal_pushforward(x: HomologyElement, tensor: TensorRing) -> HomologyElement:
-    """Pushforward along the diagonal into ``tensor``, the square of x's ring.
+def diagonal_pushforward(x: HomologyElement) -> HomologyElement:
+    """Pushforward along the diagonal into ``x.ring.square``.
 
     Characterized by ``<cross(a, b), result> = <cup(a, b), x>`` for all a, b.
     On a dual class this is the sum over exponent splittings ``m = l + r`` of
@@ -256,12 +255,9 @@ def diagonal_pushforward(x: HomologyElement, tensor: TensorRing) -> HomologyElem
     if type(x) is not HomologyElement:
         raise TypeError(f"diagonal_pushforward of {type(x).__name__}")
     ring = x.ring
-    if tensor.left != ring or tensor.right != ring:
-        raise RingMismatchError("tensor ring is not the square of the class's ring")
     out: dict[Monomial, int | Fraction] = {}
     for m, c in x.terms.items():
+        # The split l x r determines m = l + r, so no key repeats.
         for left, right in _splits(m):
-            sign = ring.merge_sign(left, right)
-            key = tensor.combine(left, right)
-            out[key] = out.get(key, 0) + (c if sign > 0 else -c)
-    return HomologyElement(tensor, out)
+            out[left + right] = c if ring.merge_sign(left, right) > 0 else -c
+    return HomologyElement(ring.square, out)

@@ -271,10 +271,10 @@ def _diagonal_spread(cat: SpaceCatalog, mono: Monomial) -> list[tuple]:
     One ``((kind, i), (kind, i), coeff)`` per term, a ``_loop_part`` per factor.
     """
     ring = cat.sm.ring
-    spread = diagonal_pushforward(dual(ring, mono), cat.sm_tensor)
+    spread = diagonal_pushforward(dual(ring, mono))
     out = []
     for tmono, dc in spread.terms.items():
-        ml, mr = cat.sm_tensor.split(tmono)
+        ml, mr = ring.square.split(tmono)
         out.append((_loop_part(ring, ml), _loop_part(ring, mr), dc))
     return out
 

@@ -8,7 +8,8 @@ of odd-degree factors.  Coefficients are exact and kept in one canonical
 form: an ``int`` when the value is integral, otherwise a `fractions.Fraction`
 with denominator > 1; never a float.
 
-Rings are not modified after construction, and the arithmetic operations
+Rings are not modified after construction; a ring builds its tensor square,
+``Ring.square``, once, on first use.  The arithmetic operations
 build new elements instead of changing their operands.  Elements are not
 frozen, though: ``Combination.terms`` is a plain dict that any caller can
 mutate, so elements are unhashable and the module makes no thread-safety
@@ -21,6 +22,7 @@ import itertools
 import operator
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import cached_property
 
 Monomial = tuple[int, ...]
 
@@ -171,6 +173,14 @@ class Ring:
     def __repr__(self) -> str:
         body = ", ".join(f"{g.name}:{g.degree}^{g.truncation}" for g in self.generators)
         return f"Ring({body})"
+
+    @cached_property
+    def square(self) -> TensorRing:
+        """The tensor square ``self x self``, where cross products and pushforwards live.
+
+        One object per ring, so classes over it meet the kernel's identity tests.
+        """
+        return TensorRing(self)
 
     # -- monomials -----------------------------------------------------
 
@@ -329,7 +339,7 @@ class Combination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self.owner != other.owner:
+        if other.owner is not self.owner and self.owner != other.owner:
             raise RingMismatchError(
                 f"sum of {type(self).__name__}s over different rings or spaces"
             )
@@ -437,53 +447,47 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
 
 
 class TensorRing(Ring):
-    """Ring of a cross product, left factor's generators first.
+    """Tensor square of a ring, the left factor's generators first.
 
-    Either side's generator names are kept when possible; a right-hand name
-    colliding with a used one is prefixed with ``r.`` until it is free.
+    A right-hand name colliding with a used one is prefixed with ``r.`` until
+    it is free, as the ring may already hold an ``r.`` name.  A pair of factor
+    monomials concatenates with no sign; reach the square as ``ring.square``.
     """
 
-    def __init__(self, left: Ring, right: Ring):
-        taken = {g.name for g in left.generators}
-        gens = list(left.generators)
-        for g in right.generators:
+    def __init__(self, ring: Ring):
+        taken = {g.name for g in ring.generators}
+        gens = list(ring.generators)
+        for g in ring.generators:
             name = g.name
             while name in taken:
                 name = f"r.{name}"
             taken.add(name)
             gens.append(Generator(name, g.degree, g.truncation))
         super().__init__(gens)
-        self.left = left
-        self.right = right
-        self._split_at = len(left.generators)
-
-    def combine(self, ml: Monomial, mr: Monomial) -> Monomial:
-        """Concatenate factor monomials; no sign, the order is already normal."""
-        return ml + mr
+        self.factor = ring
+        self._split_at = len(ring.generators)
 
     def split(self, m: Monomial) -> tuple[Monomial, Monomial]:
         return m[: self._split_at], m[self._split_at :]
 
     def monomial_str(self, m: Monomial) -> str:
         ml, mr = self.split(m)
-        return f"{self.left.monomial_str(ml)} x {self.right.monomial_str(mr)}"
+        return f"{self.factor.monomial_str(ml)} x {self.factor.monomial_str(mr)}"
 
 
-def cross(a: Combination, b: Combination, tensor: TensorRing) -> Combination:
-    """Embed the pair (a, b) as a product monomial of the tensor ring.
+def cross(a: Combination, b: Combination) -> Combination:
+    """The pair (a, b) as a product monomial of the square of their ring.
 
-    Works for ring elements and for homology classes alike; the result has
-    the operands' type.  No sign appears here; the Koszul sign of the usual
+    Works for ring elements and for homology classes alike, not for classes
+    over a space; the result has the operands' type.  No sign appears here; the Koszul sign of the usual
     product rule ``(a x b)(c x d) = (-1)^(|b||c|) (ac x bd)`` falls out of
     ``cup`` on the merged monomials.
     """
-    if type(a) is not type(b):
+    if type(a) is not type(b) or not isinstance(a.owner, Ring):
         raise TypeError(f"cross of {type(a).__name__} and {type(b).__name__}")
-    if tensor.left != a.owner or tensor.right != b.owner:
-        raise RingMismatchError("cross factors do not match the tensor ring")
-    out: dict[Monomial, int | Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            m = tensor.combine(ma, mb)
-            out[m] = out.get(m, 0) + ca * cb
-    return type(a)(tensor, out)
+    ring = a.owner
+    if b.owner is not ring and ring != b.owner:
+        raise RingMismatchError("cross of classes over different rings")
+    # Distinct factor pairs concatenate to distinct monomials.
+    out = {ma + mb: ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}
+    return type(a)(ring.square, out)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin
-from .ring import Generator, Monomial, Ring, RingElement, TensorRing, _Frozen, _require_int
+from .ring import Generator, Monomial, Ring, RingElement, _Frozen, _require_int
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
 
@@ -126,11 +126,6 @@ class SpaceCatalog:
         gens = self._base_generators()
         gens.append(Generator("xi", self.params.N - 1, 2))
         return OrientedSpace(Ring(gens))
-
-    @cached_property
-    def sm_tensor(self) -> TensorRing:
-        """Tensor square of the SM ring, for diagonal pushforwards."""
-        return TensorRing(self.sm.ring, self.sm.ring)
 
     def gamma(self, k: int) -> OrientedSpace:
         """Level-k completing manifold, dimension lambda_k + 2N - 1."""

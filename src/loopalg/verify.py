@@ -20,7 +20,7 @@ from .homology import (
     pd_inverse,
 )
 from .report import Report, _intern
-from .ring import TensorRing, cross
+from .ring import cross
 from .spaces import SpaceParams, catalog_for, generator_degree
 
 __all__ = [
@@ -169,8 +169,7 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
         rep.note(seen == set(monos), "{!r}: pd is not a bijection on bases", ring)
         pool.append((ring, [by_degree[d] for d in sorted(by_degree)], monos))
 
-        square = TensorRing(ring, ring)
-        pushes = [diagonal_pushforward(dx, square) for dx in duals]
+        pushes = [diagonal_pushforward(dx) for dx in duals]
         shared: dict = {}
 
         def share(value):
@@ -196,7 +195,7 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
                 rep.note(commute, "graded commutativity fails at {}, {}", ma, mb)
                 a_bc = [a_row[bc] for bc in prod[j]]
                 _note_rows(rep, monos, ma, mb, ("associativity", u_c[ab], a_bc))
-                ab_cross = cross(ea, eb, square)
+                ab_cross = cross(ea, eb)
                 b_caps, b_pairs = b_cap[j], b_pair[j]
                 _note_rows(
                     rep,

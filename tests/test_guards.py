@@ -38,7 +38,7 @@ from loopalg.loops import (
     gh_product_pairs,
     presentation_normalize,
 )
-from loopalg.ring import Generator, Ring, RingMismatchError, TensorRing, cross, cup
+from loopalg.ring import Generator, Ring, RingMismatchError, cross, cup
 from loopalg.spaces import SpaceCatalog, SpaceParams, generator_degree
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
@@ -113,19 +113,19 @@ def _cli(*argv):
             "class does not live over the source space",
         ),
         (
-            lambda: diagonal_pushforward(_point(RING), TensorRing(OTHER, OTHER)),
-            RingMismatchError,
-            "tensor ring is not the square of the class's ring",
-        ),
-        (
-            lambda: cross(RING.one(), _point(RING), TensorRing(RING, RING)),
+            lambda: cross(RING.one(), _point(RING)),
             TypeError,
             "cross of RingElement and HomologyElement",
         ),
         (
-            lambda: cross(RING.one(), OTHER.one(), TensorRing(RING, RING)),
+            lambda: cross(LOOP, LOOP),
+            TypeError,
+            "cross of LoopClass and LoopClass",
+        ),
+        (
+            lambda: cross(RING.one(), OTHER.one()),
             RingMismatchError,
-            "cross factors do not match the tensor ring",
+            "cross of classes over different rings",
         ),
         (
             lambda: _cli("--space", "cp", "--n", "2", "coproduct", "A[1,0] x s[1,0]"),
@@ -199,7 +199,7 @@ def _cli(*argv):
             "pd_inverse of RingElement",
         ),
         (
-            lambda: diagonal_pushforward(COH, TensorRing(RING, RING)),
+            lambda: diagonal_pushforward(COH),
             TypeError,
             "diagonal_pushforward of RingElement",
         ),
@@ -328,8 +328,8 @@ def _cli(*argv):
         "RingMap-call",
         "gysin-spaces",
         "gysin-class",
-        "diagonal_pushforward",
         "cross-type",
+        "cross-loop",
         "cross-ring",
         "cli-mixed-tensor-term",
         "LoopClass-kind",

@@ -37,6 +37,15 @@ def test_note_returns_the_verdict():
     assert not rep.passed
 
 
+def test_repr_shows_every_field():
+    rep = Report("pinned")
+    rep.note(True, "fine")
+    rep.note(False, "broken at {}", (1, 0))
+    assert repr(rep) == (
+        "Report(name='pinned', checks=2, failed=1, failures=['broken at (1, 0)'])"
+    )
+
+
 def test_failures_beyond_the_cap_are_only_counted():
     assert KEEP_FAILURES == 12
     rep = Report("cap")

@@ -22,7 +22,7 @@ from loopalg import (
     cross,
     cup,
 )
-from loopalg.homology import cap, dual, pairing
+from loopalg.homology import cap, diagonal_pushforward, dual, pairing
 
 
 def sign_by_transpositions(ring, left, right):
@@ -94,10 +94,16 @@ class TestConstruction:
         assert Ring(gens) == Ring(list(gens))
         assert Ring(gens) != Ring([Generator("a", 2, 4)])
 
+    def test_equal_rings_built_apart_hash_equal(self):
+        gens = [Generator("a", 2, 3), Generator("u", 1, 2)]
+        one, twin = Ring(gens), Ring(list(gens))
+        assert one is not twin and hash(one) == hash(twin)
+        assert len({one, twin}) == 1
+
     def test_kernel_accepts_equal_rings_built_apart(self):
-        # cup, cap and pairing compare rings by identity first; a ring equal
-        # to the operand's but built separately still passes, and an unequal
-        # one is still refused.
+        # cup, cap, pairing and cross compare rings by identity first; a ring
+        # equal to the operand's but built separately still passes, and an
+        # unequal one is still refused.
         gens = [Generator("a", 2, 3), Generator("u", 1, 2)]
         one, twin, other = Ring(gens), Ring(list(gens)), Ring([Generator("a", 2, 3)])
         a, u = one.gen("a"), twin.gen("u")
@@ -107,6 +113,11 @@ class TestConstruction:
         assert pairing(cup(a, twin.gen("a")) * u, x) == pairing(cup(a, a) * one.gen("u"), x) == 3
         half = pairing(u * Fraction(1, 2), dual(one, (0, 1), 2))
         assert half == 1 and type(half) is int
+        # The squares of equal rings built apart are two objects, but equal.
+        b, y = cup(a, one.gen("u")), dual(twin, (2, 1), 3)
+        assert pairing(cross(a, b), diagonal_pushforward(y)) == pairing(a * b, y) == 3
+        with pytest.raises(RingMismatchError, match="cross of classes over different rings"):
+            cross(a, other.gen("a"))
         with pytest.raises(RingMismatchError, match="cup of elements over different rings"):
             cup(a, other.gen("a"))
         with pytest.raises(RingMismatchError, match="cap of classes over different rings"):
@@ -126,10 +137,15 @@ class TestConstruction:
 
 
 class TestBasisAndSeries:
-    def test_poincare_series_matches_brute_force(self, mixed):
-        series = dict(mixed.poincare_series(mixed.top_degree))
-        for d in range(mixed.top_degree + 1):
-            assert series.get(d, 0) == len(brute_basis(mixed, d))
+    # Every bound from 0 to mixed's top degree 21; a bound below a
+    # generator's degree stops that generator's powers early.
+    @pytest.mark.parametrize("bound", range(22))
+    def test_poincare_series_matches_brute_force(self, mixed, bound):
+        assert mixed.top_degree == 21
+        series = mixed.poincare_series(bound)
+        assert [d for d, _ in series] == list(range(bound + 1))
+        for d, dim in series:
+            assert dim == len(brute_basis(mixed, d))
 
     def test_total_dimension(self, mixed):
         series = mixed.poincare_series(mixed.top_degree)
@@ -289,13 +305,13 @@ class TestPropertyBased:
 
 class TestTensor:
     def test_tensor_dimension(self, small):
-        t = TensorRing(small, small)
+        t = small.square
         assert sum(1 for _ in t.monomials()) == sum(1 for _ in small.monomials()) ** 2
 
     def test_cross_has_no_sign(self, small):
-        t = TensorRing(small, small)
+        t = small.square
         u, v = small.gen("u"), small.gen("v")
-        m = cross(u, v, t)
+        m = cross(u, v)
         ((mono, coeff),) = m.terms.items()
         assert coeff == 1
         ml, mr = t.split(mono)
@@ -305,35 +321,48 @@ class TestTensor:
     def test_product_rule_sign(self, small):
         # the two u's land in different tensor factors, so (a x u)(u x 1)
         # survives; (a x u)(v x 1) = -(a v) x u from one odd-odd swap
-        t = TensorRing(small, small)
         a, u, v = small.gen("a"), small.gen("u"), small.gen("v")
-        assert (cross(a, u, t) * cross(u, small.one(), t)).is_zero() is False
-        lhs = cross(a, u, t) * cross(v, small.one(), t)
-        assert lhs == -cross(a * v, u, t)
+        assert (cross(a, u) * cross(u, small.one())).is_zero() is False
+        lhs = cross(a, u) * cross(v, small.one())
+        assert lhs == -cross(a * v, u)
 
     def test_tensor_product_rule_exhaustive(self, small):
-        t = TensorRing(small, small)
+        t = small.square
         monos = list(small.monomials())
         for ma, mb, mc, md in itertools.product(monos, repeat=4):
-            left = t.element({t.combine(ma, mb): 1})
-            right = t.element({t.combine(mc, md): 1})
+            left = t.element({ma + mb: 1})
+            right = t.element({mc + md: 1})
             db = small.monomial_degree(mb)
             dc = small.monomial_degree(mc)
             ac = small.element({ma: 1}) * small.element({mc: 1})
             bd = small.element({mb: 1}) * small.element({md: 1})
             sign = -1 if (db % 2 and dc % 2) else 1
-            assert left * right == sign * cross(ac, bd, t)
+            assert left * right == sign * cross(ac, bd)
 
     def test_name_collisions_prefixed(self, small):
-        t = TensorRing(small, small)
+        t = small.square
         names = [g.name for g in t.generators]
         assert names == ["a", "u", "v", "r.a", "r.u", "r.v"]
 
+    def test_square_is_one_tensor_ring_per_ring(self, small):
+        # Built on first use and kept, so classes over it share one owner.
+        t = small.square
+        assert t is small.square and type(t) is TensorRing and t.factor is small
+        assert t == TensorRing(small)
+        assert cross(small.gen("a"), small.one()).ring is t
+        assert diagonal_pushforward(dual(small, (1, 0, 0))).ring is t
+
+    def test_prefixed_names_stay_free(self):
+        # A name already prefixed with "r." pushes its copy one prefix further.
+        ring = Ring([Generator("u", 1, 2), Generator("r.u", 3, 2)])
+        names = [g.name for g in ring.square.generators]
+        assert names == ["u", "r.u", "r.r.u", "r.r.r.u"]
+
     def test_split_roundtrip(self, small):
-        t = TensorRing(small, small)
+        t = small.square
         for m in t.monomials():
             ml, mr = t.split(m)
-            assert t.combine(ml, mr) == m
+            assert ml + mr == m
 
 
 class TestProjectiveRings:
@@ -380,18 +409,17 @@ class TestProjectiveRings:
         assert g2.monomial_str(g2.top_monomial) == "a b x1 x2 x3"
 
     def test_tensor_square_dimension(self, cp2):
-        assert sum(1 for _ in cp2.sm_tensor.monomials()) == 16
+        assert sum(1 for _ in cp2.sm.ring.square.monomials()) == 16
 
     def test_cross_of_units(self, cp2):
         sm = cp2.sm.ring
-        assert cross(sm.one(), sm.one(), cp2.sm_tensor) == cp2.sm_tensor.one()
+        assert cross(sm.one(), sm.one()) == sm.square.one()
 
     def test_cross_koszul_sign(self, cp2):
         # (a x b)(b x 1) moves the degree-5 b past the other b: one swap
         sm = cp2.sm.ring
-        t = cp2.sm_tensor
         a, b = sm.gen("a"), sm.gen("b")
-        assert cross(a, b, t) * cross(b, sm.one(), t) == -cross(a * b, b, t)
+        assert cross(a, b) * cross(b, sm.one()) == -cross(a * b, b)
 
     def test_bundle_series(self, cp2):
         dims = [d for _, d in cp2.sm.ring.poincare_series(7)]
@@ -401,7 +429,7 @@ class TestProjectiveRings:
         sm = cp2.sm.ring
         top = sm.top_degree
         dims = dict(sm.poincare_series(top))
-        for deg, dim in cp2.sm_tensor.poincare_series(2 * top):
+        for deg, dim in sm.square.poincare_series(2 * top):
             conv = sum(
                 dims[i] * dims.get(deg - i, 0) for i in range(top + 1)
             )

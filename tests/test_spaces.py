@@ -297,37 +297,34 @@ class TestBundleDuality:
     @pytest.mark.parametrize("name", ["cp3", "hp2"])
     def test_diagonal_splits_duals_without_b(self, name, request):
         cat = request.getfixturevalue(name)
-        t = cat.sm_tensor
         for i in range(cat.params.n):
-            want = cross(cat.sm_dual(0), cat.sm_dual(i), t)
+            want = cross(cat.sm_dual(0), cat.sm_dual(i))
             for j in range(1, i + 1):
-                want = want + cross(cat.sm_dual(j), cat.sm_dual(i - j), t)
-            assert diagonal_pushforward(cat.sm_dual(i), t) == want
+                want = want + cross(cat.sm_dual(j), cat.sm_dual(i - j))
+            assert diagonal_pushforward(cat.sm_dual(i)) == want
 
     @pytest.mark.parametrize("name", ["cp3", "hp2"])
     def test_diagonal_splits_duals_with_b(self, name, request):
         # every split keeps coefficient +1: the lone odd factor never crosses
         # another odd one
         cat = request.getfixturevalue(name)
-        t = cat.sm_tensor
         for i in range(cat.params.n):
             pieces = []
             for j in range(i + 1):
                 pieces.append(
-                    cross(cat.sm_dual(j), cat.sm_dual(i - j, True), t)
+                    cross(cat.sm_dual(j), cat.sm_dual(i - j, True))
                 )
                 pieces.append(
-                    cross(cat.sm_dual(j, True), cat.sm_dual(i - j), t)
+                    cross(cat.sm_dual(j, True), cat.sm_dual(i - j))
                 )
             want = pieces[0]
             for extra in pieces[1:]:
                 want = want + extra
-            assert diagonal_pushforward(cat.sm_dual(i, True), t) == want
+            assert diagonal_pushforward(cat.sm_dual(i, True)) == want
 
     def test_diagonal_on_point_class(self, cp2):
-        t = cp2.sm_tensor
         x = cp2.sm_dual(0)
-        assert diagonal_pushforward(x, t) == cross(x, x, t)
+        assert diagonal_pushforward(x) == cross(x, x)
 
 
 class TestGysinTable:
