@@ -112,7 +112,8 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
 
 
 def _require_homogeneous(x, what: str) -> None:
-    if x.terms and x.degree() is None:
+    # A class of at most one term is homogeneous, so only a longer one needs a degree.
+    if len(x.terms) > 1 and x.degree() is None:
         raise ValueError(f"{what} must be homogeneous")
 
 
@@ -138,7 +139,7 @@ def pd(space: OrientedSpace, c: RingElement) -> HomologyElement:
     """Poincare duality, cap against the fundamental class."""
     if type(c) is not RingElement:
         raise TypeError(f"pd of {type(c).__name__}")
-    if c.ring != space.ring:
+    if c.ring is not space.ring and c.ring != space.ring:
         raise RingMismatchError("class does not live over the space's ring")
     _require_homogeneous(c, "Poincare duality input")
     return cap(c, space.fundamental)
@@ -153,7 +154,7 @@ def pd_inverse(space: OrientedSpace, x: HomologyElement) -> RingElement:
     """
     if type(x) is not HomologyElement:
         raise TypeError(f"pd_inverse of {type(x).__name__}")
-    if x.ring != space.ring:
+    if x.ring is not space.ring and x.ring != space.ring:
         raise RingMismatchError("class does not live over the space's ring")
     _require_homogeneous(x, "inverse duality input")
     ring = space.ring
@@ -176,32 +177,56 @@ class RingMap:
     __slots__ = ("source", "target", "images", "_powers")
 
     def __init__(self, source: Ring, target: Ring, images: dict[str, RingElement]):
-        given = set(images)
         expected = {g.name for g in source.generators}
-        if given != expected:
+        if set(images) != expected:
             raise ValueError(f"images must cover exactly {sorted(expected)}")
+        self._fill(source, target, dict(images), {})
+
+    def extend(self, source: Ring, images: dict[str, RingElement]) -> RingMap:
+        """This map extended to ``source`` by the images of its other generators.
+
+        The result is ``RingMap(source, self.target, self.images | images)``
+        and is refused in the same words, but it keeps this map's power list
+        of each generator that ``source`` shares with ``self.source``, so
+        only the new generators' powers are computed and checked.
+        """
+        names = {g.name for g in source.generators}
+        if not self.images.keys() <= names:
+            raise ValueError(f"images must cover exactly {sorted(names)}")
+        expected = names - self.images.keys()
+        if set(images) != expected:
+            raise ValueError(f"images must cover exactly {sorted(expected)}")
+        out = object.__new__(RingMap)
+        known = dict(zip(self.source.generators, self._powers))
+        out._fill(source, self.target, self.images | images, known)
+        return out
+
+    def _fill(self, source: Ring, target: Ring, images: dict, known: dict) -> None:
+        """Set the slots; a generator's powers come from ``known`` or are built from its image."""
         powers: list[list[RingElement]] = []
         for g in source.generators:
-            img = images[g.name]
-            if img.ring != target:
-                raise RingMismatchError(f"image of {g.name!r} lives over the wrong ring")
-            if img.terms and img.degree() != g.degree:
-                raise ValueError(f"image of {g.name!r} is not of degree {g.degree}")
-            pows = [target.one(), img]
-            for _ in range(g.truncation - 1):
-                pows.append(pows[-1] * img)
-            if not pows[g.truncation].is_zero():
-                raise ValueError(f"image of {g.name!r} violates its truncation")
+            pows = known.get(g)
+            if pows is None:
+                img = images[g.name]
+                if img.ring is not target and img.ring != target:
+                    raise RingMismatchError(f"image of {g.name!r} lives over the wrong ring")
+                if img.terms and img.degree() != g.degree:
+                    raise ValueError(f"image of {g.name!r} is not of degree {g.degree}")
+                pows = [target.one(), img]
+                for _ in range(g.truncation - 1):
+                    pows.append(pows[-1] * img)
+                if not pows[g.truncation].is_zero():
+                    raise ValueError(f"image of {g.name!r} violates its truncation")
             powers.append(pows)
         self.source = source
         self.target = target
-        self.images = dict(images)
+        self.images = images
         self._powers = powers
 
     def __call__(self, elem: RingElement) -> RingElement:
         if type(elem) is not RingElement:
             raise TypeError(f"RingMap applied to {type(elem).__name__}")
-        if elem.ring != self.source:
+        if elem.ring is not self.source and elem.ring != self.source:
             raise RingMismatchError("element does not live over the map's source")
         out: dict[Monomial, int | Fraction] = {}
         for m, c in elem.terms.items():
@@ -232,9 +257,11 @@ def gysin(
     ``x`` lives over ``source`` and the result over ``target``; the degree
     shifts by ``target.dimension - source.dimension``.
     """
-    if pullback.source != source.ring or pullback.target != target.ring:
+    if (pullback.source is not source.ring and pullback.source != source.ring) or (
+        pullback.target is not target.ring and pullback.target != target.ring
+    ):
         raise RingMismatchError("pullback does not connect the given spaces")
-    if x.ring != source.ring:
+    if x.ring is not source.ring and x.ring != source.ring:
         raise RingMismatchError("class does not live over the source space")
     return pd(target, pullback(pd_inverse(source, x)))
 

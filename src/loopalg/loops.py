@@ -552,10 +552,11 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     One check is one triple (a, b, X): a pair of dual generators of total
     level at most max_k and a basis generator X of level at most max_k.  Its
     left side is the X-coefficient of gh_product(a, b), its right side the
-    (a, b)-coefficient of coproduct_closed(X).  Each product is built once per
-    pair and each coproduct once per X, as sparse tables.  A triple absent
-    from both tables is 0 = 0, so it is credited as passed without a call;
-    the others are compared one by one, pair-major and then in X order.
+    (a, b)-coefficient of coproduct_closed(X).  Each dual generator is built
+    once, each product once per pair and each coproduct once per X, as sparse
+    tables.  A triple absent from both tables is 0 = 0, so it is credited as
+    passed without a call; the others are compared one by one, pair-major and
+    then in X order.
     """
     rep = Report(f"duality ({params.token}, n={params.n}, level<={max_k})")
     coh = list(_keys(params, max_k - 1, "sm"))
@@ -564,14 +565,14 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     for key in position:
         for pair, c in coproduct_closed(LoopClass.generator(params, *key)).terms.items():
             split.setdefault(pair, {})[key] = c
+    gens = [CohClass.generator(params, *key) for key in coh]
     pairs = checked = 0
-    for ka in coh:
-        ca = CohClass.generator(params, *ka)
-        for kb in coh:
+    for ka, ca in zip(coh, gens):
+        for kb, cb in zip(coh, gens):
             if ka[1] + kb[1] > max_k:
                 continue
             pairs += 1
-            prod = gh_product(ca, CohClass.generator(params, *kb))
+            prod = gh_product(ca, cb)
             left = {_dual_key(k): c for k, c in prod.terms.items()}
             right = split.get((_dual_key(ka), _dual_key(kb)), {})
             keys = (left.keys() | right.keys()) & position.keys()

@@ -13,8 +13,9 @@ with every x squaring to zero.  For n = 1 the class a satisfies a = 0, which
 is represented by simply omitting the generator; the quotient presentation is
 the same ring.
 
-Rings, oriented spaces and wrong-way tables are cached per catalog, and
-catalogs are cached per (family, n); the pullbacks are rebuilt on each call.
+Rings, oriented spaces, retraction pullbacks and wrong-way tables are cached
+per catalog, and catalogs are cached per (family, n).  A break's pullback is
+the level's retraction pullback extended by the image of xi, on each call.
 The wrong-way tables of a level are built together, for every break at once:
 a source of SM x_M SM that carries xi has a Poincare dual free of xi, so its
 image does not depend on the break and is computed once per level.
@@ -104,6 +105,7 @@ class SpaceCatalog:
     def __init__(self, params: SpaceParams):
         self.params = params
         self._gammas: dict[int, OrientedSpace] = {}
+        self._retractions: dict[int, RingMap] = {}
         # One list per level k, the table of break m at position m - 1.
         self._pv_tables: dict[int, list[dict[Monomial, tuple[Monomial, int]]]] = {}
 
@@ -151,24 +153,25 @@ class SpaceCatalog:
         return self.gamma(k).ring.gen(f"x{2 * m}")
 
     def pullback_pL(self, k: int) -> RingMap:
-        """Pullback along the retraction of the level-k manifold onto SM."""
-        gam = self.gamma(k).ring
-        return RingMap(self.sm.ring, gam, self._fixed_images(gam))
+        """Pullback along the retraction of the level-k manifold onto SM.
+
+        Fixes the SM generators; built once per level.
+        """
+        self.params.check_level(k)
+        if k not in self._retractions:
+            gam = self.gamma(k).ring
+            images = {g.name: gam.gen(g.name) for g in self.sm.ring.generators}
+            self._retractions[k] = RingMap(self.sm.ring, gam, images)
+        return self._retractions[k]
 
     def pullback_pV(self, k: int, m: int) -> RingMap:
         """Pullback along the m-th figure-eight retraction onto SM x_M SM.
 
-        Fixes the SM generators and sends the fiber class xi to
+        ``pullback_pL(k)`` extended by sending the fiber class xi to
         ``fiber_class(k, m)``.
         """
         xi = self.fiber_class(k, m)
-        images = self._fixed_images(xi.ring)
-        images["xi"] = xi
-        return RingMap(self.sm_pair.ring, xi.ring, images)
-
-    def _fixed_images(self, target: Ring) -> dict[str, RingElement]:
-        """The SM generators, each sent to its namesake in ``target``."""
-        return {g.name: target.gen(g.name) for g in self.sm.ring.generators}
+        return self.pullback_pL(k).extend(self.sm_pair.ring, {"xi": xi})
 
     # -- distinguished classes ----------------------------------------
 
@@ -223,16 +226,16 @@ class SpaceCatalog:
         ring = pair.ring
         gam = self.gamma(k)
         xi = ring.index["xi"]
-        sources = list(ring.monomials())
+        sources = [(u, dual(ring, u)) for u in ring.monomials()]
         shared: dict[Monomial, tuple[Monomial, int]] = {}
         tables = []
         for m in range(1, k):
             pmap = self.pullback_pV(k, m)
             table: dict[Monomial, tuple[Monomial, int]] = {}
-            for u in sources:
+            for u, du in sources:
                 hit = shared.get(u)
                 if hit is None:
-                    image = gysin(pmap, pair, gam, dual(ring, u))
+                    image = gysin(pmap, pair, gam, du)
                     ((mono, coeff),) = image.terms.items()
                     if coeff not in (1, -1):
                         raise RuntimeError(

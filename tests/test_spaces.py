@@ -9,6 +9,7 @@ import pytest
 
 from loopalg import (
     LoopClass,
+    RingMap,
     SpaceParams,
     cap,
     catalog_for,
@@ -159,6 +160,22 @@ class TestPullbacks:
             gam = cp3.gamma(k).ring
             assert pv(cp3.sm_pair.ring.gen("xi")) == gam.gen(f"x{2 * m}")
             assert pv(cp3.sm_pair.ring.gen("xi")) == cp3.fiber_class(k, m)
+
+    @pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "hp1", "hp2", "hp3"])
+    def test_pV_extends_pL_like_a_map_built_from_scratch(self, name, request):
+        cat = request.getfixturevalue(name)
+        pair = cat.sm_pair.ring
+        for k in range(2, 7):
+            gam = cat.gamma(k).ring
+            assert cat.pullback_pL(k) is cat.pullback_pL(k)
+            for m in range(1, k):
+                images = {g.name: gam.gen(g.name) for g in cat.sm.ring.generators}
+                scratch = RingMap(pair, gam, images | {"xi": gam.gen(f"x{2 * m}")})
+                pv = cat.pullback_pV(k, m)
+                assert (pv.source, pv.target) == (pair, gam)
+                for u in pair.monomials():
+                    elem = pair.element({u: 1})
+                    assert pv(elem) == scratch(elem)
 
     def test_pV_break_index_bounds(self, cp2):
         with pytest.raises(ValueError, match="break index"):
@@ -356,22 +373,28 @@ class TestGysinTable:
     @pytest.mark.parametrize(("token", "n", "k"), [("cp", 1, 5), ("cp", 3, 10), ("hp", 2, 7)])
     def test_a_cold_level_makes_2nk_gysin_calls(self, monkeypatch, token, n, k):
         # 2n sources carry xi and are imaged once per level; the other 2n are
-        # imaged at each of the k - 1 breaks.
-        calls = []
-        real = spaces.gysin
+        # imaged at each of the k - 1 breaks.  Every break's pullback extends
+        # the level's one retraction pullback, the only map built from scratch.
+        calls, built = [], []
+        real, real_map = spaces.gysin, spaces.RingMap
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
+        def counted_map(*args):
+            built.append(args)
+            return real_map(*args)
+
         monkeypatch.setattr(spaces, "gysin", counted)
+        monkeypatch.setattr(spaces, "RingMap", counted_map)
         params = SpaceParams.from_token(token, n)
         cat = SpaceCatalog(params)
         x = LoopClass.generator(params, "B", k, 0)
         assert coproduct_pipeline(x, cat) == coproduct_closed(x)
-        assert len(calls) == 2 * n * k
+        assert (len(calls), len(built)) == (2 * n * k, 1)
         coproduct_pipeline(x, cat)
-        assert len(calls) == 2 * n * k
+        assert (len(calls), len(built)) == (2 * n * k, 1)
         for kk, m in [(k, 0), (k, -1), (k, k), (1, 1)]:
             with pytest.raises(ValueError) as err:
                 cat.pv_gysin_table(kk, m)
