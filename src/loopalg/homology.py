@@ -69,9 +69,9 @@ class HomologyElement(Combination):
         return {"dual": self.ring.exponents_by_name(m)}
 
 
-def dual(ring: Ring, m: Monomial, coeff: int | Fraction = 1) -> HomologyElement:
-    """The dual basis class of a monomial, scaled by ``coeff``."""
-    return HomologyElement(ring, {ring.check_monomial(m): coeff})
+def dual(ring: Ring, m: Monomial) -> HomologyElement:
+    """The dual basis class of a monomial."""
+    return HomologyElement(ring, {ring.check_monomial(m): 1})
 
 
 def pairing(c: RingElement, x: HomologyElement) -> int | Fraction:

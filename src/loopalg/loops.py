@@ -288,11 +288,17 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
     the tensor factors off at levels (m, k - m).  No sign enters in the last
     step; the factor conventions already absorb it.  A pushforward does not
     depend on the level or the break, so one call builds each matched class's
-    pushforward once and reuses it at every break m.
+    pushforward once and reuses it at every break m.  A ``catalog`` built
+    for another space is refused.
     """
     if type(x) is not LoopClass:
         raise TypeError(f"coproduct_pipeline of {type(x).__name__}")
     cat = catalog or catalog_for(x.params)
+    if cat.params != x.params:
+        raise RingMismatchError(
+            f"coproduct_pipeline of a {x.params.token}{x.params.n} class "
+            f"with a {cat.params.token}{cat.params.n} catalog"
+        )
     spreads: dict[Monomial, list[tuple]] = {}
     out: dict = {}
     for (kind, k, i), c in x.terms.items():

@@ -13,12 +13,13 @@ with every x squaring to zero.  For n = 1 the class a satisfies a = 0, which
 is represented by simply omitting the generator; the quotient presentation is
 the same ring.
 
-Rings, oriented spaces, retraction pullbacks and wrong-way tables are cached
-per catalog, and catalogs are cached per (family, n).  A break's pullback is
-the level's retraction pullback extended by the image of xi, on each call.
-The wrong-way tables of a level are built together, for every break at once:
-a source of SM x_M SM that carries xi has a Poincare dual free of xi, so its
-image does not depend on the break and is computed once per level.
+A level's space and the pullback along its retraction onto SM are one cache
+entry, built on first use of either; catalogs are cached per (family, n).  A
+break's pullback is that retraction pullback extended by the image of xi, on
+each call.  The wrong-way tables of a level are cached beside its entry and
+built together, for every break at once: a source of SM x_M SM that carries
+xi has a Poincare dual free of xi, so its image does not depend on the break
+and is computed once per level.
 """
 
 from __future__ import annotations
@@ -104,42 +105,42 @@ class SpaceCatalog:
 
     def __init__(self, params: SpaceParams):
         self.params = params
-        self._gammas: dict[int, OrientedSpace] = {}
-        self._retractions: dict[int, RingMap] = {}
+        self._levels: dict[int, tuple[OrientedSpace, RingMap]] = {}
         # One list per level k, the table of break m at position m - 1.
         self._pv_tables: dict[int, list[dict[Monomial, tuple[Monomial, int]]]] = {}
 
-    def _base_generators(self) -> list[Generator]:
+    def _space(self, extra=()) -> OrientedSpace:
+        """Space of a (none for n = 1), b, and each (name, degree) of ``extra`` squaring to 0."""
         p = self.params
-        gens = []
-        if p.n >= 2:
-            gens.append(Generator("a", p.lam + 1, p.n))
+        gens = [Generator("a", p.lam + 1, p.n)] if p.n >= 2 else []
         gens.append(Generator("b", p.N + p.lam, 2))
-        return gens
+        gens.extend(Generator(name, degree, 2) for name, degree in extra)
+        return OrientedSpace(Ring(gens))
 
     @cached_property
     def sm(self) -> OrientedSpace:
         """Unit tangent bundle, dimension 2N - 1."""
-        return OrientedSpace(Ring(self._base_generators()))
+        return self._space()
 
     @cached_property
     def sm_pair(self) -> OrientedSpace:
         """Fiber product SM x_M SM, dimension 3N - 2."""
-        gens = self._base_generators()
-        gens.append(Generator("xi", self.params.N - 1, 2))
-        return OrientedSpace(Ring(gens))
+        return self._space([("xi", self.params.N - 1)])
+
+    def _level(self, k: int) -> tuple[OrientedSpace, RingMap]:
+        """The level-k space and its retraction pullback, built together on first use."""
+        self.params.check_level(k)
+        entry = self._levels.get(k)
+        if entry is None:
+            p = self.params
+            space = self._space((f"x{j}", p.lam if j % 2 else p.N - 1) for j in range(1, 2 * k))
+            images = {g.name: space.ring.gen(g.name) for g in self.sm.ring.generators}
+            entry = self._levels[k] = (space, RingMap(self.sm.ring, space.ring, images))
+        return entry
 
     def gamma(self, k: int) -> OrientedSpace:
         """Level-k completing manifold, dimension lambda_k + 2N - 1."""
-        self.params.check_level(k)
-        if k not in self._gammas:
-            p = self.params
-            gens = self._base_generators()
-            for j in range(1, 2 * k):
-                deg = p.lam if j % 2 == 1 else p.N - 1
-                gens.append(Generator(f"x{j}", deg, 2))
-            self._gammas[k] = OrientedSpace(Ring(gens))
-        return self._gammas[k]
+        return self._level(k)[0]
 
     def _check_break(self, k: int, m: int) -> None:
         self.params.check_level(k)
@@ -153,16 +154,8 @@ class SpaceCatalog:
         return self.gamma(k).ring.gen(f"x{2 * m}")
 
     def pullback_pL(self, k: int) -> RingMap:
-        """Pullback along the retraction of the level-k manifold onto SM.
-
-        Fixes the SM generators; built once per level.
-        """
-        self.params.check_level(k)
-        if k not in self._retractions:
-            gam = self.gamma(k).ring
-            images = {g.name: gam.gen(g.name) for g in self.sm.ring.generators}
-            self._retractions[k] = RingMap(self.sm.ring, gam, images)
-        return self._retractions[k]
+        """Pullback along the retraction of the level-k manifold onto SM; fixes SM's generators."""
+        return self._level(k)[1]
 
     def pullback_pV(self, k: int, m: int) -> RingMap:
         """Pullback along the m-th figure-eight retraction onto SM x_M SM.

@@ -90,10 +90,10 @@ def test_pairings_return_exact_values():
     ring = spaces.catalog_for(CP2).sm.ring
     top = ring.top_monomial
     c = ring.element({top: 3})
-    assert type(pairing(c, dual(ring, top, 2))) is int
-    assert pairing(c, dual(ring, top, third)) == 1
-    assert type(pairing(c, dual(ring, top, third))) is int
-    assert pairing(c, dual(ring, top, Fraction(1, 2))) == Fraction(3, 2)
+    assert type(pairing(c, 2 * dual(ring, top))) is int
+    assert pairing(c, third * dual(ring, top)) == 1
+    assert type(pairing(c, third * dual(ring, top))) is int
+    assert pairing(c, Fraction(1, 2) * dual(ring, top)) == Fraction(3, 2)
 
     s10 = CohClass.generator(CP2, "s", 1, 0)
     a10 = LoopClass.generator(CP2, "A", 1, 0)
@@ -117,7 +117,7 @@ def test_non_unit_wrongway_coefficient_is_refused(monkeypatch, capsys):
         if (0,) * len(x.ring.generators) not in x.terms:
             return image
         ((mono, _),) = image.terms.items()
-        return dual(image.ring, mono, 2)
+        return 2 * dual(image.ring, mono)
 
     monkeypatch.setattr(spaces, "gysin", doubled)
     refused = r"wrong-way image of \[1\] at level 3, break 1 has coefficient 2, not"

@@ -121,12 +121,9 @@ class TestPipelineStages:
 
     def test_carrier_classes(self, cp2):
         ring = cp2.gamma(2).ring
-        assert gamma_class(cp2, "A", 2, 1) == dual(
-            ring, ring.monomial({"a": 1, "x1": 1, "x2": 1, "x3": 1}), -1
-        )
-        assert gamma_class(cp2, "B", 2, 0) == dual(
-            ring, ring.monomial({"b": 1, "x1": 1, "x2": 1, "x3": 1}), 1
-        )
+        x_all = {"x1": 1, "x2": 1, "x3": 1}
+        assert gamma_class(cp2, "A", 2, 1) == -dual(ring, ring.monomial({"a": 1, **x_all}))
+        assert gamma_class(cp2, "B", 2, 0) == dual(ring, ring.monomial({"b": 1, **x_all}))
 
     def test_carrier_rejects_unknown_kind(self, cp2):
         with pytest.raises(ValueError, match="kind"):
@@ -137,14 +134,14 @@ class TestPipelineStages:
         ring = cp2.gamma(2).ring
         [(m, z)] = cap_with_thom(cp2, 2, gamma_class(cp2, "A", 2, 1))
         assert m == 1
-        assert z == dual(ring, ring.monomial({"a": 1, "x1": 1, "x3": 1}), -1)
+        assert z == -dual(ring, ring.monomial({"a": 1, "x1": 1, "x3": 1}))
 
     def test_cap_with_thom_on_B_carrier(self, cp2):
         # deg B[2,0] is even: +cap(x2, [b x_all]) = -[b x1 x3]
         ring = cp2.gamma(2).ring
         [(m, z)] = cap_with_thom(cp2, 2, gamma_class(cp2, "B", 2, 0))
         assert m == 1
-        assert z == dual(ring, ring.monomial({"b": 1, "x1": 1, "x3": 1}), -1)
+        assert z == -dual(ring, ring.monomial({"b": 1, "x1": 1, "x3": 1}))
 
     def test_cap_with_thom_requires_homogeneous(self, cp2):
         ring = cp2.gamma(2).ring

@@ -107,14 +107,14 @@ class TestConstruction:
         gens = [Generator("a", 2, 3), Generator("u", 1, 2)]
         one, twin, other = Ring(gens), Ring(list(gens)), Ring([Generator("a", 2, 3)])
         a, u = one.gen("a"), twin.gen("u")
-        x = dual(one, (2, 1), 3)
+        x = 3 * dual(one, (2, 1))
         assert cup(a, u) == cup(a, one.gen("u"))
-        assert cap(u, x) == cap(one.gen("u"), x) == dual(one, (2, 0), 3)
+        assert cap(u, x) == cap(one.gen("u"), x) == 3 * dual(one, (2, 0))
         assert pairing(cup(a, twin.gen("a")) * u, x) == pairing(cup(a, a) * one.gen("u"), x) == 3
-        half = pairing(u * Fraction(1, 2), dual(one, (0, 1), 2))
+        half = pairing(u * Fraction(1, 2), 2 * dual(one, (0, 1)))
         assert half == 1 and type(half) is int
         # The squares of equal rings built apart are two objects, but equal.
-        b, y = cup(a, one.gen("u")), dual(twin, (2, 1), 3)
+        b, y = cup(a, one.gen("u")), 3 * dual(twin, (2, 1))
         assert pairing(cross(a, b), diagonal_pushforward(y)) == pairing(a * b, y) == 3
         with pytest.raises(RingMismatchError, match="cross of classes over different rings"):
             cross(a, other.gen("a"))

@@ -10,6 +10,7 @@ import pytest
 from loopalg import (
     LoopClass,
     RingMap,
+    RingMismatchError,
     SpaceParams,
     cap,
     catalog_for,
@@ -113,11 +114,16 @@ class TestPresentations:
         assert cp2.gamma(3).dimension == cp2.params.lambda_k(3) + 2 * cp2.params.N - 1
 
     def test_n_equals_one_omits_even_generator(self, cp1, hp1):
+        # In every ring of the catalog: SM, SM x_M SM and each level.
         for cat in (cp1, hp1):
             names = [g.name for g in cat.sm.ring.generators]
             assert names == ["b"]
             assert sum(1 for _ in cat.sm.ring.monomials()) == 2
             assert cat.sm.dimension == 2 * cat.params.N - 1
+            assert [g.name for g in cat.sm_pair.ring.generators] == ["b", "xi"]
+            for k in (1, 2, 4):
+                names = [g.name for g in cat.gamma(k).ring.generators]
+                assert names == ["b", *(f"x{j}" for j in range(1, 2 * k))]
 
     def test_gamma_total_dimension(self, cp2, hp2):
         # dim H*(level k) = 2n * 2^(2k-1)
@@ -247,7 +253,7 @@ class TestSignedGateValues:
         ring = cp2.gamma(2).ring
         full = ring.monomial({"x1": 1, "x2": 1, "x3": 1})
         omit = ring.monomial({"x1": 1, "x3": 1})
-        assert cap(ring.gen("x2"), dual(ring, full)) == dual(ring, omit, -1)
+        assert cap(ring.gen("x2"), dual(ring, full)) == -dual(ring, omit)
 
     def test_cap_break_class_with_b(self, cp2):
         # cap(x2, [a b x1 x2 x3]) = -[a b x1 x3]: moving x2 past x3 in
@@ -255,28 +261,28 @@ class TestSignedGateValues:
         ring = cp2.gamma(2).ring
         full = ring.monomial({"a": 1, "b": 1, "x1": 1, "x2": 1, "x3": 1})
         omit = ring.monomial({"a": 1, "b": 1, "x1": 1, "x3": 1})
-        assert cap(ring.gen("x2"), dual(ring, full)) == dual(ring, omit, -1)
+        assert cap(ring.gen("x2"), dual(ring, full)) == -dual(ring, omit)
 
     def test_pL_gysin_without_b(self, cp2):
         # pL_!([a^i]) = -[a^i x1 x2 x3] at level 2
         out = gysin(cp2.pullback_pL(2), cp2.sm, cp2.gamma(2), cp2.sm_dual(1))
         ring = cp2.gamma(2).ring
         expect = ring.monomial({"a": 1, "x1": 1, "x2": 1, "x3": 1})
-        assert out == dual(ring, expect, -1)
+        assert out == -dual(ring, expect)
 
     def test_pL_gysin_with_b(self, cp2):
         # pL_!([a^i b]) = +[a^i b x1 x2 x3] at level 2
         out = gysin(cp2.pullback_pL(2), cp2.sm, cp2.gamma(2), cp2.sm_dual(1, True))
         ring = cp2.gamma(2).ring
         expect = ring.monomial({"a": 1, "b": 1, "x1": 1, "x2": 1, "x3": 1})
-        assert out == dual(ring, expect, 1)
+        assert out == dual(ring, expect)
 
     def test_pV_gysin_without_b(self, cp2):
         # pV_!([a^i]) = -[a^i x1 x3] at (k, m) = (2, 1)
         out = gysin(cp2.pullback_pV(2, 1), cp2.sm_pair, cp2.gamma(2), cp2.sm_pair_dual(1))
         ring = cp2.gamma(2).ring
         expect = ring.monomial({"a": 1, "x1": 1, "x3": 1})
-        assert out == dual(ring, expect, -1)
+        assert out == -dual(ring, expect)
 
     def test_pV_gysin_with_b(self, cp2):
         # pV_!([a^i b]) = -[a^i b x1 x3] at (k, m) = (2, 1)
@@ -285,14 +291,14 @@ class TestSignedGateValues:
         )
         ring = cp2.gamma(2).ring
         expect = ring.monomial({"a": 1, "b": 1, "x1": 1, "x3": 1})
-        assert out == dual(ring, expect, -1)
+        assert out == -dual(ring, expect)
 
     def test_same_signs_on_hp3_level3(self, hp3):
         # the same shape holds at (k, m) = (3, 2) on a quaternionic space
         ring = hp3.gamma(3).ring
         out = gysin(hp3.pullback_pV(3, 2), hp3.sm_pair, hp3.gamma(3), hp3.sm_pair_dual(2))
         expect = ring.monomial({"a": 2, "x1": 1, "x2": 1, "x3": 1, "x5": 1})
-        assert out == dual(ring, expect, -1)
+        assert out == -dual(ring, expect)
 
 
 class TestBundleDuality:
@@ -368,7 +374,7 @@ class TestGysinTable:
                 pmap = cat.pullback_pV(k, m)
                 for mono, (src, sign) in table.items():
                     image = gysin(pmap, pair, gam, dual(pair.ring, src))
-                    assert image == dual(gam.ring, mono, sign)
+                    assert image == sign * dual(gam.ring, mono)
 
     @pytest.mark.parametrize(("token", "n", "k"), [("cp", 1, 5), ("cp", 3, 10), ("hp", 2, 7)])
     def test_a_cold_level_makes_2nk_gysin_calls(self, monkeypatch, token, n, k):
@@ -429,6 +435,30 @@ class TestCatalogCache:
     def test_rings_cached_inside_catalog(self, cp2):
         assert cp2.gamma(2) is cp2.gamma(2)
         assert cp2.pv_gysin_table(3, 1) is cp2.pv_gysin_table(3, 1)
+
+    @pytest.mark.parametrize("first", ["gamma", "pullback_pL"])
+    def test_a_level_and_its_retraction_are_built_together(self, first):
+        cat = SpaceCatalog(SpaceParams.from_token("hp", 2))
+        getattr(cat, first)(3)
+        pull = cat.pullback_pL(3)
+        assert pull is cat.pullback_pL(3)
+        assert pull.source is cat.sm.ring and pull.target is cat.gamma(3).ring
+        assert list(cat._levels) == [3]
+
+    @pytest.mark.parametrize(
+        ("cls_space", "cat_space", "i"),
+        [(("cp", 2), ("hp", 2), 1), (("cp", 2), ("cp", 3), 1), (("cp", 3), ("cp", 2), 2)],
+    )
+    def test_pipeline_refuses_another_space_catalog(self, cls_space, cat_space, i):
+        # B[3,2] of cp3 used to fail deep in the catalog, B[3,1] of cp2 to
+        # be computed silently in the other space's model.
+        x = LoopClass.generator(SpaceParams.from_token(*cls_space), "B", 3, i)
+        cat = SpaceCatalog(SpaceParams.from_token(*cat_space))
+        want = "coproduct_pipeline of a {}{} class with a {}{} catalog"
+        with pytest.raises(RingMismatchError) as err:
+            coproduct_pipeline(x, cat)
+        assert str(err.value) == want.format(*cls_space, *cat_space)
+        assert cat._levels == {} and cat._pv_tables == {}
 
     def test_fresh_catalog_equivalent(self):
         p = SpaceParams.from_token("hp", 2)

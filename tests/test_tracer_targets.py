@@ -1,8 +1,9 @@
 """Every function and method the benchmark tracer wraps exists in the package.
 
 ``perfbench/tracer.py`` names its targets as (module, attribute) strings; a
-renamed or deleted target would only fail when a traced run starts.  The
-tracer module is loaded from its file without writing bytecode next to it.
+renamed or deleted target would only fail when a traced run starts, and a
+suite missing from its ``VERIFY_SUITES`` would never fail.  The tracer module
+is loaded from its file without writing bytecode next to it.
 """
 
 import importlib
@@ -10,14 +11,21 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from loopalg import cli
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_target_resolves(monkeypatch):
+def _load_tracer(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_target_resolves(monkeypatch):
+    tracer = _load_tracer(monkeypatch)
     assert tracer.TARGETS
     missing = []
     for _span, module_name, attr in tracer.TARGETS:
@@ -31,3 +39,10 @@ def test_every_target_resolves(monkeypatch):
         elif not callable(getattr(owner, attr, None)):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_traced_suites_are_the_cli_suites(monkeypatch):
+    # A suite missing from the tracer's list would leave its verify.<suite>.*
+    # metrics reading 0 without any test failing.
+    tracer = _load_tracer(monkeypatch)
+    assert sorted(tracer.VERIFY_SUITES) == sorted(cli.SUITES)
