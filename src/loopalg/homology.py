@@ -9,12 +9,15 @@ on dual bases, and the cap product is the unique bilinear operation satisfying
 Orientations give the dual of the top monomial coefficient +1.  Every signed
 wrong-way value computed downstream depends on this pair of conventions, so
 changing either one means re-deriving those signs.
+
+Classes are keyed by the packed monomials of ``loopalg.ring``: a cap is a
+containment test and a subtract, ``pd_inverse`` takes the complement
+``top - m``, and every sign comes from ``Ring.merge_sign``.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 
 from .ring import (
@@ -53,7 +56,7 @@ class HomologyElement(Combination):
     def _latex_body(self, m: Monomial) -> str:
         """``[a^{2} x_{1} \\xi]``: digits become subscripts, powers superscripts."""
         parts = []
-        for g, e in zip(self.ring.generators, m):
+        for g, e in zip(self.ring.generators, self.ring.unpack(m)):
             if not e:
                 continue
             if g.name == "xi":
@@ -92,7 +95,8 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
     """Cap product, the adjoint of right cup multiplication.
 
     On dual classes: ``cap(a, dual(m)) = merge_sign(m - a, a) * dual(m - a)``
-    whenever the exponent difference stays non-negative, and 0 otherwise.
+    whenever ``a`` divides ``m``, and 0 otherwise: a containment test, then a
+    subtract of the packed monomials.
     """
     if type(a) is not RingElement or type(x) is not HomologyElement:
         raise TypeError(f"cap of {type(a).__name__} and {type(x).__name__}")
@@ -102,8 +106,8 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
     out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mx, cx in x.terms.items():
-            sub = tuple(map(operator.sub, mx, ma))
-            if min(sub, default=0) < 0:
+            sub = ring.div_monomials(mx, ma)
+            if sub is None:
                 continue
             sign = ring.merge_sign(sub, ma)
             piece = ca * cx if sign > 0 else -(ca * cx)
@@ -150,7 +154,8 @@ def pd_inverse(space: OrientedSpace, x: HomologyElement) -> RingElement:
 
     ``pd`` sends the basis monomial ``top - m`` to ``merge_sign(m, top - m)
     * dual(m)``, a signed permutation of bases, so inverting is exact and
-    needs no linear solve.
+    needs no linear solve.  ``top - m`` never borrows, as every slot of
+    ``top`` is at its maximum.
     """
     if type(x) is not HomologyElement:
         raise TypeError(f"pd_inverse of {type(x).__name__}")
@@ -161,7 +166,7 @@ def pd_inverse(space: OrientedSpace, x: HomologyElement) -> RingElement:
     top = ring.top_monomial
     out: dict[Monomial, int | Fraction] = {}
     for m, c in x.terms.items():
-        comp = tuple(t - e for t, e in zip(top, m))
+        comp = top - m
         sign = ring.merge_sign(m, comp)
         out[comp] = out.get(comp, 0) + (c if sign > 0 else -c)
     return RingElement(ring, out)
@@ -231,7 +236,7 @@ class RingMap:
         out: dict[Monomial, int | Fraction] = {}
         for m, c in elem.terms.items():
             acc = None
-            for pos, e in enumerate(m):
+            for pos, e in enumerate(self.source.unpack(m)):
                 if e:
                     power = self._powers[pos][e]
                     acc = power if acc is None else acc * power
@@ -266,10 +271,10 @@ def gysin(
     return pd(target, pullback(pd_inverse(source, x)))
 
 
-def _splits(m: Monomial):
-    for left in itertools.product(*(range(e + 1) for e in m)):
-        right = tuple(e - l for e, l in zip(m, left))
-        yield left, right
+def _splits(ring: Ring, m: Monomial):
+    for exps in itertools.product(*(range(e + 1) for e in ring.unpack(m))):
+        left = ring._pack(exps)
+        yield left, m - left
 
 
 def diagonal_pushforward(x: HomologyElement) -> HomologyElement:
@@ -282,9 +287,10 @@ def diagonal_pushforward(x: HomologyElement) -> HomologyElement:
     if type(x) is not HomologyElement:
         raise TypeError(f"diagonal_pushforward of {type(x).__name__}")
     ring = x.ring
+    shift = ring.width
     out: dict[Monomial, int | Fraction] = {}
     for m, c in x.terms.items():
         # The split l x r determines m = l + r, so no key repeats.
-        for left, right in _splits(m):
-            out[left + right] = c if ring.merge_sign(left, right) > 0 else -c
+        for left, right in _splits(ring, m):
+            out[left << shift | right] = c if ring.merge_sign(left, right) > 0 else -c
     return HomologyElement(ring.square, out)

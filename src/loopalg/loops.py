@@ -236,11 +236,11 @@ def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[Monomial, int | F
     insists the matched class is spanned by the diagonal duals (a^j and
     a^j b); anything else trips PipelineMatchError.  The match is returned
     over SM, as ``{SM monomial: coeff}``: each source monomial with its xi
-    slot dropped, since SM x_M SM has SM's generators, in order, and xi.
+    slot dropped, since SM x_M SM has SM's generators, in order, and then
+    xi, whose slot is the lowest bit.
     """
     table = catalog.pv_gysin_table(k, m)
     ring = catalog.sm_pair.ring
-    xi = ring.index["xi"]
     out: dict[Monomial, int | Fraction] = {}
     for mono, c in z.terms.items():
         hit = table.get(mono)
@@ -249,13 +249,13 @@ def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[Monomial, int | F
                 f"unmatched component [{z.ring.monomial_str(mono)}] at level {k}, break {m}"
             )
         u, sign = hit
-        if u[xi]:
+        if u & 1:
             raise PipelineMatchError(
                 f"fiber-class component [{ring.monomial_str(u)}] at level {k}, break {m}"
             )
         # Distinct table entries have distinct sources, so no key repeats;
         # c * sign equals c / sign, since pv_gysin_table admits only +-1.
-        out[u[:xi] + u[xi + 1 :]] = c * sign
+        out[u >> 1] = c * sign
     return out
 
 
@@ -287,9 +287,9 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
     the matched diagonal classes by diagonal pushforwards over SM, and read
     the tensor factors off at levels (m, k - m).  No sign enters in the last
     step; the factor conventions already absorb it.  A pushforward does not
-    depend on the level or the break, so one call builds each matched class's
-    pushforward once and reuses it at every break m.  A ``catalog`` built
-    for another space is refused.
+    depend on the level or the break, so the catalog keeps each matched
+    class's pushforward, built on its first match, for every break and
+    every later call.  A ``catalog`` built for another space is refused.
     """
     if type(x) is not LoopClass:
         raise TypeError(f"coproduct_pipeline of {type(x).__name__}")
@@ -299,7 +299,7 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
             f"coproduct_pipeline of a {x.params.token}{x.params.n} class "
             f"with a {cat.params.token}{cat.params.n} catalog"
         )
-    spreads: dict[Monomial, list[tuple]] = {}
+    spreads = cat._spreads
     out: dict = {}
     for (kind, k, i), c in x.terms.items():
         carrier = gamma_class(cat, kind, k, i)

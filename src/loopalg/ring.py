@@ -1,12 +1,18 @@
 """Truncated graded-commutative algebras over the rationals.
 
 A ring is presented by an ordered list of generators, each carrying a degree
-and a truncation exponent (the smallest vanishing power).  Monomials are
-exponent tuples in generator order; that order is the normal form, and every
-product is brought back to it, picking up a Koszul sign for each transposition
-of odd-degree factors.  Coefficients are exact and kept in one canonical
-form: an ``int`` when the value is integral, otherwise a `fractions.Fraction`
-with denominator > 1; never a float.
+and a truncation exponent (the smallest vanishing power).  A monomial is one
+``int`` that packs its exponents in generator order: generator 0 in the most
+significant bits, a generator of truncation 2 (every odd one) in one bit, and
+any other generator in a field just wide enough for its truncation.  Numeric
+order is then lexicographic exponent order, which is the normal form.  A
+product is an overlap test on the one-bit slots, a range test per wide field
+and an add; it picks up a Koszul sign for each transposition of odd-degree
+factors, which ``Ring.merge_sign`` reads off the odd bits with a popcount.
+Exponent tuples appear only at the boundary: ``Ring.monomial``,
+``check_monomial``, ``unpack`` and the printers.  Coefficients are exact and
+kept in one canonical form: an ``int`` when the value is integral, otherwise
+a `fractions.Fraction` with denominator > 1; never a float.
 
 Rings are not modified after construction; a ring builds its tensor square,
 ``Ring.square``, once, on first use.  The arithmetic operations
@@ -24,7 +30,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 
-Monomial = tuple[int, ...]
+Monomial = int
 
 __all__ = [
     "Combination",
@@ -137,9 +143,10 @@ class Generator(_Frozen):
 class Ring:
     """``Q[g_1, ..., g_r] / (g_i ** t_i)`` with declaration order as normal form.
 
-    Monomials are plain exponent tuples aligned with ``generators``.  The top
-    monomial (every exponent at ``truncation - 1``) is the unique monomial of
-    maximal degree; keeping it unique is why degree-0 generators are refused.
+    Monomials are packed ints (see the module docstring); ``width`` is the
+    number of bits they span.  The top monomial (every exponent at
+    ``truncation - 1``) is the unique monomial of maximal degree; keeping it
+    unique is why degree-0 generators are refused.
     """
 
     def __init__(self, generators: Iterable[Generator]):
@@ -156,11 +163,32 @@ class Ring:
         self.degrees = tuple(g.degree for g in gens)
         self.truncations = tuple(g.truncation for g in gens)
         self.index = {g.name: pos for pos, g in enumerate(gens)}
-        self.top_monomial: Monomial = tuple(t - 1 for t in self.truncations)
+        # (shift, mask) of each generator's slot, the last generator at bit 0.
+        slots = []
+        shift = 0
+        for t in reversed(self.truncations):
+            width = (t - 1).bit_length()
+            slots.append((shift, (1 << width) - 1))
+            shift += width
+        self._slots = tuple(reversed(slots))
+        self.width = shift
+        bit_masks: dict[int, int] = {}  # degree -> one-bit slots of that degree
+        fields = []  # (shift, mask, truncation, degree) of each wider slot
+        odd = 0
+        for g, (shift, mask) in zip(gens, self._slots):
+            if g.truncation == 2:
+                bit_masks[g.degree] = bit_masks.get(g.degree, 0) | 1 << shift
+                odd |= (g.degree & 1) << shift
+            else:
+                fields.append((shift, mask, g.truncation, g.degree))
+        self._bits = sum(bit_masks.values())
+        self._bit_degrees = tuple((mask, d) for d, mask in bit_masks.items())
+        self._fields = tuple(fields)
+        self._odd = odd
+        # Shifts of the prefix-parity scan, enough to span every pair of odd bits.
+        self._scan = tuple(1 << j for j in range(max(odd.bit_length() - 1, 0).bit_length()))
+        self.top_monomial: Monomial = self._pack(t - 1 for t in self.truncations)
         self.top_degree = self.monomial_degree(self.top_monomial)
-        self._odd_positions = tuple(
-            pos for pos, d in enumerate(self.degrees) if d % 2 == 1
-        )
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -184,9 +212,20 @@ class Ring:
 
     # -- monomials -----------------------------------------------------
 
+    def _pack(self, exponents: Iterable[int]) -> Monomial:
+        """The packed monomial of in-range exponents in generator order, unchecked."""
+        m = 0
+        for (shift, _), e in zip(self._slots, exponents):
+            m |= e << shift
+        return m
+
+    def unpack(self, m: Monomial) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial, in generator order."""
+        return tuple((m >> shift) & mask for shift, mask in self._slots)
+
     def monomial(self, exponents: dict[str, int] | None = None) -> Monomial:
         """Build a monomial from a name -> exponent mapping, checking bounds."""
-        exps = [0] * len(self.generators)
+        m = 0
         for name, e in (exponents or {}).items():
             if name not in self.index:
                 raise KeyError(f"unknown generator {name!r}")
@@ -196,31 +235,46 @@ class Ring:
                 raise ValueError(
                     f"exponent {e} of {name!r} outside [0, {self.truncations[pos]})"
                 )
-            exps[pos] = e
-        return tuple(exps)
+            m |= e << self._slots[pos][0]
+        return m
 
-    def check_monomial(self, m: Iterable[int]) -> Monomial:
-        """``m`` as a tuple, after checking its length and exponents against the ring."""
-        m = tuple(m)
-        if len(m) != len(self.generators):
-            raise ValueError(f"monomial {m} has wrong length for {self!r}")
-        for e, t in zip(m, self.truncations):
+    def check_monomial(self, m: Monomial | Iterable[int]) -> Monomial:
+        """``m``, packed or an exponent sequence, as a packed monomial of this ring.
+
+        A sequence needs one int exponent per generator, each below its
+        truncation; a packed int needs every slot below its truncation.
+        """
+        if isinstance(m, int):
+            _require_int("packed monomial", m)
+            # Every slot is below its truncation when m divides the top monomial.
+            if m < 0 or m >> self.width or self.div_monomials(self.top_monomial, m) is None:
+                raise ValueError(f"packed monomial {m} is not a monomial of {self!r}")
+            return m
+        exps = tuple(m)
+        if len(exps) != len(self.generators):
+            raise ValueError(f"monomial {exps} has wrong length for {self!r}")
+        for e, t in zip(exps, self.truncations):
             # One test per exponent; a failing one is refused as a non-int first.
             if type(e) is not int or not 0 <= e < t:
                 _require_int("exponent", e)
-                raise ValueError(f"exponent out of range in monomial {m}")
-        return m
+                raise ValueError(f"exponent out of range in monomial {exps}")
+        return self._pack(exps)
 
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(map(operator.mul, self.degrees, m))
+        total = 0
+        for mask, d in self._bit_degrees:
+            total += d * (m & mask).bit_count()
+        for shift, mask, _, d in self._fields:
+            total += d * ((m >> shift) & mask)
+        return total
 
     def exponents_by_name(self, m: Monomial) -> dict[str, int]:
         """Nonzero exponents of ``m`` keyed by generator name, in ring order."""
-        return {g.name: e for g, e in zip(self.generators, m) if e}
+        return {g.name: e for g, e in zip(self.generators, self.unpack(m)) if e}
 
     def monomial_str(self, m: Monomial) -> str:
         parts = []
-        for g, e in zip(self.generators, m):
+        for g, e in zip(self.generators, self.unpack(m)):
             if e == 0:
                 continue
             parts.append(g.name if e == 1 else f"{g.name}^{e}")
@@ -228,7 +282,7 @@ class Ring:
 
     def monomials(self) -> Iterator[Monomial]:
         """All monomials of the ring, in lexicographic exponent order."""
-        return itertools.product(*(range(t) for t in self.truncations))
+        return map(self._pack, itertools.product(*(range(t) for t in self.truncations)))
 
     # -- products --------------------------------------------------------
 
@@ -237,25 +291,36 @@ class Ring:
 
         Counts the transpositions of odd-degree factors: one for every pair
         of positions i > j with an odd generator of ``left`` at i moving past
-        an odd generator of ``right`` at j.  One pass over the odd positions
-        keeps the running count of odd factors of ``right`` seen so far, so
-        the cost is linear in the number of generators.
+        an odd generator of ``right`` at j.  Generator 0 is the most
+        significant bit, so that is the parity of ``left``'s odd bits
+        against the parity of ``right``'s odd bits strictly above each: a
+        prefix-parity scan of O(log r) xor-shifts, then one popcount.
         """
-        total = seen = 0
-        for i in self._odd_positions:
-            total += left[i] * seen
-            seen += right[i]
-        return -1 if total & 1 else 1
+        left &= self._odd
+        if not left:
+            return 1
+        right &= self._odd
+        for s in self._scan:
+            right ^= right >> s
+        return -1 if (left & (right >> 1)).bit_count() & 1 else 1
 
     def mul_monomials(self, ma: Monomial, mb: Monomial) -> tuple[Monomial, int] | None:
         """Merged monomial and sign of ``ma * mb``, or None if truncated away."""
-        out = []
-        for e1, e2, t in zip(ma, mb, self.truncations):
-            e = e1 + e2
-            if e >= t:
+        if ma & mb & self._bits:
+            return None
+        for shift, mask, t, _ in self._fields:
+            if ((ma >> shift) & mask) + ((mb >> shift) & mask) >= t:
                 return None
-            out.append(e)
-        return tuple(out), self.merge_sign(ma, mb)
+        return ma + mb, self.merge_sign(ma, mb)
+
+    def div_monomials(self, m: Monomial, d: Monomial) -> Monomial | None:
+        """The monomial ``m / d``, or None unless ``d`` divides ``m``; no sign."""
+        if d & ~m & self._bits:
+            return None
+        for shift, mask, _, _ in self._fields:
+            if (d >> shift) & mask > (m >> shift) & mask:
+                return None
+        return m - d
 
     # -- elements --------------------------------------------------------
 
@@ -263,13 +328,13 @@ class Ring:
         return RingElement(self, {})
 
     def one(self) -> RingElement:
-        return RingElement(self, {(0,) * len(self.generators): 1})
+        return RingElement(self, {0: 1})
 
     def gen(self, name: str) -> RingElement:
         return RingElement(self, {self.monomial({name: 1}): 1})
 
     def element(self, terms: dict[Monomial, int | Fraction]) -> RingElement:
-        """Validating element constructor for externally built exponent tuples."""
+        """Validating element constructor; each key goes through ``check_monomial``."""
         return RingElement(self, {self.check_monomial(m): c for m, c in terms.items()})
 
     # -- enumeration -----------------------------------------------------
@@ -451,7 +516,8 @@ class TensorRing(Ring):
 
     A right-hand name colliding with a used one is prefixed with ``r.`` until
     it is free, as the ring may already hold an ``r.`` name.  A pair of factor
-    monomials concatenates with no sign; reach the square as ``ring.square``.
+    monomials concatenates with no sign, the left one shifted above the
+    right one's ``width`` bits; reach the square as ``ring.square``.
     """
 
     def __init__(self, ring: Ring):
@@ -465,10 +531,11 @@ class TensorRing(Ring):
             gens.append(Generator(name, g.degree, g.truncation))
         super().__init__(gens)
         self.factor = ring
-        self._split_at = len(ring.generators)
+        self._split_at = ring.width
+        self._right = (1 << ring.width) - 1
 
     def split(self, m: Monomial) -> tuple[Monomial, Monomial]:
-        return m[: self._split_at], m[self._split_at :]
+        return m >> self._split_at, m & self._right
 
     def monomial_str(self, m: Monomial) -> str:
         ml, mr = self.split(m)
@@ -489,5 +556,6 @@ def cross(a: Combination, b: Combination) -> Combination:
     if b.owner is not ring and ring != b.owner:
         raise RingMismatchError("cross of classes over different rings")
     # Distinct factor pairs concatenate to distinct monomials.
-    out = {ma + mb: ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}
+    shift = ring.width
+    out = {ma << shift | mb: ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}
     return type(a)(ring.square, out)

@@ -17,16 +17,22 @@ A level's space and the pullback along its retraction onto SM are one cache
 entry, built on first use of either; catalogs are cached per (family, n).  A
 break's pullback is that retraction pullback extended by the image of xi, on
 each call.  The wrong-way tables of a level are cached beside its entry and
-built together, for every break at once: a source of SM x_M SM that carries
+built together, for every break at once.  A source of SM x_M SM that carries
 xi has a Poincare dual free of xi, so its image does not depend on the break
-and is computed once per level.
+and is computed once per level.  A source free of xi has the dual ``w xi``:
+its inverse dual and the retraction pullback of ``w`` are computed once per
+level too, so each break adds one cup with x_{2m} and one ``pd`` per source.
+xi is the last generator of SM x_M SM, so its slot is the lowest bit of a
+packed monomial, and a monomial free of xi is an SM monomial shifted up by
+one bit.  The catalog also keeps the pipeline's diagonal pushforwards, one
+per SM monomial.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin
+from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin, pd, pd_inverse
 from .ring import Generator, Monomial, Ring, RingElement, _Frozen, _require_int
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
@@ -108,6 +114,9 @@ class SpaceCatalog:
         self._levels: dict[int, tuple[OrientedSpace, RingMap]] = {}
         # One list per level k, the table of break m at position m - 1.
         self._pv_tables: dict[int, list[dict[Monomial, tuple[Monomial, int]]]] = {}
+        # The pipeline's diagonal spreads (``loops._diagonal_spread``), one
+        # per SM monomial, so at most 2n.
+        self._spreads: dict[Monomial, list[tuple]] = {}
 
     def _space(self, extra=()) -> OrientedSpace:
         """Space of a (none for n = 1), b, and each (name, degree) of ``extra`` squaring to 0."""
@@ -202,11 +211,17 @@ class SpaceCatalog:
         fault breaks the match and raises ``RuntimeError``.
 
         The first call at level k builds the tables of every break
-        m = 1 .. k - 1.  A source carrying xi has a Poincare dual free of xi,
-        which every break's pullback fixes, so its image is the same at every
-        break: it is computed once, through break 1's map.  A level costs 2nk
-        ``gysin`` calls, 2n for the sources with xi and 2n per break for the
-        rest.
+        m = 1 .. k - 1, splitting each image ``pd . pullback_pV(k, m) .
+        pd_inverse`` into the half that depends on the break and the half
+        that does not.  A source carrying xi has a Poincare dual free of xi,
+        which every break's pullback fixes: its image is one ``gysin`` call
+        per level, through break 1's map.  A source free of xi has the dual
+        ``w xi``, with no sign, as xi is the last generator; its
+        ``pd_inverse`` and the retraction pullback of ``w`` are built once
+        per level, and each break adds one cup with ``fiber_class(k, m)``
+        and one ``pd``.  A level costs 2n ``gysin`` calls, 2n further
+        ``pd_inverse`` and pullback calls, and 2n cups and ``pd`` calls per
+        break.
         """
         self._check_break(k, m)
         tables = self._pv_tables.get(k)
@@ -218,27 +233,32 @@ class SpaceCatalog:
         pair = self.sm_pair
         ring = pair.ring
         gam = self.gamma(k)
-        xi = ring.index["xi"]
-        sources = [(u, dual(ring, u)) for u in ring.monomials()]
-        shared: dict[Monomial, tuple[Monomial, int]] = {}
+        lift, p_v = self.pullback_pL(k), self.pullback_pV(k, 1)
+        sources = list(ring.monomials())
+        images: dict[Monomial, HomologyElement] = {}  # sources carrying xi
+        lifted: dict[Monomial, RingElement] = {}  # the others, by the pullback of w
+        for u in sources:
+            du = dual(ring, u)
+            if u & 1:  # xi is the last generator, so its slot is the lowest bit
+                images[u] = gysin(p_v, pair, gam, du)
+            else:
+                # The inverse dual is w xi, xi last: w is it shifted down, with no sign.
+                ((wxi, c),) = pd_inverse(pair, du).terms.items()
+                lifted[u] = lift(RingElement(self.sm.ring, {wxi >> 1: c}))
         tables = []
         for m in range(1, k):
-            pmap = self.pullback_pV(k, m)
+            fiber = self.fiber_class(k, m)
             table: dict[Monomial, tuple[Monomial, int]] = {}
-            for u, du in sources:
-                hit = shared.get(u)
-                if hit is None:
-                    image = gysin(pmap, pair, gam, du)
-                    ((mono, coeff),) = image.terms.items()
-                    if coeff not in (1, -1):
-                        raise RuntimeError(
-                            f"wrong-way image of [{ring.monomial_str(u)}] at level {k}, "
-                            f"break {m} has coefficient {coeff}, not +1 or -1"
-                        )
-                    hit = (mono, coeff)
-                    if u[xi]:
-                        shared[u] = hit
-                mono, coeff = hit
+            for u in sources:
+                image = images.get(u)
+                if image is None:
+                    image = pd(gam, lifted[u] * fiber)
+                ((mono, coeff),) = image.terms.items()
+                if coeff not in (1, -1):
+                    raise RuntimeError(
+                        f"wrong-way image of [{ring.monomial_str(u)}] at level {k}, "
+                        f"break {m} has coefficient {coeff}, not +1 or -1"
+                    )
                 seen = table.get(mono)
                 if seen is not None:
                     raise RuntimeError(

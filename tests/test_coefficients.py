@@ -109,17 +109,19 @@ def test_pairings_return_exact_values():
 
 
 def test_non_unit_wrongway_coefficient_is_refused(monkeypatch, capsys):
-    real = spaces.gysin
+    real = spaces.pd_inverse
 
-    def doubled(pullback, source, target, x):
-        """The real wrong-way image, with coefficient 2 for the dual of the unit monomial."""
-        image = real(pullback, source, target, x)
-        if (0,) * len(x.ring.generators) not in x.terms:
-            return image
-        ((mono, _),) = image.terms.items()
-        return 2 * dual(image.ring, mono)
+    def doubled(space, x):
+        """The real inverse dual, scaled by -2 for the dual of the unit monomial.
 
-    monkeypatch.setattr(spaces, "gysin", doubled)
+        The table build takes the break-invariant half of each xi-free
+        source's image from here; the image of [1] is -1 times a dual class
+        at every break, so it arrives with coefficient 2.
+        """
+        out = real(space, x)
+        return -2 * out if x.ring.monomial() in x.terms else out
+
+    monkeypatch.setattr(spaces, "pd_inverse", doubled)
     refused = r"wrong-way image of \[1\] at level 3, break 1 has coefficient 2, not"
     with pytest.raises(RuntimeError, match=refused):
         spaces.SpaceCatalog(CP2).pv_gysin_table(3, 1)

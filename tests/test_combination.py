@@ -33,8 +33,8 @@ CP3 = SpaceParams.from_token("cp", 3)
 # (type, owner, a different owner, key of degree d1, d1, key of degree d2, d2);
 # the degrees are the hand-computed values of the keys over the first owner.
 CASES = [
-    (RingElement, RING, OTHER_RING, (1, 0), 2, (0, 1), 1),
-    (HomologyElement, RING, OTHER_RING, (1, 0), 2, (0, 1), 1),
+    (RingElement, RING, OTHER_RING, RING.monomial({"a": 1}), 2, RING.monomial({"u": 1}), 1),
+    (HomologyElement, RING, OTHER_RING, RING.monomial({"a": 1}), 2, RING.monomial({"u": 1}), 1),
     (LoopClass, CP2, CP3, ("A", 1, 0), 1, ("B", 1, 1), 8),
     (CohClass, CP2, CP3, ("s", 1, 0), 1, ("m", 1, 1), 8),
     (TensorLoopClass, CP2, CP3, (("A", 1, 0), ("A", 1, 1)), 4, (("B", 1, 0), ("A", 1, 0)), 7),
@@ -133,7 +133,10 @@ def test_dual_product_operands_over_different_spaces(fn, left, right):
         fn(left, right)
 
 
-_TERMS = {(0, 0): Fraction(1, 3), (0, 1): -1, (1, 0): 1, (1, 1): Fraction(-1, 3)}
+_TERMS = {
+    RING.check_monomial(m): c
+    for m, c in {(0, 0): Fraction(1, 3), (0, 1): -1, (1, 0): 1, (1, 1): Fraction(-1, 3)}.items()
+}
 _LOOP = {("A", 1, 0): 1, ("B", 1, 1): -1, ("A", 2, 1): Fraction(1, 3)}
 _TENSOR_LOOP = {
     (("A", 1, 0), ("B", 1, 1)): 1,

@@ -165,11 +165,14 @@ class TestFormat:
         x = HomologyElement(
             ring,
             {
-                (0, 1, 1): Fraction(-3, 4),
-                (2, 0, 0): 1,
-                (2, 1, 0): -2,
-                (1, 1, 1): -1,
-                (2, 1, 1): Fraction(3, 2),
+                ring.check_monomial(m): c
+                for m, c in {
+                    (0, 1, 1): Fraction(-3, 4),
+                    (2, 0, 0): 1,
+                    (2, 1, 0): -2,
+                    (1, 1, 1): -1,
+                    (2, 1, 1): Fraction(3, 2),
+                }.items()
             },
         )
         assert format_text(x) == (

@@ -219,7 +219,7 @@ class TestRingMap:
         expect = ring.zero()
         for m, c in elem.terms.items():
             term = ring.one()
-            for g, e in zip(ring.generators, m):
+            for g, e in zip(ring.generators, ring.unpack(m)):
                 for _ in range(e):
                     term = term * images[g.name]
             expect = expect + c * term

@@ -377,48 +377,51 @@ class TestGysinTable:
                     assert image == sign * dual(gam.ring, mono)
 
     @pytest.mark.parametrize(("token", "n", "k"), [("cp", 1, 5), ("cp", 3, 10), ("hp", 2, 7)])
-    def test_a_cold_level_makes_2nk_gysin_calls(self, monkeypatch, token, n, k):
-        # 2n sources carry xi and are imaged once per level; the other 2n are
-        # imaged at each of the k - 1 breaks.  Every break's pullback extends
-        # the level's one retraction pullback, the only map built from scratch.
-        calls, built = [], []
-        real, real_map = spaces.gysin, spaces.RingMap
+    def test_a_cold_level_makes_2n_gysin_calls(self, monkeypatch, token, n, k):
+        # 2n sources carry xi and are imaged by one gysin call per level.  The
+        # other 2n take one pd_inverse per level and one pd per break, each
+        # after a cup with the break's fiber class.  Every break's pullback
+        # extends the level's one retraction pullback, the only map built
+        # from scratch.
+        calls = {"gysin": [], "pd_inverse": [], "pd": [], "RingMap": []}
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(name):
+            real = getattr(spaces, name)
 
-        def counted_map(*args):
-            built.append(args)
-            return real_map(*args)
+            def call(*args):
+                calls[name].append(args)
+                return real(*args)
 
-        monkeypatch.setattr(spaces, "gysin", counted)
-        monkeypatch.setattr(spaces, "RingMap", counted_map)
+            monkeypatch.setattr(spaces, name, call)
+
+        for name in calls:
+            counted(name)
         params = SpaceParams.from_token(token, n)
         cat = SpaceCatalog(params)
         x = LoopClass.generator(params, "B", k, 0)
+        want = {"gysin": 2 * n, "pd_inverse": 2 * n, "pd": 2 * n * (k - 1), "RingMap": 1}
         assert coproduct_pipeline(x, cat) == coproduct_closed(x)
-        assert (len(calls), len(built)) == (2 * n * k, 1)
+        assert {name: len(c) for name, c in calls.items()} == want
         coproduct_pipeline(x, cat)
-        assert (len(calls), len(built)) == (2 * n * k, 1)
+        assert {name: len(c) for name, c in calls.items()} == want
         for kk, m in [(k, 0), (k, -1), (k, k), (1, 1)]:
             with pytest.raises(ValueError) as err:
                 cat.pv_gysin_table(kk, m)
             assert str(err.value) == f"break index m={m} outside 1 .. {kk - 1}"
-        assert len(calls) == 2 * n * k
+        assert {name: len(c) for name, c in calls.items()} == want
 
     def test_repeated_image_is_refused(self, monkeypatch):
-        real = spaces.gysin
+        real = spaces.pd_inverse
         cat = SpaceCatalog(SpaceParams.from_token("cp", 2))
         unit, b = cat.sm_pair.ring.monomial(), cat.sm_pair.ring.monomial({"b": 1})
 
-        def collide(pullback, source, target, x):
-            """The real wrong-way image, with [b] sent where [1] goes."""
+        def collide(space, x):
+            """The real inverse dual, with [b] sent where [1] goes, so both share an image."""
             if b in x.terms:
                 x = dual(x.ring, unit)
-            return real(pullback, source, target, x)
+            return real(space, x)
 
-        monkeypatch.setattr(spaces, "gysin", collide)
+        monkeypatch.setattr(spaces, "pd_inverse", collide)
         refused = "wrong-way images of [1] and [b] at level 3, break 1 are both [x1 x3 x4 x5]"
         # Asking for break 2 builds the whole level, so break 1 trips first.
         with pytest.raises(RuntimeError) as err:

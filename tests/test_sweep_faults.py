@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from loopalg import loops, report, ring, verify
+from loopalg import loops, report, ring, spaces, verify
 from loopalg.loops import (
     CohClass,
     LoopClass,
@@ -59,7 +59,10 @@ def test_gysin_sweep_catches_a_misnamed_carrier(monkeypatch):
     def without_x1(self, k, i, with_b=False):
         x = named(self, k, i, with_b)
         pos = x.ring.index["x1"]
-        terms = {m[:pos] + (0,) + m[pos + 1 :]: c for m, c in x.terms.items()}
+        terms = {}
+        for m, c in x.terms.items():
+            exps = x.ring.unpack(m)
+            terms[x.ring.check_monomial(exps[:pos] + (0,) + exps[pos + 1 :])] = c
         return HomologyElement(x.ring, terms)
 
     monkeypatch.setattr(SpaceCatalog, "gamma_dual", without_x1)
@@ -228,7 +231,7 @@ def test_ring_sweep_catches_wrong_pd_inverse(monkeypatch):
 
 def test_ring_sweep_compares_every_associativity_cell(monkeypatch):
     ring_ = SpaceCatalog(CP1).gamma(2).ring
-    x1x2, b = (0, 1, 1, 0), (1, 0, 0, 0)
+    x1x2, b = ring_.check_monomial((0, 1, 1, 0)), ring_.check_monomial((1, 0, 0, 0))
     product = ring.cup
 
     def perturbed(u, c):
@@ -398,6 +401,8 @@ def test_pipeline_sweep_catches_wrong_pushforward_sign(monkeypatch):
     monkeypatch.setattr(
         loops, "diagonal_pushforward", _negated(loops.diagonal_pushforward)
     )
+    # A fresh shared catalog, since a catalog keeps the pushforwards it built.
+    monkeypatch.setattr(spaces, "_CATALOGS", {})
     rep = verify_pipeline(CP3, 6)
     # Level-1 generators have no break index and stay zero: 36 - 6 fail.
     assert (rep.checks, rep.failed) == (36, 30)
@@ -447,11 +452,14 @@ def test_pipeline_builds_one_pushforward_per_diagonal_class(monkeypatch):
         return pushforward(x)
 
     monkeypatch.setattr(loops, "diagonal_pushforward", counted)
-    # Every break m = 1 .. 5 matches the same diagonal classes a^j (times b),
-    # so a pushforward per break would build each one five times.
-    for kind in "AB":
-        for i in range(CP3.n):
-            built.clear()
-            x = LoopClass.generator(CP3, kind, 6, i)
-            assert coproduct_pipeline(x) == loops.coproduct_closed(x)
-            assert 0 < len(built) == len(set(built))
+    # Every break m = 1 .. 5, and every generator, matches the same diagonal
+    # classes a^j (times b) of SM, so a pushforward per break would build
+    # each one five times, and one per call once per generator.  The catalog
+    # keeps each, so the 2n classes are built once, on a fresh catalog.
+    monkeypatch.setattr(spaces, "_CATALOGS", {})
+    for _ in range(2):
+        for kind in "AB":
+            for i in range(CP3.n):
+                x = LoopClass.generator(CP3, kind, 6, i)
+                assert coproduct_pipeline(x) == loops.coproduct_closed(x)
+        assert len(built) == len(set(built)) == 2 * CP3.n
