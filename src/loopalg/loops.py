@@ -55,7 +55,15 @@ class PipelineMatchError(RuntimeError):
 
 
 class _FormalSum(Combination):
-    """Key validation, degrees and printed bodies shared by the four class types."""
+    """Key validation, degrees and printed bodies shared by the four class types.
+
+    The public constructors, ``cls(params, terms)``, ``generator`` and the
+    parser, check each key's kind, level and index.  ``_built`` checks none
+    of them and only cleans the coefficients.  It may build only a result
+    whose keys an operation made from keys already checked, by a rule that
+    keeps them valid: levels that add or split into positive parts, indices
+    kept in 0 .. n - 1.
+    """
 
     kinds: frozenset[str] = frozenset()
     pair = False
@@ -86,12 +94,15 @@ class _FormalSum(Combination):
             raise ValueError(f"malformed {type(self).__name__} key {key!r}") from None
 
     @classmethod
+    def _built(cls, params: SpaceParams, terms: dict):
+        """A sum of keys known to be valid: the coefficients cleaned, no key checked."""
+        out = object.__new__(cls)
+        Combination.__init__(out, params, terms)
+        return out
+
+    @classmethod
     def zero(cls, params: SpaceParams):
-        """The empty sum, built without ``__init__``: it has no key to check."""
-        empty = object.__new__(cls)
-        empty.owner = params
-        empty.terms = {}
-        return empty
+        return cls._built(params, {})
 
     @classmethod
     def generator(cls, params: SpaceParams, kind: str, k: int, i: int):
@@ -191,7 +202,7 @@ def coproduct_closed(x: LoopClass) -> TensorLoopClass:
                 else:
                     _bump(out, (("A", m, j), ("B", k - m, i - j)), c)
                     _bump(out, (("B", m, j), ("A", k - m, i - j)), c)
-    return TensorLoopClass(x.params, out)
+    return TensorLoopClass._built(x.params, out)
 
 
 def _bump(d: dict, key, c) -> None:
@@ -310,7 +321,7 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
                     spread = spreads[mono] = _diagonal_spread(cat, mono)
                 for (kind_l, il), (kind_r, ir), dc in spread:
                     _bump(out, ((kind_l, m, il), (kind_r, k - m, ir)), c * cu * dc)
-    return TensorLoopClass(x.params, out)
+    return TensorLoopClass._built(x.params, out)
 
 
 # -- the dual product --------------------------------------------------
@@ -344,7 +355,7 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
             key = _gh_key(a.params, ka, kb)
             if key is not None:
                 _bump(out, key, ca * cb)
-    return CohClass(a.params, out)
+    return CohClass._built(a.params, out)
 
 
 def gh_product_pairs(t: TensorCohClass) -> CohClass:
@@ -356,7 +367,7 @@ def gh_product_pairs(t: TensorCohClass) -> CohClass:
         key = _gh_key(t.params, ka, kb)
         if key is not None:
             _bump(out, key, c)
-    return CohClass(t.params, out)
+    return CohClass._built(t.params, out)
 
 
 def _dual_key(key):
@@ -511,7 +522,7 @@ def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
     s = p.sub_index
     if s > params.n - 1:
         return CohClass.zero(params)
-    return CohClass.generator(params, "s" if c == 0 else "m", p.factor_count, s)
+    return CohClass._built(params, {("s" if c == 0 else "m", p.factor_count, s): 1})
 
 
 # -- Betti numbers -----------------------------------------------------
@@ -678,11 +689,14 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     Checks the generating relations, multiplicativity over monomial pairs up
     to the level bound, surjectivity witnesses for every s[k,i] and m[k,i],
     and that powers w^k of the level generator stay nonzero up to twice the
-    level bound.  Each monomial is normalized once and kept next to its
-    normal form, grouped by factor count; equal normal forms share one
-    object.  Each pair then costs one ``mul`` (an exponent sum) and one
-    normalization of the product, mostly stopped by its beta count, and
-    ``gh_product`` runs once per distinct pair of normal forms.
+    level bound.  Each monomial is normalized once, grouped by factor count,
+    and each normal form and dual product is interned to one index.  Each
+    pair costs one ``mul`` (an exponent sum) and one lookup of the product's
+    exponents: a product is normalized only the first time it occurs, and
+    ``gh_product`` runs once per distinct pair of normal forms.  For each
+    monomial p and factor count, the row of product indices over all q is
+    compared with one list comparison against the expected row, built once
+    per normal form of p; only a row with a mismatch is noted cell by cell.
     """
     rep = Report(f"presentation ({params.token}, n={params.n}, level<={max_level})")
     n = params.n
@@ -708,25 +722,44 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
         expect(beta[i].mul(beta[j]), None, 2, 0, "beta_{} beta_{}", i, j)
 
     normals: dict = {}
-    by_count = {
-        f: [
-            (p, *_intern(normals, presentation_normalize(p, params)))
-            for p in _pres_monomials(params, f)
-        ]
-        for f in range(1, max_level)
-    }
-    products: dict = {}
-    for f1, normals1 in by_count.items():
-        for f2, normals2 in by_count.items():
-            if f1 + f2 > max_level:
-                continue
-            for p, i, np_ in normals1:
-                for q, j, nq in normals2:
-                    expected = products.get((i, j))
-                    if expected is None:
-                        expected = products[i, j] = gh_product(np_, nq)
-                    got = presentation_normalize(p.mul(q), params)
-                    rep.note(got == expected, "multiplicativity fails at {} * {}", p, q)
+    values: list = []  # the distinct normal forms and dual products, by index
+    products: dict = {}  # (i, j) -> the index of the dual product of values i and j
+
+    def index(value: CohClass) -> int:
+        i, shared = _intern(normals, value)
+        if i == len(values):
+            values.append(shared)
+        return i
+
+    def product(i: int, j: int) -> int:
+        ij = products.get((i, j))
+        if ij is None:
+            ij = products[i, j] = index(gh_product(values[i], values[j]))
+        return ij
+
+    monos = {f: list(_pres_monomials(params, f)) for f in range(1, max_level)}
+    normal = {f: [index(presentation_normalize(p, params)) for p in ps] for f, ps in monos.items()}
+    rows: dict = {}  # (i, f2) -> the expected row of a p with normal form i
+    seen: dict = {}  # a product's exponents -> the index of its normal form
+    for f1, ps in monos.items():
+        for f2 in range(1, max_level - f1 + 1):
+            qs, js = monos[f2], normal[f2]
+            for p, i in zip(ps, normal[f1]):
+                expected = rows.get((i, f2))
+                if expected is None:
+                    expected = rows[i, f2] = [product(i, j) for j in js]
+                got = []
+                for q in qs:
+                    r = p.mul(q)
+                    g = seen.get(r._exps)
+                    if g is None:
+                        g = seen[r._exps] = index(presentation_normalize(r, params))
+                    got.append(g)
+                if got == expected:
+                    rep.credit(len(got))
+                    continue
+                for q, g, e in zip(qs, got, expected):
+                    rep.note(values[g] == values[e], "multiplicativity fails at {} * {}", p, q)
 
     for k in range(1, max_level + 1):
         expect(PresMonomial.build(params, omega=k), "s", k, 0, "w^{}", k)

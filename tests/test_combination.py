@@ -23,7 +23,17 @@ from loopalg import (
     TensorLoopClass,
     gh_product,
 )
-from loopalg.loops import _class_and_key, coh_cross, gh_dual_pairing, tensor_pairing
+from loopalg.loops import (
+    _class_and_key,
+    _pres_monomials,
+    coh_cross,
+    coproduct_closed,
+    coproduct_pipeline,
+    gh_dual_pairing,
+    gh_product_pairs,
+    presentation_normalize,
+    tensor_pairing,
+)
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
 OTHER_RING = Ring([Generator("a", 2, 3), Generator("u", 3, 2)])
@@ -223,6 +233,46 @@ def test_non_int_level_or_index_is_refused(cls, kind, k, i, message):
 def test_level_and_index_range_messages(k, i, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         LoopClass.generator(CP2, "B", k, i)
+
+
+# The coproducts, the dual products and the normal form build their results
+# without checking keys; each result must rebuild through the checked
+# constructor unchanged.
+@pytest.mark.parametrize("family", ["cp", "hp"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unchecked_results_have_valid_keys(family, n):
+    params, top = SpaceParams.from_token(family, n), 6
+    keys = [(k, i) for k in range(1, top + 1) for i in range(n)]
+    gens = [LoopClass.generator(params, kind, k, i) for kind in "AB" for k, i in keys]
+    duals = [CohClass.generator(params, kind, k, i) for kind in "sm" for k, i in keys]
+    results = [op(x) for x in gens for op in (coproduct_closed, coproduct_pipeline)]
+    for a in duals:
+        for b in duals:
+            results += [gh_product(a, b), gh_product_pairs(coh_cross(a, b))]
+    for f in range(1, top + 1):
+        results += [presentation_normalize(p, params) for p in _pres_monomials(params, f)]
+    assert any(not x.is_zero() for x in results)
+    for x in results:
+        assert type(x)(x.params, dict(x.terms)) == x
+
+
+@pytest.mark.parametrize(
+    "cls, key, message",
+    [
+        (LoopClass, ("s", 1, 0), "unexpected generator kind 's'"),
+        (LoopClass, ("A", 0, 0), "level k must be >= 1"),
+        (LoopClass, ("B", 1, 2), "index out of range for n=2"),
+        (CohClass, ("A", 1, 0), "unexpected generator kind 'A'"),
+        (CohClass, ("s", 0, 0), "level k must be >= 1"),
+        (CohClass, ("m", 1, -1), "index out of range for n=2"),
+        (TensorLoopClass, (("A", 1, 0), ("m", 1, 0)), "unexpected generator kind 'm'"),
+        (TensorLoopClass, (("A", 1, 0), ("B", 0, 1)), "level k must be >= 1"),
+        (TensorLoopClass, (("A", 1, 2), ("B", 1, 0)), "index out of range for n=2"),
+    ],
+)
+def test_checked_constructors_refuse_bad_keys(cls, key, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(CP2, {key: 1})
 
 
 # ``_class_and_key`` writes the key layout that ``_FormalSum._parts`` reads.

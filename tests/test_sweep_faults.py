@@ -118,7 +118,8 @@ def test_presentation_sweep_calls_gh_product_per_distinct_normal_pair(monkeypatc
     def normal_key(p):
         return tuple(loops.presentation_normalize(p, cp4).terms.items())
 
-    by_count = {f: [normal_key(p) for p in loops._pres_monomials(cp4, f)] for f in range(1, 5)}
+    monos = {f: list(loops._pres_monomials(cp4, f)) for f in range(1, 5)}
+    by_count = {f: [normal_key(p) for p in ps] for f, ps in monos.items()}
     pairs = {
         (a, b)
         for f1, keys1 in by_count.items()
@@ -127,16 +128,78 @@ def test_presentation_sweep_calls_gh_product_per_distinct_normal_pair(monkeypatc
         for a in keys1
         for b in keys2
     }
+    products = {
+        p.mul(q)
+        for f1, ps in monos.items()
+        for f2, qs in monos.items()
+        if f1 + f2 <= 5
+        for p in ps
+        for q in qs
+    }
+    n = cp4.n
+    relations = (n - 1) ** 2 + (n - 1) * n + n**2
+    # w^k, w^(k-1) alpha_i and w^(k-1) beta_i for k <= 5, then w^k for k <= 10.
+    witnesses = 5 * (1 + (n - 1) + n) + 2 * 5
+    normalized = sum(map(len, monos.values())) + len(products) + relations + witnesses
     counted(PresMonomial, "mul")
     counted(loops, "presentation_normalize")
     counted(loops, "gh_product")
     rep = verify_presentation(cp4, 5)
     assert (rep.checks, rep.failed) == (17863, 0)
-    # Every product is still built and normalized.  A dual product per
-    # monomial pair made 17,776 gh_product calls here; equal normal forms
-    # share one object, and each distinct pair of them is multiplied once.
-    assert len(pairs) == 689
-    assert calls == {"mul": 17813, "presentation_normalize": 18357, "gh_product": len(pairs)}
+    # Every product is still built; each distinct product is normalized
+    # once.  A dual product per monomial pair made 17,776 gh_product calls
+    # here; equal normal forms share one object, and each distinct pair of
+    # them is multiplied once.
+    assert (len(pairs), len(products), normalized) == (689, 1278, 1859)
+    assert calls == {"mul": 17813, "presentation_normalize": normalized, "gh_product": len(pairs)}
+
+
+def test_presentation_sweep_keeps_every_failing_product(monkeypatch):
+    # Each distinct product is normalized once.  A normal form wrong only at
+    # the level bound reaches the multiplicativity loop only through
+    # products.  It is wrong only where the power of w is even, so it tells
+    # apart products whose factors have equal normal forms: a memo that
+    # merged those pairs, or a row reused for them, would miss the
+    # brute-force count.
+    params, top = CP3, 4
+    normalize, gh_product = loops.presentation_normalize, loops.gh_product
+
+    def broken(p, params):
+        value = normalize(p, params)
+        return -value if p.factor_count == top and p.omega % 2 == 0 else value
+
+    monos = {f: list(loops._pres_monomials(params, f)) for f in range(1, top)}
+    failing = [
+        f"multiplicativity fails at {p} * {q}"
+        for f1, ps in monos.items()
+        for f2, qs in monos.items()
+        if f1 + f2 <= top
+        for p in ps
+        for q in qs
+        if broken(p.mul(q), params) != gh_product(normalize(p, params), normalize(q, params))
+    ]
+    n = params.n
+    build = PresMonomial.build
+    alpha = [build(params, alphas={i: 1}) for i in range(1, n)]
+    beta = [build(params, betas={i: 1}) for i in range(n)]
+    # The relations, the surjectivity witnesses and the powers of w.
+    factors = ((alpha, alpha), (alpha, beta), (beta, beta))
+    named = [a.mul(b) for xs, ys in factors for a in xs for b in ys]
+    for k in range(1, top + 1):
+        named += [build(params, omega=k)]
+        named += [build(params, omega=k - 1, alphas={i: 1}) for i in range(1, n)]
+        named += [build(params, omega=k - 1, betas={i: 1}) for i in range(n)]
+    named += [build(params, omega=k) for k in range(1, 2 * top + 1)]
+    wrong_named = sum(
+        broken(p, params) != normalize(p, params) for p in named if p.factor_count == top
+    )
+    clean = verify_presentation(params, top)
+    monkeypatch.setattr(loops, "presentation_normalize", broken)
+    rep = verify_presentation(params, top)
+    assert (rep.checks, rep.failed) == (clean.checks, len(failing) + wrong_named)
+    # w^4 is checked twice, as a witness and as a power of w.
+    assert (len(failing), wrong_named) == (40, 2)
+    assert rep.failures[0] == failing[0]
 
 
 def test_ring_sweep_catches_wrong_cross_sign(monkeypatch):
