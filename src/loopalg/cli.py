@@ -180,12 +180,20 @@ def _parse_gen_token(token: str, params: SpaceParams) -> tuple[int, bool]:
     return i, hit.group(1) == "ab"
 
 
-def _cmd_coproduct(args, params: SpaceParams) -> int:
-    value = evaluate(parse(args.expr, params.n), params)
+def _read(text: str, params: SpaceParams, cls, message: str):
+    """The expression ``text`` as a ``cls``, a bare zero included; else ``message``."""
+    value = evaluate(parse(text, params.n), params)
     if value is None:
-        value = LoopClass.zero(params)
-    if not isinstance(value, LoopClass):
-        raise UsageError("coproduct expects a loop-homology expression in A and B")
+        value = cls.zero(params)
+    if not isinstance(value, cls):
+        raise UsageError(message)
+    return value
+
+
+def _cmd_coproduct(args, params: SpaceParams) -> int:
+    value = _read(
+        args.expr, params, LoopClass, "coproduct expects a loop-homology expression in A and B"
+    )
     result = (
         coproduct_closed(value) if args.route == "closed" else coproduct_pipeline(value)
     )
@@ -195,25 +203,12 @@ def _cmd_coproduct(args, params: SpaceParams) -> int:
 
 def _cmd_product(args, params: SpaceParams) -> int:
     if len(args.exprs) == 1:
-        value = evaluate(parse(args.exprs[0], params.n), params)
-        if value is None:
-            result = CohClass.zero(params)
-        elif isinstance(value, TensorCohClass):
-            result = gh_product_pairs(value)
-        else:
-            raise UsageError(
-                "product with one argument expects tensor terms like 's[1,0] x m[1,1]'"
-            )
+        message = "product with one argument expects tensor terms like 's[1,0] x m[1,1]'"
+        result = gh_product_pairs(_read(args.exprs[0], params, TensorCohClass, message))
     elif len(args.exprs) == 2:
-        sides = []
-        for text in args.exprs:
-            value = evaluate(parse(text, params.n), params)
-            if value is None:
-                value = CohClass.zero(params)
-            if not isinstance(value, CohClass):
-                raise UsageError("product expects cohomology expressions in s and m")
-            sides.append(value)
-        result = gh_product(sides[0], sides[1])
+        message = "product expects cohomology expressions in s and m"
+        a, b = (_read(text, params, CohClass, message) for text in args.exprs)
+        result = gh_product(a, b)
     else:
         raise UsageError("product takes one tensor expression or two expressions")
     _emit_class(args, params, {"input": list(args.exprs)}, result)

@@ -185,47 +185,22 @@ class RingMap:
         expected = {g.name for g in source.generators}
         if set(images) != expected:
             raise ValueError(f"images must cover exactly {sorted(expected)}")
-        self._fill(source, target, dict(images), {})
-
-    def extend(self, source: Ring, images: dict[str, RingElement]) -> RingMap:
-        """This map extended to ``source`` by the images of its other generators.
-
-        The result is ``RingMap(source, self.target, self.images | images)``
-        and is refused in the same words, but it keeps this map's power list
-        of each generator that ``source`` shares with ``self.source``, so
-        only the new generators' powers are computed and checked.
-        """
-        names = {g.name for g in source.generators}
-        if not self.images.keys() <= names:
-            raise ValueError(f"images must cover exactly {sorted(names)}")
-        expected = names - self.images.keys()
-        if set(images) != expected:
-            raise ValueError(f"images must cover exactly {sorted(expected)}")
-        out = object.__new__(RingMap)
-        known = dict(zip(self.source.generators, self._powers))
-        out._fill(source, self.target, self.images | images, known)
-        return out
-
-    def _fill(self, source: Ring, target: Ring, images: dict, known: dict) -> None:
-        """Set the slots; a generator's powers come from ``known`` or are built from its image."""
         powers: list[list[RingElement]] = []
         for g in source.generators:
-            pows = known.get(g)
-            if pows is None:
-                img = images[g.name]
-                if img.ring is not target and img.ring != target:
-                    raise RingMismatchError(f"image of {g.name!r} lives over the wrong ring")
-                if img.terms and img.degree() != g.degree:
-                    raise ValueError(f"image of {g.name!r} is not of degree {g.degree}")
-                pows = [target.one(), img]
-                for _ in range(g.truncation - 1):
-                    pows.append(pows[-1] * img)
-                if not pows[g.truncation].is_zero():
-                    raise ValueError(f"image of {g.name!r} violates its truncation")
+            img = images[g.name]
+            if img.ring is not target and img.ring != target:
+                raise RingMismatchError(f"image of {g.name!r} lives over the wrong ring")
+            if img.terms and img.degree() != g.degree:
+                raise ValueError(f"image of {g.name!r} is not of degree {g.degree}")
+            pows = [target.one(), img]
+            for _ in range(g.truncation - 1):
+                pows.append(pows[-1] * img)
+            if not pows[g.truncation].is_zero():
+                raise ValueError(f"image of {g.name!r} violates its truncation")
             powers.append(pows)
         self.source = source
         self.target = target
-        self.images = images
+        self.images = dict(images)
         self._powers = powers
 
     def __call__(self, elem: RingElement) -> RingElement:

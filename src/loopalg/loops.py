@@ -575,6 +575,7 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     passed without a call; the others are compared one by one, pair-major and
     then in X order.
     """
+    params.check_level(max_k)
     rep = Report(f"duality ({params.token}, n={params.n}, level<={max_k})")
     coh = list(_keys(params, max_k - 1, "sm"))
     position = {key: pos for pos, key in enumerate(_keys(params, max_k, "AB"))}
@@ -634,6 +635,7 @@ def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
     tensor factor of a level-k generator has a level below k, so both
     iterated coproducts read their inner factors from that table.
     """
+    params.check_level(max_k)
     rep = Report(f"coassociativity ({params.token}, n={params.n}, k<={max_k})")
     split = {
         key: coproduct_closed(LoopClass.generator(params, *key)).terms
@@ -657,6 +659,7 @@ def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
 
 def verify_pipeline(params: SpaceParams, max_k: int) -> Report:
     """The completing-manifold pipeline equals the closed formula."""
+    params.check_level(max_k)
     rep = Report(f"pipeline ({params.token}, n={params.n}, k<={max_k})")
     for key in _keys(params, max_k, "AB"):
         x = LoopClass.generator(params, *key)
@@ -698,6 +701,7 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     compared with one list comparison against the expected row, built once
     per normal form of p; only a row with a mismatch is noted cell by cell.
     """
+    params.check_level(max_level)
     rep = Report(f"presentation ({params.token}, n={params.n}, level<={max_level})")
     n = params.n
 

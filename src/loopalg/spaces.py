@@ -15,17 +15,17 @@ the same ring.
 
 A level's space and the pullback along its retraction onto SM are one cache
 entry, built on first use of either; catalogs are cached per (family, n).  A
-break's pullback is that retraction pullback extended by the image of xi, on
-each call.  The wrong-way tables of a level are cached beside its entry and
-built together, for every break at once.  A source of SM x_M SM that carries
-xi has a Poincare dual free of xi, so its image does not depend on the break
-and is computed once per level.  A source free of xi has the dual ``w xi``:
-its inverse dual and the retraction pullback of ``w`` are computed once per
-level too, so each break adds one cup with x_{2m} and one ``pd`` per source.
-xi is the last generator of SM x_M SM, so its slot is the lowest bit of a
-packed monomial, and a monomial free of xi is an SM monomial shifted up by
-one bit.  The catalog also keeps the pipeline's diagonal pushforwards, one
-per SM monomial.
+break's pullback is a new map on each call: the retraction pullback's images
+plus xi sent to the break's fiber class.  The wrong-way tables of a level are
+cached beside its entry and built together, for every break at once.  A
+source of SM x_M SM that carries xi has a Poincare dual free of xi, so its
+image does not depend on the break and is computed once per level.  A source
+free of xi has the dual ``w xi``: its inverse dual and the retraction
+pullback of ``w`` are computed once per level too, so each break adds one cup
+with x_{2m} and one ``pd`` per source.  xi is the last generator of
+SM x_M SM, so its slot is the lowest bit of a packed monomial, and a monomial
+free of xi is an SM monomial shifted up by one bit.  The catalog also keeps
+the pipeline's diagonal pushforwards, one per SM monomial.
 """
 
 from __future__ import annotations
@@ -169,11 +169,12 @@ class SpaceCatalog:
     def pullback_pV(self, k: int, m: int) -> RingMap:
         """Pullback along the m-th figure-eight retraction onto SM x_M SM.
 
-        ``pullback_pL(k)`` extended by sending the fiber class xi to
-        ``fiber_class(k, m)``.
+        The images of ``pullback_pL(k)`` plus the fiber class xi sent to
+        ``fiber_class(k, m)``, built from scratch on each call.
         """
-        xi = self.fiber_class(k, m)
-        return self.pullback_pL(k).extend(self.sm_pair.ring, {"xi": xi})
+        lift = self.pullback_pL(k)
+        images = lift.images | {"xi": self.fiber_class(k, m)}
+        return RingMap(self.sm_pair.ring, lift.target, images)
 
     # -- distinguished classes ----------------------------------------
 

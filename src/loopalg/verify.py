@@ -50,6 +50,7 @@ def verify_gysin_values(params: SpaceParams, max_k: int) -> Report:
     Sources, carriers and x_{2m} come from the catalog builders the pipeline
     uses; the signs and the x_omit classes are written out as the oracle.
     """
+    params.check_level(max_k)
     # (with b, sign of the carrier [a^i (b) x_all], sign of its cap)
     variants = ((False, -1, 1), (True, 1, -1))
     cat = catalog_for(params)
@@ -231,6 +232,7 @@ def verify_structure(params: SpaceParams, max_k: int) -> Report:
     Total dimension 2n * 2^(2k-1), top degree lambda_k + 2N - 1 attained
     once, and the odd/even degree split of the two generator families.
     """
+    params.check_level(max_k)
     cat = catalog_for(params)
     rep = Report(f"structure ({params.token}, n={params.n}, k<={max_k})")
     for k in range(1, max_k + 1):

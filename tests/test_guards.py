@@ -6,7 +6,8 @@ call reaches them: a class over another ring, a class of the wrong type
 power), a map between other spaces, a generator kind a type does not hold, a
 CLI expression mixing homology and cohomology generators, a float or bool
 where the kernel counts (an exponent, a presentation index, a generator's
-degree or truncation, a degree bound), or a count out of range.
+degree or truncation, a degree bound, a sweep's level bound), or a count out
+of range.
 """
 
 import contextlib
@@ -37,9 +38,14 @@ from loopalg.loops import (
     gh_product,
     gh_product_pairs,
     presentation_normalize,
+    verify_coassociativity,
+    verify_duality,
+    verify_pipeline,
+    verify_presentation,
 )
 from loopalg.ring import Generator, Ring, RingMismatchError, cross, cup
 from loopalg.spaces import SpaceCatalog, SpaceParams, generator_degree
+from loopalg.verify import verify_gysin_values, verify_structure
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
 OTHER = Ring([Generator("a", 2, 3), Generator("u", 3, 2)])
@@ -318,6 +324,36 @@ def _cli(*argv):
             TypeError,
             "beta index must be an int, not 1.0",
         ),
+        (
+            lambda: verify_duality(CP2, 1.5),
+            TypeError,
+            "level k must be an int, not 1.5",
+        ),
+        (
+            lambda: verify_coassociativity(CP2, 0),
+            ValueError,
+            "level k must be >= 1",
+        ),
+        (
+            lambda: verify_pipeline(CP2, True),
+            TypeError,
+            "level k must be an int, not True",
+        ),
+        (
+            lambda: verify_presentation(CP2, -1),
+            ValueError,
+            "level k must be >= 1",
+        ),
+        (
+            lambda: verify_gysin_values(CP2, 2.0),
+            TypeError,
+            "level k must be an int, not 2.0",
+        ),
+        (
+            lambda: verify_structure(CP2, 0),
+            ValueError,
+            "level k must be >= 1",
+        ),
     ],
     ids=[
         "pairing",
@@ -369,6 +405,12 @@ def _cli(*argv):
         "presentation_normalize-n",
         "PresMonomial-build-bool-alpha",
         "PresMonomial-build-float-beta",
+        "verify_duality-float",
+        "verify_coassociativity-zero",
+        "verify_pipeline-bool",
+        "verify_presentation-negative",
+        "verify_gysin_values-float",
+        "verify_structure-zero",
     ],
 )
 def test_guard_refuses_with_its_message(call, error, message):
