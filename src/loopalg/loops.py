@@ -232,12 +232,17 @@ def cap_with_thom(
     index doubles as the marker of the interval factor it pairs with, so the
     list is empty at level 1.  Capping x_{2m} x [interval] into x x [interval]
     leaves the interval factor alone at the cost of (-1)^{deg x}, which is the
-    sign applied here.
+    sign applied here, once, to x before the caps.  Each break costs one cap
+    of ``catalog.fiber_class(k, m)``.  The wrong-way table a capped class is
+    matched against is built once per level from the same object: per break,
+    one ``pd`` of x_{2m} and one cap per xi-free source
+    (``SpaceCatalog.pv_gysin_table``).
     """
     _require_homogeneous(x, "cap_with_thom input")
     catalog.params.check_level(k)
-    sign = -1 if (x.degree() or 0) % 2 else 1
-    return [(m, cap(catalog.fiber_class(k, m), x) * sign) for m in range(1, k)]
+    if (x.degree() or 0) % 2:
+        x = -x
+    return [(m, cap(catalog.fiber_class(k, m), x)) for m in range(1, k)]
 
 
 def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[Monomial, int | Fraction]:

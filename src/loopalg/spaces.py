@@ -13,16 +13,18 @@ with every x squaring to zero.  For n = 1 the class a satisfies a = 0, which
 is represented by simply omitting the generator; the quotient presentation is
 the same ring.
 
-A level's space and the pullback along its retraction onto SM are one cache
-entry, built on first use of either; catalogs are cached per (family, n).  A
-break's pullback is a new map on each call: the retraction pullback's images
-plus xi sent to the break's fiber class.  The wrong-way tables of a level are
-cached beside its entry and built together, for every break at once.  A
-source of SM x_M SM that carries xi has a Poincare dual free of xi, so its
-image does not depend on the break and is computed once per level.  A source
-free of xi has the dual ``w xi``: its inverse dual and the retraction
-pullback of ``w`` are computed once per level too, so each break adds one cup
-with x_{2m} and one ``pd`` per source.  xi is the last generator of
+A level's space, the pullback along its retraction onto SM and the fiber
+classes of its breaks are one cache entry, built on first use of any;
+catalogs are cached per (family, n).  A break's pullback is a new map on each
+call: the retraction pullback's images plus xi sent to the break's fiber
+class.  The wrong-way tables of a level are cached beside its entry and built
+together, for every break at once.  A source of SM x_M SM that carries xi has
+a Poincare dual free of xi, so its image does not depend on the break and is
+computed once per level.  A source free of xi has the dual ``w xi``: its
+inverse dual and the retraction pullback L(w) of ``w`` are computed once per
+level too.  Its image at break m is ``pd(L(w) x_{2m}) = cap(L(w),
+pd(x_{2m}))`` by the cap module law, so each break adds one ``pd`` of x_{2m}
+and one cap per source.  xi is the last generator of
 SM x_M SM, so its slot is the lowest bit of a packed monomial, and a monomial
 free of xi is an SM monomial shifted up by one bit.  The catalog also keeps
 the pipeline's diagonal pushforwards, one per SM monomial.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin, pd, pd_inverse
+from .homology import HomologyElement, OrientedSpace, RingMap, cap, dual, gysin, pd, pd_inverse
 from .ring import Generator, Monomial, Ring, RingElement, _Frozen, _require_int
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
@@ -111,7 +113,9 @@ class SpaceCatalog:
 
     def __init__(self, params: SpaceParams):
         self.params = params
-        self._levels: dict[int, tuple[OrientedSpace, RingMap]] = {}
+        # Per level k: its space, its retraction pullback and the fiber
+        # classes x_2, x_4, .. x_{2k-2} of its breaks.
+        self._levels: dict[int, tuple[OrientedSpace, RingMap, tuple[RingElement, ...]]] = {}
         # One list per level k, the table of break m at position m - 1.
         self._pv_tables: dict[int, list[dict[Monomial, tuple[Monomial, int]]]] = {}
         # The pipeline's diagonal spreads (``loops._diagonal_spread``), one
@@ -136,15 +140,17 @@ class SpaceCatalog:
         """Fiber product SM x_M SM, dimension 3N - 2."""
         return self._space([("xi", self.params.N - 1)])
 
-    def _level(self, k: int) -> tuple[OrientedSpace, RingMap]:
-        """The level-k space and its retraction pullback, built together on first use."""
+    def _level(self, k: int) -> tuple[OrientedSpace, RingMap, tuple[RingElement, ...]]:
+        """The level-k space, retraction pullback and fiber classes, built together on first use."""
         self.params.check_level(k)
         entry = self._levels.get(k)
         if entry is None:
             p = self.params
             space = self._space((f"x{j}", p.lam if j % 2 else p.N - 1) for j in range(1, 2 * k))
-            images = {g.name: space.ring.gen(g.name) for g in self.sm.ring.generators}
-            entry = self._levels[k] = (space, RingMap(self.sm.ring, space.ring, images))
+            ring = space.ring
+            images = {g.name: ring.gen(g.name) for g in self.sm.ring.generators}
+            fibers = tuple(ring.gen(f"x{2 * m}") for m in range(1, k))
+            entry = self._levels[k] = (space, RingMap(self.sm.ring, ring, images), fibers)
         return entry
 
     def gamma(self, k: int) -> OrientedSpace:
@@ -158,9 +164,12 @@ class SpaceCatalog:
             raise ValueError(f"break index m={m} outside 1 .. {k - 1}")
 
     def fiber_class(self, k: int, m: int) -> RingElement:
-        """Thom fiber class x_{2m} of the m-th break at level k; 1 <= m <= k - 1."""
+        """Thom fiber class x_{2m} of the m-th break at level k; 1 <= m <= k - 1.
+
+        Built with the level, so every call returns the same object.
+        """
         self._check_break(k, m)
-        return self.gamma(k).ring.gen(f"x{2 * m}")
+        return self._level(k)[2][m - 1]
 
     def pullback_pL(self, k: int) -> RingMap:
         """Pullback along the retraction of the level-k manifold onto SM; fixes SM's generators."""
@@ -218,11 +227,13 @@ class SpaceCatalog:
         which every break's pullback fixes: its image is one ``gysin`` call
         per level, through break 1's map.  A source free of xi has the dual
         ``w xi``, with no sign, as xi is the last generator; its
-        ``pd_inverse`` and the retraction pullback of ``w`` are built once
-        per level, and each break adds one cup with ``fiber_class(k, m)``
-        and one ``pd``.  A level costs 2n ``gysin`` calls, 2n further
-        ``pd_inverse`` and pullback calls, and 2n cups and ``pd`` calls per
-        break.
+        ``pd_inverse`` and the retraction pullback L(w) of ``w`` are built
+        once per level.  By the cap module law ``cap(b a, x) = cap(b, cap(a,
+        x))``, which carries no sign, its image ``pd(L(w) x_{2m})`` at break
+        m is ``cap(L(w), pd(x_{2m}))``: each break adds one ``pd`` of
+        ``fiber_class(k, m)`` and one cap per source.  A level costs 2n
+        ``gysin`` calls, 2n further ``pd_inverse`` and pullback calls, and
+        per break one ``pd`` and 2n caps.
         """
         self._check_break(k, m)
         tables = self._pv_tables.get(k)
@@ -233,8 +244,8 @@ class SpaceCatalog:
     def _build_pv_tables(self, k: int) -> list[dict[Monomial, tuple[Monomial, int]]]:
         pair = self.sm_pair
         ring = pair.ring
-        gam = self.gamma(k)
-        lift, p_v = self.pullback_pL(k), self.pullback_pV(k, 1)
+        gam, lift, fibers = self._level(k)
+        p_v = self.pullback_pV(k, 1)
         sources = list(ring.monomials())
         images: dict[Monomial, HomologyElement] = {}  # sources carrying xi
         lifted: dict[Monomial, RingElement] = {}  # the others, by the pullback of w
@@ -247,13 +258,13 @@ class SpaceCatalog:
                 ((wxi, c),) = pd_inverse(pair, du).terms.items()
                 lifted[u] = lift(RingElement(self.sm.ring, {wxi >> 1: c}))
         tables = []
-        for m in range(1, k):
-            fiber = self.fiber_class(k, m)
+        for m, fiber in enumerate(fibers, 1):
+            fiber_dual = pd(gam, fiber)
             table: dict[Monomial, tuple[Monomial, int]] = {}
             for u in sources:
                 image = images.get(u)
                 if image is None:
-                    image = pd(gam, lifted[u] * fiber)
+                    image = cap(lifted[u], fiber_dual)
                 ((mono, coeff),) = image.terms.items()
                 if coeff not in (1, -1):
                     raise RuntimeError(

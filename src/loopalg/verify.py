@@ -20,7 +20,7 @@ from .homology import (
     pd_inverse,
 )
 from .report import Report, _intern
-from .ring import cross
+from .ring import _require_int, cross
 from .spaces import SpaceParams, catalog_for, generator_degree
 
 __all__ = [
@@ -141,7 +141,13 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
     operand pairs are all distinct.  For each pair (a, b) a law's checks
     over c or x are compared as two rows of table entries, one list
     comparison per row; only a row with a mismatch is noted cell by cell.
+
+    ``seed`` must be an int >= 0: ``random.Random`` draws the same rounds
+    for ``True``, ``1.0``, ``1`` and ``-1``.
     """
+    _require_int("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     cat = catalog_for(params)
     rep = Report(f"ring axioms ({params.token}, n={params.n})")
     spaces = [cat.sm, cat.sm_pair, cat.gamma(2)]

@@ -6,8 +6,8 @@ call reaches them: a class over another ring, a class of the wrong type
 power), a map between other spaces, a generator kind a type does not hold, a
 CLI expression mixing homology and cohomology generators, a float or bool
 where the kernel counts (an exponent, a presentation index, a generator's
-degree or truncation, a degree bound, a sweep's level bound), or a count out
-of range.
+degree or truncation, a degree bound, a sweep's level bound, a seed), or a
+count out of range.
 """
 
 import contextlib
@@ -45,7 +45,7 @@ from loopalg.loops import (
 )
 from loopalg.ring import Generator, Ring, RingMismatchError, cross, cup
 from loopalg.spaces import SpaceCatalog, SpaceParams, generator_degree
-from loopalg.verify import verify_gysin_values, verify_structure
+from loopalg.verify import verify_gysin_values, verify_ring_axioms, verify_structure
 
 RING = Ring([Generator("a", 2, 3), Generator("u", 1, 2)])
 OTHER = Ring([Generator("a", 2, 3), Generator("u", 3, 2)])
@@ -354,6 +354,21 @@ def _cli(*argv):
             ValueError,
             "level k must be >= 1",
         ),
+        (
+            lambda: verify_ring_axioms(CP2, True),
+            TypeError,
+            "seed must be an int, not True",
+        ),
+        (
+            lambda: verify_ring_axioms(CP2, 1.0),
+            TypeError,
+            "seed must be an int, not 1.0",
+        ),
+        (
+            lambda: verify_ring_axioms(CP2, -1),
+            ValueError,
+            "seed must be >= 0",
+        ),
     ],
     ids=[
         "pairing",
@@ -411,6 +426,9 @@ def _cli(*argv):
         "verify_presentation-negative",
         "verify_gysin_values-float",
         "verify_structure-zero",
+        "verify_ring_axioms-bool",
+        "verify_ring_axioms-float",
+        "verify_ring_axioms-negative",
     ],
 )
 def test_guard_refuses_with_its_message(call, error, message):

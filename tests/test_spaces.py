@@ -22,7 +22,8 @@ from loopalg import (
     gysin,
     pd,
 )
-from loopalg import spaces
+from loopalg import loops, spaces
+from loopalg.loops import cap_with_thom, gamma_class
 from loopalg.spaces import SpaceCatalog, generator_degree
 
 
@@ -356,17 +357,31 @@ class TestGysinTable:
             for sign in (s for _, s in cat.pv_gysin_table(3, 1).values()):
                 assert sign in (1, -1)
 
-    @pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "hp1", "hp2", "hp3"])
-    def test_table_matches_direct_gysin(self, name, request):
+    @pytest.mark.parametrize(
+        ("name", "levels"),
+        [
+            ("cp1", range(2, 7)),
+            ("cp2", (*range(2, 7), 32)),
+            ("cp3", range(2, 7)),
+            ("hp1", range(2, 7)),
+            ("hp2", range(2, 7)),
+            ("hp3", (*range(2, 7), 32)),
+        ],
+        ids=["cp1", "cp2", "cp3", "hp1", "hp2", "hp3"],
+    )
+    def test_table_matches_direct_gysin(self, name, levels, request):
         # Every break's table covers the full dual basis, and each entry is
         # the image through that break's own map, although a level's tables
-        # share the images of the sources carrying xi.
+        # share the images of the sources carrying xi and take the others by
+        # a cap of pd(x_{2m}).  At level 32 the ring is wider than 64 bits,
+        # so a packed monomial spans several machine words.
         cat = request.getfixturevalue(name)
         pair = cat.sm_pair
         sources = set(pair.ring.monomials())
         assert len(sources) == 4 * cat.params.n
-        for k in range(2, 7):
+        for k in levels:
             gam = cat.gamma(k)
+            assert k <= 6 or gam.ring.width > 64
             for m in range(1, k):
                 table = cat.pv_gysin_table(k, m)
                 assert len(table) == len(sources)
@@ -379,10 +394,10 @@ class TestGysinTable:
     @pytest.mark.parametrize(("token", "n", "k"), [("cp", 1, 5), ("cp", 3, 10), ("hp", 2, 7)])
     def test_a_cold_level_makes_2n_gysin_calls(self, monkeypatch, token, n, k):
         # 2n sources carry xi and are imaged by one gysin call per level.  The
-        # other 2n take one pd_inverse per level and one pd per break, each
-        # after a cup with the break's fiber class.  The maps built are the
-        # level's retraction pullback and break 1's pullback.
-        calls = {"gysin": [], "pd_inverse": [], "pd": [], "RingMap": []}
+        # other 2n take one pd_inverse per level and then, per break, one cap
+        # of the break's pd(x_{2m}), which is built once per break.  The maps
+        # built are the level's retraction pullback and break 1's pullback.
+        calls = {"gysin": [], "pd_inverse": [], "pd": [], "cap": [], "RingMap": []}
 
         def counted(name):
             real = getattr(spaces, name)
@@ -398,7 +413,13 @@ class TestGysinTable:
         params = SpaceParams.from_token(token, n)
         cat = SpaceCatalog(params)
         x = LoopClass.generator(params, "B", k, 0)
-        want = {"gysin": 2 * n, "pd_inverse": 2 * n, "pd": 2 * n * (k - 1), "RingMap": 2}
+        want = {
+            "gysin": 2 * n,
+            "pd_inverse": 2 * n,
+            "pd": k - 1,
+            "cap": 2 * n * (k - 1),
+            "RingMap": 2,
+        }
         assert coproduct_pipeline(x, cat) == coproduct_closed(x)
         assert {name: len(c) for name, c in calls.items()} == want
         coproduct_pipeline(x, cat)
@@ -408,6 +429,20 @@ class TestGysinTable:
                 cat.pv_gysin_table(kk, m)
             assert str(err.value) == f"break index m={m} outside 1 .. {kk - 1}"
         assert {name: len(c) for name, c in calls.items()} == want
+        # The fiber classes are built with the level: the tables' pd, the
+        # break pullbacks and cap_with_thom all read those same objects.
+        capped = []
+        real_cap = loops.cap
+        monkeypatch.setattr(loops, "cap", lambda a, y: capped.append(a) or real_cap(a, y))
+        cap_with_thom(cat, k, gamma_class(cat, "B", k, 0))
+        for m in range(1, k):
+            fiber = cat.fiber_class(k, m)
+            assert fiber is cat.fiber_class(k, m)
+            assert cat.pullback_pV(k, m).images["xi"] is fiber
+            space, dualized = calls["pd"][m - 1]
+            assert space is cat.gamma(k) and dualized is fiber
+            assert capped[m - 1] is fiber
+        assert len(capped) == k - 1
 
     def test_repeated_image_is_refused(self, monkeypatch):
         real = spaces.pd_inverse
