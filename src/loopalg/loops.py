@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
-from .report import Report, _intern
+from .report import Interner, Report
 from .ring import Combination, Monomial, RingMismatchError, _Frozen, _require_int, as_coeff
 from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 
@@ -75,7 +75,7 @@ class _FormalSum(Combination):
     def __init__(self, params: SpaceParams, terms: dict | None = None):
         super().__init__(params, terms or {})
         top = params.n - 1
-        for key in self.terms:
+        for key in terms or ():  # every key passed, a 0 coefficient's too
             for kind, k, i in self._parts(key):
                 if kind not in self.kinds:
                     raise ValueError(f"unexpected generator kind {kind!r}")
@@ -576,9 +576,9 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     left side is the X-coefficient of gh_product(a, b), its right side the
     (a, b)-coefficient of coproduct_closed(X).  Each dual generator is built
     once, each product once per pair and each coproduct once per X, as sparse
-    tables.  A triple absent from both tables is 0 = 0, so it is credited as
-    passed without a call; the others are compared one by one, pair-major and
-    then in X order.
+    tables.  A triple absent from both tables is 0 = 0, so each pair's such
+    triples are credited as passed, at that pair, without a call; the others
+    are compared one by one, pair-major and then in X order.
     """
     params.check_level(max_k)
     rep = Report(f"duality ({params.token}, n={params.n}, level<={max_k})")
@@ -589,17 +589,15 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
         for pair, c in coproduct_closed(LoopClass.generator(params, *key)).terms.items():
             split.setdefault(pair, {})[key] = c
     gens = [CohClass.generator(params, *key) for key in coh]
-    pairs = checked = 0
     for ka, ca in zip(coh, gens):
         for kb, cb in zip(coh, gens):
             if ka[1] + kb[1] > max_k:
                 continue
-            pairs += 1
             prod = gh_product(ca, cb)
             left = {_dual_key(k): c for k, c in prod.terms.items()}
             right = split.get((_dual_key(ka), _dual_key(kb)), {})
             keys = (left.keys() | right.keys()) & position.keys()
-            checked += len(keys)
+            rep.credit(len(position) - len(keys))
             for key in sorted(keys, key=position.__getitem__):
                 lhs, rhs = left.get(key, 0), right.get(key, 0)
                 rep.note(
@@ -611,7 +609,6 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
                     lhs,
                     rhs,
                 )
-    rep.credit(pairs * len(position) - checked)
     return rep
 
 
@@ -698,13 +695,14 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     to the level bound, surjectivity witnesses for every s[k,i] and m[k,i],
     and that powers w^k of the level generator stay nonzero up to twice the
     level bound.  Each monomial is normalized once, grouped by factor count,
-    and each normal form and dual product is interned to one index.  Each
-    pair costs one ``mul`` (an exponent sum) and one lookup of the product's
-    exponents: a product is normalized only the first time it occurs, and
-    ``gh_product`` runs once per distinct pair of normal forms.  For each
-    monomial p and factor count, the row of product indices over all q is
-    compared with one list comparison against the expected row, built once
-    per normal form of p; only a row with a mismatch is noted cell by cell.
+    and one ``Interner`` gives each normal form and dual product one index
+    and one shared object.  Each pair costs one ``mul`` (an exponent sum) and
+    one lookup of the product's exponents: a product is normalized only the
+    first time it occurs, and ``gh_product`` runs once per distinct pair of
+    normal forms.  For each monomial p and factor count, ``Report.rows``
+    compares the row of shared products over all q with the expected row,
+    built once per normal form of p, in one list comparison; only a row with
+    a mismatch is noted cell by cell.
     """
     params.check_level(max_level)
     rep = Report(f"presentation ({params.token}, n={params.n}, level<={max_level})")
@@ -730,26 +728,22 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
     for i, j in itertools.product(range(n), repeat=2):
         expect(beta[i].mul(beta[j]), None, 2, 0, "beta_{} beta_{}", i, j)
 
-    normals: dict = {}
-    values: list = []  # the distinct normal forms and dual products, by index
-    products: dict = {}  # (i, j) -> the index of the dual product of values i and j
+    forms = Interner()  # the distinct normal forms and dual products
+    values = forms.values
+    products: dict = {}  # (i, j) -> the shared dual product of values i and j
 
-    def index(value: CohClass) -> int:
-        i, shared = _intern(normals, value)
-        if i == len(values):
-            values.append(shared)
-        return i
-
-    def product(i: int, j: int) -> int:
+    def product(i: int, j: int) -> CohClass:
         ij = products.get((i, j))
         if ij is None:
-            ij = products[i, j] = index(gh_product(values[i], values[j]))
+            ij = products[i, j] = forms.share(gh_product(values[i], values[j]))
         return ij
 
     monos = {f: list(_pres_monomials(params, f)) for f in range(1, max_level)}
-    normal = {f: [index(presentation_normalize(p, params)) for p in ps] for f, ps in monos.items()}
+    normal = {
+        f: [forms.index(presentation_normalize(p, params)) for p in ps] for f, ps in monos.items()
+    }
     rows: dict = {}  # (i, f2) -> the expected row of a p with normal form i
-    seen: dict = {}  # a product's exponents -> the index of its normal form
+    seen: dict = {}  # a product's exponents -> its shared normal form
     for f1, ps in monos.items():
         for f2 in range(1, max_level - f1 + 1):
             qs, js = monos[f2], normal[f2]
@@ -762,13 +756,9 @@ def verify_presentation(params: SpaceParams, max_level: int) -> Report:
                     r = p.mul(q)
                     g = seen.get(r._exps)
                     if g is None:
-                        g = seen[r._exps] = index(presentation_normalize(r, params))
+                        g = seen[r._exps] = forms.share(presentation_normalize(r, params))
                     got.append(g)
-                if got == expected:
-                    rep.credit(len(got))
-                    continue
-                for q, g, e in zip(qs, got, expected):
-                    rep.note(values[g] == values[e], "multiplicativity fails at {} * {}", p, q)
+                rep.rows(qs, "multiplicativity fails at {} * {}", ((p,), got, expected))
 
     for k in range(1, max_level + 1):
         expect(PresMonomial.build(params, omega=k), "s", k, 0, "w^{}", k)

@@ -1,21 +1,36 @@
 """What the sweeps in ``loops`` and ``verify`` share: ``Report``, a sweep's
-outcome, which formats a failure's message only when it keeps the failure,
-and ``_intern``, which gives equal values one shared object and one index."""
+outcome, which formats a failure's message only when it keeps the failure
+and checks a law's rows over a key list in one comparison (``Report.rows``),
+and ``Interner``, which gives equal values one shared object and one index."""
 
 from __future__ import annotations
 
-__all__ = ["KEEP_FAILURES", "Report"]
+__all__ = ["KEEP_FAILURES", "Interner", "Report"]
 
 # Counterexamples a Report keeps in full; later failures are only counted.
 KEEP_FAILURES = 12
 
 
-def _intern(seen: dict, value) -> tuple[int, object]:
-    """The index of ``value`` among the distinct values in ``seen``, and their one object.
+class Interner:
+    """Equal values' one shared object and its index; ``values`` lists them in index order.
 
     Values are the same when their types and their terms, in order, are equal.
     """
-    return seen.setdefault((type(value), tuple(value.terms.items())), (len(seen), value))
+
+    def __init__(self) -> None:
+        self._seen: dict = {}
+        self.values: list = []
+
+    def index(self, value) -> int:
+        """The index of ``value``'s shared object, which is ``value`` if it is new."""
+        i = self._seen.setdefault((type(value), tuple(value.terms.items())), len(self.values))
+        if i == len(self.values):
+            self.values.append(value)
+        return i
+
+    def share(self, value):
+        """The one object of the values equal to ``value``."""
+        return self.values[self.index(value)]
 
 
 class Report:
@@ -41,6 +56,20 @@ class Report:
             if len(self.failures) < KEEP_FAILURES:
                 self.failures.append(message.format(*args))
         return ok
+
+    def rows(self, keys: list, message: str, *laws) -> None:
+        """Check each law ``(args, left, right)``, two rows indexed like ``keys``.
+
+        If every pair of rows is equal, one list comparison each, all their
+        checks are credited; otherwise every cell is noted, key by key and
+        then law by law, as ``message.format(*args, key)``.
+        """
+        if all(left == right for _, left, right in laws):
+            self.checks += len(laws) * len(keys)
+            return
+        for pos, key in enumerate(keys):
+            for args, left, right in laws:
+                self.note(left[pos] == right[pos], message, *args, key)
 
     def credit(self, count: int) -> None:
         """Record ``count`` checks known to pass without noting each one."""

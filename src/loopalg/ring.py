@@ -160,7 +160,6 @@ class Ring:
                     f"generator {g.name!r}: degree 0 would make the top monomial non-unique"
                 )
         self.generators = gens
-        self.degrees = tuple(g.degree for g in gens)
         self.truncations = tuple(g.truncation for g in gens)
         self.index = {g.name: pos for pos, g in enumerate(gens)}
         # (shift, mask) of each generator's slot, the last generator at bit 0.

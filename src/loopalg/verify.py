@@ -19,7 +19,7 @@ from .homology import (
     pd,
     pd_inverse,
 )
-from .report import Report, _intern
+from .report import Interner, Report
 from .ring import _require_int, cross
 from .spaces import SpaceParams, catalog_for, generator_degree
 
@@ -82,30 +82,6 @@ def verify_gysin_values(params: SpaceParams, max_k: int) -> Report:
     return rep
 
 
-def _distinct(table) -> tuple[list, list]:
-    """``table`` with each entry replaced by its index among the distinct
-    values, and those values in index order."""
-    first: dict = {}
-    rows = [[_intern(first, v)[0] for v in row] for row in table]
-    return rows, [v for _, v in first.values()]
-
-
-def _note_rows(rep: Report, keys: list, ma, mb, *laws) -> None:
-    """Check each law's row over ``keys`` at the basis pair (ma, mb).
-
-    A law is its name and two rows, left and right sides indexed like
-    ``keys``.  When every row matches, one list comparison each, their
-    checks are credited; otherwise every cell is noted, key by key and law
-    by law, so a failure reads as it would from a check per cell.
-    """
-    if all(left == right for _, left, right in laws):
-        rep.credit(len(laws) * len(keys))
-        return
-    for pos, key in enumerate(keys):
-        for name, left, right in laws:
-            rep.note(left[pos] == right[pos], "{} fails at {},{},{}", name, ma, mb, key)
-
-
 def _random_terms(rng, monos) -> dict:
     """One to three of ``monos``, each with a random rational coefficient."""
     picks = rng.sample(monos, k=min(len(monos), rng.randint(1, 3)))
@@ -135,12 +111,13 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
     tables first: every basis product a*b and cap(a, x), indexed by distinct
     value; for each distinct product u, u*c, cap(u, x) and <u, x>; for each
     basis a, a*u; for each basis b and distinct cap h, cap(b, h) and <b, h>.
-    Equal entries share one object.  Both sides of every check are built by
-    the kernel from the operands the law names; only the diagonal
-    adjunction's <cross(a, b), push(x)> is computed per check, since those
-    operand pairs are all distinct.  For each pair (a, b) a law's checks
-    over c or x are compared as two rows of table entries, one list
-    comparison per row; only a row with a mismatch is noted cell by cell.
+    The indices come from ``Interner``, and equal entries share one object.
+    Both sides of every check are built by the kernel from the operands the
+    law names; only the diagonal adjunction's <cross(a, b), push(x)> is
+    computed per check, since those operand pairs are all distinct.  For
+    each pair (a, b) ``Report.rows`` compares a law's checks over c or x as
+    two rows of table entries, one list comparison per row; only a row with
+    a mismatch is noted cell by cell.
 
     ``seed`` must be an int >= 0: ``random.Random`` draws the same rounds
     for ``True``, ``1.0``, ``1`` and ``-1``.
@@ -179,39 +156,34 @@ def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
         pool.append((ring, [by_degree[d] for d in sorted(by_degree)], monos))
 
         pushes = [diagonal_pushforward(dx) for dx in duals]
-        shared: dict = {}
-
-        def share(value):
-            return _intern(shared, value)[1]
-
-        prod, products = _distinct((ea * eb for eb in elems) for ea in elems)
-        capped, caps = _distinct((cap(ea, dx) for dx in duals) for ea in elems)
-        u_c = [[share(u * ec) for ec in elems] for u in products]
-        u_cap = [[share(cap(u, dx)) for dx in duals] for u in products]
-        u_pair = [[pairing(u, dx) for dx in duals] for u in products]
-        a_u = [[share(ea * u) for u in products] for ea in elems]
-        b_cap = [[share(cap(eb, h)) for h in caps] for eb in elems]
-        b_pair = [[pairing(eb, h) for h in caps] for eb in elems]
+        products, caps, shared = Interner(), Interner(), Interner()
+        prod = [[products.index(ea * eb) for eb in elems] for ea in elems]
+        capped = [[caps.index(cap(ea, dx)) for dx in duals] for ea in elems]
+        u_c = [[shared.share(u * ec) for ec in elems] for u in products.values]
+        u_cap = [[shared.share(cap(u, dx)) for dx in duals] for u in products.values]
+        u_pair = [[pairing(u, dx) for dx in duals] for u in products.values]
+        a_u = [[shared.share(ea * u) for u in products.values] for ea in elems]
+        b_cap = [[shared.share(cap(eb, h)) for h in caps.values] for eb in elems]
+        b_pair = [[pairing(eb, h) for h in caps.values] for eb in elems]
 
         for i, (ma, ea, da) in enumerate(zip(shown, elems, degrees)):
             a_row, a_caps = a_u[i], capped[i]
             for j, (mb, eb, db) in enumerate(zip(shown, elems, degrees)):
                 ab, ba = prod[i][j], prod[j][i]
                 flip = -1 if (da % 2 and db % 2) else 1
-                commute = products[ab] == products[ba] * flip
+                commute = products.values[ab] == products.values[ba] * flip
                 rep.note(commute, "graded commutativity fails at {}, {}", ma, mb)
                 a_bc = [a_row[bc] for bc in prod[j]]
-                _note_rows(rep, shown, ma, mb, ("associativity", u_c[ab], a_bc))
+                rep.rows(shown, "{} fails at {},{},{}", (("associativity", ma, mb), u_c[ab], a_bc))
                 ab_cross = cross(ea, eb)
                 b_caps, b_pairs = b_cap[j], b_pair[j]
-                _note_rows(
-                    rep,
+                diagonal = [pairing(ab_cross, p) for p in pushes]
+                rep.rows(
                     shown,
-                    ma,
-                    mb,
-                    ("cap module axiom", u_cap[ba], [b_caps[h] for h in a_caps]),
-                    ("pairing adjunction", [b_pairs[h] for h in a_caps], u_pair[ba]),
-                    ("diagonal adjunction", [pairing(ab_cross, p) for p in pushes], u_pair[ab]),
+                    "{} fails at {},{},{}",
+                    (("cap module axiom", ma, mb), u_cap[ba], [b_caps[h] for h in a_caps]),
+                    (("pairing adjunction", ma, mb), [b_pairs[h] for h in a_caps], u_pair[ba]),
+                    (("diagonal adjunction", ma, mb), diagonal, u_pair[ab]),
                 )
 
     rng = random.Random(seed)

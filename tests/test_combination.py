@@ -201,12 +201,15 @@ def test_printed_forms_are_pinned(value, text, rep):
         (TensorLoopClass, (("A", 1, 0),)),
         (TensorLoopClass, (("A", 1, 0), ("A", 1, 0), ("A", 1, 0))),
         (LoopClass, (("A", 1, 0), ("A", 1, 0))),
+        (TensorLoopClass, "garbage"),
     ],
-    ids=["tensor-one-part", "tensor-three-parts", "loop-pair"],
+    ids=["tensor-one-part", "tensor-three-parts", "loop-pair", "tensor-string"],
 )
 def test_malformed_keys_are_refused(cls, key):
-    with pytest.raises(ValueError, match=f"^malformed {cls.__name__} key "):
-        cls(CP2, {key: 1})
+    # A key with coefficient 0 is checked too, before its term is dropped.
+    for c in (1, 0):
+        with pytest.raises(ValueError, match=f"^malformed {cls.__name__} key "):
+            cls(CP2, {key: c})
 
 
 # A level or index must be an int: a float or bool would print as a level
@@ -268,11 +271,15 @@ def test_unchecked_results_have_valid_keys(family, n):
         (TensorLoopClass, (("A", 1, 0), ("m", 1, 0)), "unexpected generator kind 'm'"),
         (TensorLoopClass, (("A", 1, 0), ("B", 0, 1)), "level k must be >= 1"),
         (TensorLoopClass, (("A", 1, 2), ("B", 1, 0)), "index out of range for n=2"),
+        (LoopClass, ("Z", 0, 9), "unexpected generator kind 'Z'"),
+        (LoopClass, ("A", 1, 5), "index out of range for n=2"),
     ],
 )
 def test_checked_constructors_refuse_bad_keys(cls, key, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        cls(CP2, {key: 1})
+    # A key with coefficient 0 is checked too, before its term is dropped.
+    for c in (1, 0, Fraction(0)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(CP2, {key: c})
 
 
 # ``_class_and_key`` writes the key layout that ``_FormalSum._parts`` reads.

@@ -34,7 +34,7 @@ def permutation_sign(ring, left, right):
     concatenated word of odd factors into generator order, and its sign is
     read from its cycles: (-1) ** (length - cycles).
     """
-    odd = [pos for pos, d in enumerate(ring.degrees) if d % 2]
+    odd = [pos for pos, g in enumerate(ring.generators) if g.degree % 2]
     word = [pos for pos in odd if left[pos]] + [pos for pos in odd if right[pos]]
     perm = sorted(range(len(word)), key=word.__getitem__)
     seen, cycles = set(), 0

@@ -1,10 +1,10 @@
 """Report: messages formatted on failure, the verdict, the kept-failure cap,
-credit and absorb, and the interning of equal values."""
+credit and absorb, the row check, and the interning of equal values."""
 
 import pytest
 
 from loopalg.homology import dual
-from loopalg.report import KEEP_FAILURES, Report, _intern
+from loopalg.report import KEEP_FAILURES, Interner, Report
 from loopalg.ring import Generator, Ring
 
 
@@ -106,17 +106,46 @@ def test_summary_and_absorb_see_credited_checks():
     assert (total.checks, total.failed, total.failures) == (10, 1, ["broken"])
 
 
-def test_intern_shares_one_object_per_value_and_type():
+def test_equal_rows_are_credited_without_a_note():
+    arg = _Counted()
+    rep = Report("rows")
+    keys = ["x", "y", "z"]
+    rep.rows(keys, "{} fails at {}", ((arg,), [1, 2, 3], [1, 2, 3]), ((arg,), [], []))
+    assert (rep.checks, rep.failed, rep.failures) == (6, 0, [])
+    assert arg.calls == 0
+
+
+def test_a_mismatch_notes_every_cell_key_then_law():
+    rep = Report("rows")
+    rep.rows(
+        ["x", "y"],
+        "{} fails at {},{}",
+        (("first", 0), [1, 2], [1, 0]),
+        (("second", 1), [5, 6], [0, 6]),
+    )
+    assert (rep.checks, rep.failed) == (4, 2)
+    assert rep.failures == ["second fails at 1,x", "first fails at 0,y"]
+
+
+def test_row_failures_beyond_the_cap_are_only_counted():
+    rep = Report("rows")
+    keys = list(range(20))
+    rep.rows(keys, "{} at {}", (("left",), keys, [-1] * 20), (("right",), keys, keys))
+    assert (rep.checks, rep.failed) == (40, 20)
+    assert rep.failures == [f"left at {j}" for j in range(KEEP_FAILURES)]
+
+
+def test_interner_shares_one_object_per_value_and_type():
     ring = Ring([Generator("a", 2, 3)])
-    seen: dict = {}
+    seen = Interner()
     first = ring.gen("a")
-    assert _intern(seen, first) == (0, first)
-    again = _intern(seen, ring.gen("a"))
-    assert again[0] == 0 and again[1] is first
+    assert seen.index(first) == 0
+    again = ring.gen("a")
+    assert seen.index(again) == 0 and seen.share(again) is first
     square = ring.gen("a") * ring.gen("a")
-    assert _intern(seen, square) == (1, square)
+    assert seen.index(square) == 1 and seen.share(square) is square
     # A homology class with the same terms is another value.
     point = dual(ring, (1,))
-    assert _intern(seen, point) == (2, point)
-    assert _intern(seen, ring.gen("a"))[1] is first
-    assert len(seen) == 3
+    assert seen.index(point) == 2 and seen.share(point) is point
+    assert seen.share(ring.gen("a")) is first
+    assert seen.values == [first, square, point]

@@ -42,7 +42,8 @@ def sign_by_transpositions(ring, left, right):
 
 def brute_basis(ring, d):
     ranges = [range(t) for t in ring.truncations]
-    degree = lambda m: sum(g * e for g, e in zip(ring.degrees, m))  # noqa: E731
+    degrees = [g.degree for g in ring.generators]
+    degree = lambda m: sum(g * e for g, e in zip(degrees, m))  # noqa: E731
     return sorted(m for m in itertools.product(*ranges) if degree(m) == d)
 
 
