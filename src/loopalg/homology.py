@@ -25,7 +25,7 @@ from .ring import (
     Monomial,
     Ring,
     RingElement,
-    RingMismatchError,
+    _require_same,
     as_coeff,
 )
 
@@ -81,8 +81,7 @@ def pairing(c: RingElement, x: HomologyElement) -> int | Fraction:
     """Kronecker pairing of a cohomology element against a homology class."""
     if type(c) is not RingElement or type(x) is not HomologyElement:
         raise TypeError(f"pairing of {type(c).__name__} and {type(x).__name__}")
-    if x.ring is not c.ring and c.ring != x.ring:
-        raise RingMismatchError("pairing of classes over different rings")
+    _require_same(c.ring, x.ring, "pairing of classes over different rings")
     total = 0
     for m, cc in c.terms.items():
         cx = x.terms.get(m)
@@ -100,9 +99,7 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
     """
     if type(a) is not RingElement or type(x) is not HomologyElement:
         raise TypeError(f"cap of {type(a).__name__} and {type(x).__name__}")
-    ring = a.ring
-    if x.ring is not ring and ring != x.ring:
-        raise RingMismatchError("cap of classes over different rings")
+    ring = _require_same(a.ring, x.ring, "cap of classes over different rings")
     out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mx, cx in x.terms.items():
@@ -143,8 +140,7 @@ def pd(space: OrientedSpace, c: RingElement) -> HomologyElement:
     """Poincare duality, cap against the fundamental class."""
     if type(c) is not RingElement:
         raise TypeError(f"pd of {type(c).__name__}")
-    if c.ring is not space.ring and c.ring != space.ring:
-        raise RingMismatchError("class does not live over the space's ring")
+    _require_same(c.ring, space.ring, "class does not live over the space's ring")
     _require_homogeneous(c, "Poincare duality input")
     return cap(c, space.fundamental)
 
@@ -159,10 +155,8 @@ def pd_inverse(space: OrientedSpace, x: HomologyElement) -> RingElement:
     """
     if type(x) is not HomologyElement:
         raise TypeError(f"pd_inverse of {type(x).__name__}")
-    if x.ring is not space.ring and x.ring != space.ring:
-        raise RingMismatchError("class does not live over the space's ring")
+    ring = _require_same(space.ring, x.ring, "class does not live over the space's ring")
     _require_homogeneous(x, "inverse duality input")
-    ring = space.ring
     top = ring.top_monomial
     out: dict[Monomial, int | Fraction] = {}
     for m, c in x.terms.items():
@@ -188,8 +182,7 @@ class RingMap:
         powers: list[list[RingElement]] = []
         for g in source.generators:
             img = images[g.name]
-            if img.ring is not target and img.ring != target:
-                raise RingMismatchError(f"image of {g.name!r} lives over the wrong ring")
+            _require_same(target, img.ring, "image of {!r} lives over the wrong ring", g.name)
             if img.terms and img.degree() != g.degree:
                 raise ValueError(f"image of {g.name!r} is not of degree {g.degree}")
             pows = [target.one(), img]
@@ -206,8 +199,7 @@ class RingMap:
     def __call__(self, elem: RingElement) -> RingElement:
         if type(elem) is not RingElement:
             raise TypeError(f"RingMap applied to {type(elem).__name__}")
-        if elem.ring is not self.source and elem.ring != self.source:
-            raise RingMismatchError("element does not live over the map's source")
+        _require_same(self.source, elem.ring, "element does not live over the map's source")
         out: dict[Monomial, int | Fraction] = {}
         for m, c in elem.terms.items():
             acc = None
@@ -237,12 +229,9 @@ def gysin(
     ``x`` lives over ``source`` and the result over ``target``; the degree
     shifts by ``target.dimension - source.dimension``.
     """
-    if (pullback.source is not source.ring and pullback.source != source.ring) or (
-        pullback.target is not target.ring and pullback.target != target.ring
-    ):
-        raise RingMismatchError("pullback does not connect the given spaces")
-    if x.ring is not source.ring and x.ring != source.ring:
-        raise RingMismatchError("class does not live over the source space")
+    _require_same(pullback.source, source.ring, "pullback does not connect the given spaces")
+    _require_same(pullback.target, target.ring, "pullback does not connect the given spaces")
+    _require_same(source.ring, x.ring, "class does not live over the source space")
     return pd(target, pullback(pd_inverse(source, x)))
 
 

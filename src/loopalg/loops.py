@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
 from .report import Interner, Report
-from .ring import Combination, Monomial, RingMismatchError, _Frozen, _require_int, as_coeff
+from .ring import Combination, Monomial, _Frozen, _require_int, _require_same, as_coeff
 from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 
 __all__ = [
@@ -310,11 +310,8 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
     if type(x) is not LoopClass:
         raise TypeError(f"coproduct_pipeline of {type(x).__name__}")
     cat = catalog or catalog_for(x.params)
-    if cat.params != x.params:
-        raise RingMismatchError(
-            f"coproduct_pipeline of a {x.params.token}{x.params.n} class "
-            f"with a {cat.params.token}{cat.params.n} catalog"
-        )
+    wrong = "coproduct_pipeline of a {0.token}{0.n} class with a {1.token}{1.n} catalog"
+    _require_same(cat.params, x.params, wrong, x.params, cat.params)
     spreads = cat._spreads
     out: dict = {}
     for (kind, k, i), c in x.terms.items():
@@ -352,8 +349,7 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
     """
     if type(a) is not CohClass or type(b) is not CohClass:
         raise TypeError(f"gh_product of {type(a).__name__} and {type(b).__name__}")
-    if a.params is not b.params and a.params != b.params:
-        raise RingMismatchError("operands are classes over different spaces")
+    _require_same(a.params, b.params, "operands are classes over different spaces")
     out: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -383,8 +379,7 @@ def _dual_key(key):
 
 def gh_dual_pairing(a: CohClass, x: LoopClass) -> int | Fraction:
     """Kronecker pairing, s[k,i] against A[k,i] and m[k,i] against B[k,i]."""
-    if a.params != x.params:
-        raise RingMismatchError("operands are classes over different spaces")
+    _require_same(a.params, x.params, "operands are classes over different spaces")
     total = 0
     for key, c in a.terms.items():
         cx = x.terms.get(_dual_key(key))
@@ -394,8 +389,7 @@ def gh_dual_pairing(a: CohClass, x: LoopClass) -> int | Fraction:
 
 
 def coh_cross(a: CohClass, b: CohClass) -> TensorCohClass:
-    if a.params != b.params:
-        raise RingMismatchError("operands are classes over different spaces")
+    _require_same(a.params, b.params, "operands are classes over different spaces")
     out: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -405,8 +399,7 @@ def coh_cross(a: CohClass, b: CohClass) -> TensorCohClass:
 
 def tensor_pairing(t: TensorCohClass, x: TensorLoopClass) -> int | Fraction:
     """Componentwise Kronecker pairing of tensor classes; no extra sign."""
-    if t.params != x.params:
-        raise RingMismatchError("operands are classes over different spaces")
+    _require_same(t.params, x.params, "operands are classes over different spaces")
     total = 0
     for (ka, kb), c in t.terms.items():
         cx = x.terms.get((_dual_key(ka), _dual_key(kb)))

@@ -54,6 +54,13 @@ class RingMismatchError(TypeError):
     """
 
 
+def _require_same(a, b, message: str, *args):
+    """The owner rule: ``a`` if ``b`` is ``a`` or equals it; else a ``RingMismatchError``."""
+    if b is a or a == b:
+        return a
+    raise RingMismatchError(message.format(*args))
+
+
 def as_coeff(value: int | Fraction) -> int | Fraction:
     """An exact scalar in canonical form: ``int`` when integral, else ``Fraction``.
 
@@ -403,10 +410,8 @@ class Combination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if other.owner is not self.owner and self.owner != other.owner:
-            raise RingMismatchError(
-                f"sum of {type(self).__name__}s over different rings or spaces"
-            )
+        wrong = "sum of {.__name__}s over different rings or spaces"
+        _require_same(self.owner, other.owner, wrong, type(self))
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
@@ -495,9 +500,7 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     """Graded product of ``a`` and ``b``; truncated monomials drop out."""
     if type(a) is not RingElement or type(b) is not RingElement:
         raise TypeError(f"cup of {type(a).__name__} and {type(b).__name__}")
-    ring = a.ring
-    if b.ring is not ring and ring != b.ring:
-        raise RingMismatchError("cup of elements over different rings")
+    ring = _require_same(a.ring, b.ring, "cup of elements over different rings")
     out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -551,9 +554,7 @@ def cross(a: Combination, b: Combination) -> Combination:
     """
     if type(a) is not type(b) or not isinstance(a.owner, Ring):
         raise TypeError(f"cross of {type(a).__name__} and {type(b).__name__}")
-    ring = a.owner
-    if b.owner is not ring and ring != b.owner:
-        raise RingMismatchError("cross of classes over different rings")
+    ring = _require_same(a.owner, b.owner, "cross of classes over different rings")
     # Distinct factor pairs concatenate to distinct monomials.
     shift = ring.width
     out = {ma << shift | mb: ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}

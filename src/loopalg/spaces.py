@@ -216,9 +216,9 @@ class SpaceCatalog:
         Maps each image monomial of the level-k ring to the source basis
         monomial and the sign it arrived with.  Covering the full basis lets
         callers detect any unexpected component instead of silently dropping
-        it.  Every image coefficient must be +1 or -1, so that dividing by it
-        is multiplying by it, and no two sources may share an image; either
-        fault breaks the match and raises ``RuntimeError``.
+        it.  Every image must be one term of coefficient +1 or -1, so that
+        dividing by it is multiplying by it, every inverse dual one term, and
+        no two sources may share an image; each fault raises ``RuntimeError``.
 
         The first call at level k builds the tables of every break
         m = 1 .. k - 1, splitting each image ``pd . pullback_pV(k, m) .
@@ -255,7 +255,13 @@ class SpaceCatalog:
                 images[u] = gysin(p_v, pair, gam, du)
             else:
                 # The inverse dual is w xi, xi last: w is it shifted down, with no sign.
-                ((wxi, c),) = pd_inverse(pair, du).terms.items()
+                inverse = pd_inverse(pair, du).terms
+                if len(inverse) != 1:
+                    raise RuntimeError(
+                        f"inverse dual of [{ring.monomial_str(u)}] at level {k}, breaks "
+                        f"1 .. {k - 1}, has {len(inverse)} terms, not one"
+                    )
+                ((wxi, c),) = inverse.items()
                 lifted[u] = lift(RingElement(self.sm.ring, {wxi >> 1: c}))
         tables = []
         for m, fiber in enumerate(fibers, 1):
@@ -265,6 +271,11 @@ class SpaceCatalog:
                 image = images.get(u)
                 if image is None:
                     image = cap(lifted[u], fiber_dual)
+                if len(image.terms) != 1:
+                    raise RuntimeError(
+                        f"wrong-way image of [{ring.monomial_str(u)}] at level {k}, "
+                        f"break {m} has {len(image.terms)} terms, not one"
+                    )
                 ((mono, coeff),) = image.terms.items()
                 if coeff not in (1, -1):
                     raise RuntimeError(

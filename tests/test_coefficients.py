@@ -5,9 +5,11 @@ The canonical form is an ``int`` when the value is integral and otherwise a
 checking ``Combination.__init__`` in place, every verify suite and every CLI
 command must store canonical coefficients only.  The pipeline multiplies by
 the signs of the wrong-way tables where it means to divide by them, so a table
-coefficient other than +1 or -1 is refused as an internal error.
+coefficient other than +1 or -1 is refused as an internal error, and so is an
+entry read off a class of other than one term.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from loopalg import (
     pairing,
     spaces,
 )
+from loopalg.homology import HomologyElement
 from loopalg.loops import coh_cross, gh_dual_pairing, tensor_pairing
 from loopalg.ring import Combination, as_coeff
 
@@ -133,3 +136,47 @@ def test_non_unit_wrongway_coefficient_is_refused(monkeypatch, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("loopalg: internal error: RuntimeError: wrong-way image of [1]")
+
+
+def _two_term_inverse(real):
+    def inverse(space, x):
+        """The real inverse dual, plus the unit class for the dual of the unit monomial."""
+        out = real(space, x)
+        return out + out.ring.one() if x.ring.monomial() in x.terms else out
+
+    return inverse
+
+
+# A table entry is one term read off a class; a class of any other length is a
+# broken wrong-way convention, an internal fault, never refused input.
+@pytest.mark.parametrize(
+    "name, fault, refused",
+    [
+        (
+            "pd_inverse",
+            _two_term_inverse,
+            r"inverse dual of \[1\] at level 3, breaks 1 \.\. 2, has 2 terms, not one",
+        ),
+        (
+            "cap",
+            lambda real: lambda a, x: HomologyElement(x.ring, {}),
+            r"wrong-way image of \[1\] at level 3, break 1 has 0 terms, not one",
+        ),
+    ],
+    ids=["two-term inverse dual", "zero image"],
+)
+def test_wrongway_entry_of_other_than_one_term_is_refused(
+    monkeypatch, capsys, name, fault, refused
+):
+    monkeypatch.setattr(spaces, name, fault(getattr(spaces, name)))
+    with pytest.raises(RuntimeError, match=refused):
+        spaces.SpaceCatalog(CP2).pv_gysin_table(3, 1)
+
+    monkeypatch.setattr(spaces, "_CATALOGS", {})
+    argv = ["--space", "cp", "--n", "2", "coproduct", "A[3,1]", "--route", "pipeline"]
+    assert cli.run(argv) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("loopalg: internal error: RuntimeError: ")
+    assert re.search(refused, err)

@@ -108,6 +108,22 @@ def test_combination_contract(case):
         x - stranger
 
 
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c[0].__name__)
+def test_sum_over_an_equal_owner_built_apart(case):
+    cls, owner, other_owner, k1, _, k2, _ = case
+    if isinstance(owner, Ring):
+        twin = Ring(list(owner.generators))
+    else:
+        twin = SpaceParams(owner.family, owner.n)
+    assert twin is not owner and twin == owner
+    x = cls(owner, {k1: 2, k2: -1})
+    assert (x + cls(twin, {k1: 1})).terms == {k1: 3, k2: -1}
+    assert (x - cls(twin, {k2: -1})).terms == {k1: 2}
+    with pytest.raises(RingMismatchError) as err:
+        x + cls(other_owner, {k1: 1})
+    assert str(err.value) == f"sum of {cls.__name__}s over different rings or spaces"
+
+
 def test_ring_mismatch_is_a_type_error():
     assert issubclass(RingMismatchError, TypeError)
     assert not issubclass(RingMismatchError, ValueError)
@@ -141,6 +157,46 @@ def _over(params, cls, *keys):
 def test_dual_product_operands_over_different_spaces(fn, left, right):
     with pytest.raises(RingMismatchError, match="different spaces"):
         fn(left, right)
+
+
+# ... and accept operands over an equal space built apart, with the answer of
+# operands over one space object.
+CP2_TWIN = SpaceParams("complex", 2)
+
+
+@pytest.mark.parametrize(
+    "fn, left, right, want",
+    [
+        (
+            gh_product,
+            _over(CP2, CohClass, ("s", 1, 0)),
+            _over(CP2_TWIN, CohClass, ("s", 2, 1)),
+            _over(CP2, CohClass, ("s", 3, 1)),
+        ),
+        (
+            gh_dual_pairing,
+            _over(CP2, CohClass, ("s", 1, 0)),
+            _over(CP2_TWIN, LoopClass, ("A", 1, 0)),
+            1,
+        ),
+        (
+            coh_cross,
+            _over(CP2, CohClass, ("s", 1, 0)),
+            _over(CP2_TWIN, CohClass, ("m", 1, 1)),
+            _over(CP2, TensorCohClass, (("s", 1, 0), ("m", 1, 1))),
+        ),
+        (
+            tensor_pairing,
+            _over(CP2, TensorCohClass, (("s", 1, 0), ("s", 1, 1))),
+            _over(CP2_TWIN, TensorLoopClass, (("A", 1, 0), ("A", 1, 1))),
+            1,
+        ),
+    ],
+    ids=["gh_product", "gh_dual_pairing", "coh_cross", "tensor_pairing"],
+)
+def test_dual_product_operands_over_an_equal_space_built_apart(fn, left, right, want):
+    assert CP2_TWIN is not CP2 and CP2_TWIN == CP2
+    assert fn(left, right) == want
 
 
 _TERMS = {

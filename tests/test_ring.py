@@ -22,7 +22,17 @@ from loopalg import (
     cross,
     cup,
 )
-from loopalg.homology import cap, diagonal_pushforward, dual, pairing
+from loopalg.homology import (
+    OrientedSpace,
+    RingMap,
+    cap,
+    diagonal_pushforward,
+    dual,
+    gysin,
+    pairing,
+    pd,
+    pd_inverse,
+)
 
 
 def sign_by_transpositions(ring, left, right):
@@ -106,9 +116,10 @@ class TestConstruction:
         assert len({one, twin}) == 1
 
     def test_kernel_accepts_equal_rings_built_apart(self):
-        # cup, cap, pairing and cross compare rings by identity first; a ring
-        # equal to the operand's but built separately still passes, and an
-        # unequal one is still refused.
+        # cup, cap, pairing and cross refuse a foreign ring through the one
+        # owner rule, which tests identity first; a ring equal to the
+        # operand's but built separately still passes, and an unequal one is
+        # still refused.
         gens = [Generator("a", 2, 3), Generator("u", 1, 2)]
         one, twin, other = Ring(gens), Ring(list(gens)), Ring([Generator("a", 2, 3)])
         a, u = one.gen("a"), twin.gen("u")
@@ -129,6 +140,20 @@ class TestConstruction:
             cap(other.gen("a"), x)
         with pytest.raises(RingMismatchError, match="pairing of classes over different rings"):
             pairing(other.gen("a"), x)
+
+    def test_duality_maps_and_gysin_accept_equal_rings_built_apart(self):
+        # pd, pd_inverse, a RingMap's images and argument, and gysin's two
+        # spaces and class all pass the owner rule on an equal ring built apart.
+        gens = [Generator("a", 2, 3), Generator("u", 1, 2)]
+        one, twin, third = Ring(gens), Ring(list(gens)), Ring(list(gens))
+        space, space_twin = OrientedSpace(one), OrientedSpace(twin)
+        a, x = one.gen("a"), dual(one, (1, 1))
+        assert pd(space_twin, a) == pd(space, a) == x
+        assert pd_inverse(space_twin, x) == pd_inverse(space, x) == a
+        identity = RingMap(one, third, {g.name: twin.gen(g.name) for g in gens})
+        au = twin.gen("a") * twin.gen("u")
+        assert identity(au) == a * one.gen("u")
+        assert gysin(identity, space_twin, OrientedSpace(twin), 2 * x) == 2 * x
 
     def test_combination_keeps_canonical_coefficients(self):
         # Only a coefficient that is not exactly an int goes through as_coeff.

@@ -497,6 +497,14 @@ class TestCatalogCache:
         assert str(err.value) == want.format(*cls_space, *cat_space)
         assert cat._levels == {} and cat._pv_tables == {}
 
+    def test_pipeline_accepts_a_catalog_of_an_equal_space_built_apart(self):
+        params = SpaceParams.from_token("cp", 2)
+        x = LoopClass.generator(params, "B", 3, 1) - LoopClass.generator(params, "A", 2, 0)
+        cat = SpaceCatalog(SpaceParams.from_token("cp", 2))
+        assert cat.params is not params
+        assert coproduct_pipeline(x, cat) == coproduct_closed(x)
+        assert sorted(cat._levels) == [2, 3]
+
     def test_fresh_catalog_equivalent(self):
         p = SpaceParams.from_token("hp", 2)
         fresh = SpaceCatalog(p)
