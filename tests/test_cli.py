@@ -286,6 +286,14 @@ class TestVerify:
             assert code == 0, (suite, err)
             assert out.startswith("PASS ("), suite
 
+    def test_duality_refuses_a_bound_below_two(self, capsys):
+        # No pair of dual generators has a total level below 2, so a sweep
+        # at level 1 would pass with 0 checks.
+        code, out, err = call(
+            capsys, "--space", "cp", "--n", "2", "verify", "duality", "--max-k", "1"
+        )
+        assert (code, out, err) == (2, "", "loopalg: error: level k must be >= 2\n")
+
     @pytest.mark.parametrize("setting", ["2", "soon"])
     def test_default_level_is_8_whatever_the_environment(
         self, capsys, monkeypatch, setting

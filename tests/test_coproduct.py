@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loopalg import (
     LoopClass,
+    Report,
     PipelineMatchError,
     TensorLoopClass,
     cap,
@@ -18,7 +19,9 @@ from loopalg import (
     verify_coassociativity,
     verify_pipeline,
 )
+from loopalg import loops, report
 from loopalg.loops import cap_with_thom, gamma_class
+from loopalg.spaces import SpaceParams
 
 
 def A(params, k, i):
@@ -224,3 +227,94 @@ class TestCoassociativity:
         expect = {(("A", 1, 0), ("A", 1, 0), ("A", 1, 0)): Fraction(1)}
         assert {k: v for k, v in left.items() if v} == expect
         assert {k: v for k, v in right.items() if v} == expect
+
+
+def _bump(d, key, c):
+    d[key] = d.get(key, 0) + c
+
+
+def _tuple_triple_closed(kind, k, i):
+    out = {}
+    for m1 in range(1, k - 1):
+        for m2 in range(1, k - m1):
+            m3 = k - m1 - m2
+            for j1 in range(i + 1):
+                for j2 in range(i - j1 + 1):
+                    j3 = i - j1 - j2
+                    if kind == "A":
+                        _bump(out, (("A", m1, j1), ("A", m2, j2), ("A", m3, j3)), 1)
+                    else:
+                        _bump(out, (("B", m1, j1), ("A", m2, j2), ("A", m3, j3)), 1)
+                        _bump(out, (("A", m1, j1), ("B", m2, j2), ("A", m3, j3)), 1)
+                        _bump(out, (("A", m1, j1), ("A", m2, j2), ("B", m3, j3)), 1)
+    return out
+
+
+def _tuple_coassociativity(params, max_k):
+    """Reference sweep: iterated coproducts keyed by tuples of ``(kind, k, i)``.
+
+    Kept as a test oracle for verify_coassociativity, which counts the same
+    triples over packed int codes.  It calls coproduct_closed through the
+    module, so a patched version reaches both sweeps.
+    """
+    rep = Report("tuple coassociativity")
+    keys = [(kind, k, i) for k in range(1, max_k + 1) for kind in "AB" for i in range(params.n)]
+    split = {key: loops.coproduct_closed(LoopClass.generator(params, *key)).terms for key in keys}
+    for key, vee in split.items():
+        left, right = {}, {}
+        for (u, v), c in vee.items():
+            for (p, q), d in split[u].items():
+                _bump(left, (p, q, v), c * d)
+            for (p, q), d in split[v].items():
+                _bump(right, (u, p, q), c * d)
+        left = {t: c for t, c in left.items() if c}
+        right = {t: c for t, c in right.items() if c}
+        rep.note(left == right, "coassociativity fails at {}[{},{}]", *key)
+        rep.note(left == _tuple_triple_closed(*key), "triple split mismatch at {}[{},{}]", *key)
+    return rep
+
+
+def _scaled(x, coproduct):
+    return 2 * coproduct(x)
+
+
+def _sign_at_level_one(x, coproduct):
+    terms = coproduct(x).terms
+    return TensorLoopClass(x.params, {key: -c if key[0][1] == 1 else c for key, c in terms.items()})
+
+
+def _extra_term(x, coproduct):
+    ((_, k, _),) = x.terms
+    extra = {(("A", 1, 0), ("A", k - 1, 0)): 1} if k >= 2 else {}
+    return coproduct(x) + TensorLoopClass(x.params, extra)
+
+
+def _without_index_1(x, coproduct):
+    terms = coproduct(x).terms
+    return TensorLoopClass(
+        x.params, {key: c for key, c in terms.items() if 1 not in (key[0][2], key[1][2])}
+    )
+
+
+class TestCoassociativityAgainstTupleReference:
+    @pytest.mark.parametrize(
+        "mutant", [None, _scaled, _sign_at_level_one, _extra_term, _without_index_1]
+    )
+    @pytest.mark.parametrize("token", ["cp", "hp"])
+    def test_same_report(self, token, mutant, monkeypatch):
+        monkeypatch.setattr(report, "KEEP_FAILURES", 10**6)
+        if mutant is not None:
+            coproduct = loops.coproduct_closed
+            monkeypatch.setattr(loops, "coproduct_closed", lambda x: mutant(x, coproduct))
+        for n in (1, 2, 3):
+            params = SpaceParams.from_token(token, n)
+            for max_k in (1, 2, 3, 7):
+                packed = verify_coassociativity(params, max_k)
+                tupled = _tuple_coassociativity(params, max_k)
+                assert packed.checks == tupled.checks == 4 * n * max_k
+                assert packed.failed == tupled.failed == len(tupled.failures)
+                assert packed.failures == tupled.failures
+                assert packed.passed or mutant is not None
+        # Every mutant fails more checks at n = 3 and k <= 7 than a Report
+        # keeps by default, so the failure lists compared above are longer.
+        assert mutant is None or packed.failed > 12

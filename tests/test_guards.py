@@ -330,6 +330,11 @@ def _cli(*argv):
             "level k must be an int, not 1.5",
         ),
         (
+            lambda: verify_duality(CP2, 1),
+            ValueError,
+            "level k must be >= 2",
+        ),
+        (
             lambda: verify_coassociativity(CP2, 0),
             ValueError,
             "level k must be >= 1",
@@ -421,6 +426,7 @@ def _cli(*argv):
         "PresMonomial-build-bool-alpha",
         "PresMonomial-build-float-beta",
         "verify_duality-float",
+        "verify_duality-one",
         "verify_coassociativity-zero",
         "verify_pipeline-bool",
         "verify_presentation-negative",

@@ -450,14 +450,60 @@ def test_coassociativity_sweep_catches_wrong_coproduct_sign(monkeypatch):
 def test_coassociativity_sweep_catches_wrong_triple_split(monkeypatch):
     triple = loops._triple_closed
 
-    def without_middle_b(params, kind, k, i):
-        return {t: c for t, c in triple(params, kind, k, i).items() if t[1][0] != "B"}
+    dropped = []
+
+    def without_middle_b(index_bits, width, kind, k, i):
+        # A packed triple is p << 2w | q << w | v; the kind bit of q is bit 2w - 1.
+        for t in triple(index_bits, width, kind, k, i):
+            if t >> 2 * width - 1 & 1:
+                dropped.append((kind, k, i, t >> width & (1 << width) - 1))
+            else:
+                yield t
 
     monkeypatch.setattr(loops, "_triple_closed", without_middle_b)
     rep = verify_coassociativity(CP3, 6)
     # Only B classes of level 3 or more have a B middle factor: 4 levels * 3.
     assert (rep.checks, rep.failed) == (72, 12)
     assert all(f.startswith("triple split mismatch at B[") for f in rep.failures)
+    # Exactly the middle-B terms went: B[m2,j2] is the kind bit (bit 5 of a
+    # 6-bit code at k <= 6 and n = 3) over the level and the index fields.
+    assert {kind for kind, _, _, _ in dropped} == {"B"}
+    assert all(q >> 5 == 1 and 1 <= q >> 2 & 7 <= 4 for _, _, _, q in dropped)
+    # B[k,i] splits into C(k-1, 2) level triples and C(i+2, 2) index triples.
+    assert len(dropped) == sum(
+        (k - 1) * (k - 2) // 2 * (i + 1) * (i + 2) // 2 for k in range(3, 7) for i in range(3)
+    )
+
+
+@pytest.mark.parametrize(
+    "part",
+    [
+        # At k <= 6 the level field has 3 bits, so level 8 = 2**3 would carry
+        # into the kind bit and read as a B code of level 0.
+        ("A", 8, 0),
+        ("A", 7, 0),
+        ("A", 1, 3),
+        ("s", 1, 0),
+    ],
+    ids=["level-2**bits", "level-above-bound", "index-n", "kind-s"],
+)
+def test_coassociativity_sweep_refuses_a_term_outside_its_codes(monkeypatch, part):
+    coproduct = loops.coproduct_closed
+
+    def with_bad_term(x):
+        out = coproduct(x)
+        if tuple(x.terms) != (("B", 4, 1),):
+            return out
+        # _built checks no key, as a wrong closed formula would not.
+        return TensorLoopClass._built(x.params, {**out.terms, (part, ("A", 1, 1)): 1})
+
+    monkeypatch.setattr(loops, "coproduct_closed", with_bad_term)
+    with pytest.raises(RuntimeError) as err:
+        verify_coassociativity(CP3, 6)
+    assert str(err.value) == (
+        f"coproduct of B[4,1] has the term {part[0]}[{part[1]},{part[2]}] x A[1,1]"
+        " outside the sweep's generators"
+    )
 
 
 def test_pipeline_sweep_catches_wrong_pushforward_sign(monkeypatch):
