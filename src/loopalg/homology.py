@@ -82,6 +82,13 @@ def pairing(c: RingElement, x: HomologyElement) -> int | Fraction:
     if type(c) is not RingElement or type(x) is not HomologyElement:
         raise TypeError(f"pairing of {type(c).__name__} and {type(x).__name__}")
     _require_same(c.ring, x.ring, "pairing of classes over different rings")
+    if len(c.terms) == 1:
+        ((m, cc),) = c.terms.items()
+        cx = x.terms.get(m)
+        if cx is None:
+            return 0
+        total = cc * cx
+        return total if type(total) is int else as_coeff(total)
     total = 0
     for m, cc in c.terms.items():
         cx = x.terms.get(m)
@@ -95,20 +102,34 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
 
     On dual classes: ``cap(a, dual(m)) = merge_sign(m - a, a) * dual(m - a)``
     whenever ``a`` divides ``m``, and 0 otherwise: a containment test, then a
-    subtract of the packed monomials.
+    subtract of the packed monomials.  Two one-term operands take one
+    ``div_monomials`` and one ``merge_sign`` call and build at most one term
+    without re-cleaning, as in ``cup``.
     """
     if type(a) is not RingElement or type(x) is not HomologyElement:
         raise TypeError(f"cap of {type(a).__name__} and {type(x).__name__}")
     ring = _require_same(a.ring, x.ring, "cap of classes over different rings")
+    a_terms, x_terms = a.terms, x.terms
+    if len(a_terms) == 1 and len(x_terms) == 1:
+        ((ma, ca),) = a_terms.items()
+        ((mx, cx),) = x_terms.items()
+        sub = ring.div_monomials(mx, ma)
+        if sub is None:
+            return HomologyElement._built(ring, {})
+        c = ca * cx if ring.merge_sign(sub, ma) > 0 else -(ca * cx)
+        return HomologyElement._built(ring, {sub: c if type(c) is int else as_coeff(c)})
     out: dict[Monomial, int | Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mx, cx in x.terms.items():
+    for ma, ca in a_terms.items():
+        for mx, cx in x_terms.items():
             sub = ring.div_monomials(mx, ma)
             if sub is None:
                 continue
             sign = ring.merge_sign(sub, ma)
             piece = ca * cx if sign > 0 else -(ca * cx)
-            out[sub] = out.get(sub, 0) + piece
+            if sub in out:
+                out[sub] += piece
+            else:
+                out[sub] = piece
     return HomologyElement(ring, out)
 
 
@@ -160,9 +181,9 @@ def pd_inverse(space: OrientedSpace, x: HomologyElement) -> RingElement:
     top = ring.top_monomial
     out: dict[Monomial, int | Fraction] = {}
     for m, c in x.terms.items():
+        # Distinct monomials have distinct complements, so no key repeats.
         comp = top - m
-        sign = ring.merge_sign(m, comp)
-        out[comp] = out.get(comp, 0) + (c if sign > 0 else -c)
+        out[comp] = c if ring.merge_sign(m, comp) > 0 else -c
     return RingElement(ring, out)
 
 
@@ -210,7 +231,10 @@ class RingMap:
             if acc is None:
                 acc = self.target.one()
             for mono, coeff in acc.terms.items():
-                out[mono] = out.get(mono, 0) + coeff * c
+                if mono in out:
+                    out[mono] += coeff * c
+                else:
+                    out[mono] = coeff * c
         return RingElement(self.target, out)
 
     def __repr__(self) -> str:

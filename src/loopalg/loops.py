@@ -571,7 +571,8 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     dual key are built once, each product once per pair and each coproduct
     once per X, as sparse tables.  A triple absent from both tables is 0 = 0,
     so each pair's such triples are credited as passed, at that pair, without
-    a call: all of them, with no set built, when neither table has a term.
+    a call: all of them, with no set built, when neither table has a term,
+    and all but one, with one comparison, when both hold just the same key.
     The others are compared one by one, pair-major and then in X order.  The
     dual generators are level-major, so each a's walk over b stops at the
     first b past the bound.  On cp2 at max_k = 100 (31,680,000 checks) it
@@ -591,6 +592,7 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
         (key, _dual_key(key), CohClass.generator(params, *key))
         for key in _keys(params, max_k - 1, "sm")
     ]
+    message = "<{}[{},{}]*{}[{},{}], {}[{},{}]>: {} != {}"
     for ka, da, ca in gens:
         top = max_k - ka[1]
         for kb, db, cb in gens:
@@ -601,20 +603,20 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
             if not prod.terms and not right:
                 rep.credit(len(position))
                 continue
+            if len(prod.terms) == 1 and len(right) == 1:
+                ((k, lhs),) = prod.terms.items()
+                key = _dual_key(k)
+                rhs = right.get(key)
+                if rhs is not None:  # one shared key, which ``split`` took from ``position``
+                    rep.credit(len(position) - 1)
+                    rep.note(lhs == rhs, message, *ka, *kb, *key, lhs, rhs)
+                    continue
             left = {_dual_key(k): c for k, c in prod.terms.items()}
             keys = (left.keys() | right.keys()) & position.keys()
             rep.credit(len(position) - len(keys))
             for key in sorted(keys, key=position.__getitem__):
                 lhs, rhs = left.get(key, 0), right.get(key, 0)
-                rep.note(
-                    lhs == rhs,
-                    "<{}[{},{}]*{}[{},{}], {}[{},{}]>: {} != {}",
-                    *ka,
-                    *kb,
-                    *key,
-                    lhs,
-                    rhs,
-                )
+                rep.note(lhs == rhs, message, *ka, *kb, *key, lhs, rhs)
     return rep
 
 

@@ -391,6 +391,21 @@ class Combination:
         self.owner = owner
         self.terms = clean
 
+    @classmethod
+    def _built(cls, owner, terms: dict):
+        """An element that owns ``terms`` as given, with no coefficient cleaned.
+
+        Use it only when every coefficient is already canonical (``as_coeff``)
+        and nonzero, as in a one-term product of two canonical coefficients
+        passed through ``as_coeff``; any other input breaks the ``terms``
+        invariant.  ``_FormalSum._built`` overrides it for the loop classes,
+        whose keys it trusts but whose coefficients it still cleans.
+        """
+        out = object.__new__(cls)
+        out.owner = owner
+        out.terms = terms
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -414,7 +429,10 @@ class Combination:
         _require_same(self.owner, other.owner, wrong, type(self))
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
+            if key in out:
+                out[key] += c
+            else:
+                out[key] = c
         return type(self)(self.owner, out)
 
     def __neg__(self):
@@ -497,19 +515,38 @@ class RingElement(Combination):
 
 
 def cup(a: RingElement, b: RingElement) -> RingElement:
-    """Graded product of ``a`` and ``b``; truncated monomials drop out."""
+    """Graded product of ``a`` and ``b``; truncated monomials drop out.
+
+    A product of two one-term elements is one ``mul_monomials`` call and at
+    most one term, built without re-cleaning: a product of two nonzero
+    canonical coefficients is nonzero, and only a non-``int`` one can need
+    ``as_coeff``.  A sum starts at its first piece, not at 0.
+    """
     if type(a) is not RingElement or type(b) is not RingElement:
         raise TypeError(f"cup of {type(a).__name__} and {type(b).__name__}")
     ring = _require_same(a.ring, b.ring, "cup of elements over different rings")
+    a_terms, b_terms = a.terms, b.terms
+    if len(a_terms) == 1 and len(b_terms) == 1:
+        ((ma, ca),) = a_terms.items()
+        ((mb, cb),) = b_terms.items()
+        hit = ring.mul_monomials(ma, mb)
+        if hit is None:
+            return RingElement._built(ring, {})
+        m, sign = hit
+        c = ca * cb if sign > 0 else -(ca * cb)
+        return RingElement._built(ring, {m: c if type(c) is int else as_coeff(c)})
     out: dict[Monomial, int | Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for ma, ca in a_terms.items():
+        for mb, cb in b_terms.items():
             hit = ring.mul_monomials(ma, mb)
             if hit is None:
                 continue
             m, sign = hit
             piece = ca * cb if sign > 0 else -(ca * cb)
-            out[m] = out.get(m, 0) + piece
+            if m in out:
+                out[m] += piece
+            else:
+                out[m] = piece
     return RingElement(ring, out)
 
 

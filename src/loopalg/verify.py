@@ -20,7 +20,7 @@ from .homology import (
     pd_inverse,
 )
 from .report import Interner, Report
-from .ring import _require_int, cross
+from .ring import RingElement, _require_int, as_coeff, cross
 from .spaces import SpaceParams, catalog_for, generator_degree
 
 __all__ = [
@@ -82,15 +82,31 @@ def verify_gysin_values(params: SpaceParams, max_k: int) -> Report:
     return rep
 
 
+# The random coefficients p/q, p in -9 .. 9 and q in 1 .. 9, in canonical
+# form: _COEFFS[p + 9][q - 1] is as_coeff(Fraction(p, q)).
+_COEFFS = tuple(tuple(as_coeff(Fraction(p, q)) for q in range(1, 10)) for p in range(-9, 10))
+
+
 def _random_terms(rng, monos) -> dict:
-    """One to three of ``monos``, each with a random rational coefficient."""
-    picks = rng.sample(monos, k=min(len(monos), rng.randint(1, 3)))
-    return {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in picks}
+    """One to three of ``monos``, each with a random rational coefficient.
+
+    ``rng.randint(a, b)`` draws ``a + rng._randbelow(b - a + 1)``, and so does
+    ``rng.choice`` over ``b - a + 1`` values in order, so each ``choice``
+    below draws what ``randint`` drew, from the same stream: the count
+    ``randint(1, 3)``, then p = ``randint(-9, 9)`` and q = ``randint(1, 9)``
+    per term, which pick ``_COEFFS[p + 9][q - 1]``.
+    """
+    picks = rng.sample(monos, k=min(len(monos), rng.choice((1, 2, 3))))
+    return {m: rng.choice(rng.choice(_COEFFS)) for m in picks}
 
 
 def _random_homogeneous(ring, rng, layers):
-    """A random element of one degree; ``layers`` lists the monomials by degree."""
-    return ring.element(_random_terms(rng, rng.choice(layers)))
+    """A random element of one degree; ``layers`` lists the monomials by degree.
+
+    Built with ``RingElement`` rather than ``ring.element``: every key comes
+    from ``ring.monomials()``, so ``check_monomial`` would check nothing new.
+    """
+    return RingElement(ring, _random_terms(rng, rng.choice(layers)))
 
 
 def verify_ring_axioms(params: SpaceParams, seed: int = 0) -> Report:
