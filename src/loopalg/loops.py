@@ -58,11 +58,13 @@ class _FormalSum(Combination):
     """Key validation, degrees and printed bodies shared by the four class types.
 
     The public constructors, ``cls(params, terms)``, ``generator`` and the
-    parser, check each key's kind, level and index.  ``_built`` checks none
-    of them and only cleans the coefficients.  It may build only a result
-    whose keys an operation made from keys already checked, by a rule that
-    keeps them valid: levels that add or split into positive parts, indices
-    kept in 0 .. n - 1.
+    parser, check each key's kind, level and index.  ``_built`` and
+    ``_cleaned`` check none of them.  They may build only a result whose
+    keys an operation made from keys already checked, by a rule that keeps
+    them valid: levels that add or split into positive parts, indices kept
+    in 0 .. n - 1.  ``_built`` is ``Combination``'s, with its one rule: the
+    caller vouches for canonical, nonzero coefficients too.  A sum that can
+    cancel, or leave an integral ``Fraction``, goes through ``_cleaned``.
     """
 
     kinds: frozenset[str] = frozenset()
@@ -94,7 +96,7 @@ class _FormalSum(Combination):
             raise ValueError(f"malformed {type(self).__name__} key {key!r}") from None
 
     @classmethod
-    def _built(cls, params: SpaceParams, terms: dict):
+    def _cleaned(cls, params: SpaceParams, terms: dict):
         """A sum of keys known to be valid: the coefficients cleaned, no key checked."""
         out = object.__new__(cls)
         Combination.__init__(out, params, terms)
@@ -190,6 +192,9 @@ def coproduct_closed(x: LoopClass) -> TensorLoopClass:
 
     A[k,i] splits into sum_{m,j} A[m,j] x A[k-m,i-j]; B[k,i] into the two
     mixed A/B families over the same ranges.  Level-1 classes map to zero.
+    No key repeats (it fixes its generator's kind, level and index; A terms
+    give (A, A) keys, B terms (A, B) and (B, A)), so each term is stored once
+    with the input's canonical, nonzero coefficient, built with ``_built``.
     """
     if type(x) is not LoopClass:
         raise TypeError(f"coproduct_closed of {type(x).__name__}")
@@ -198,15 +203,11 @@ def coproduct_closed(x: LoopClass) -> TensorLoopClass:
         for m in range(1, k):
             for j in range(i + 1):
                 if kind == "A":
-                    _bump(out, (("A", m, j), ("A", k - m, i - j)), c)
+                    out[("A", m, j), ("A", k - m, i - j)] = c
                 else:
-                    _bump(out, (("A", m, j), ("B", k - m, i - j)), c)
-                    _bump(out, (("B", m, j), ("A", k - m, i - j)), c)
+                    out[("A", m, j), ("B", k - m, i - j)] = c
+                    out[("B", m, j), ("A", k - m, i - j)] = c
     return TensorLoopClass._built(x.params, out)
-
-
-def _bump(d: dict, key, c) -> None:
-    d[key] = d.get(key, 0) + c
 
 
 # -- the coproduct, completing-manifold pipeline ----------------------
@@ -232,17 +233,17 @@ def cap_with_thom(
     index doubles as the marker of the interval factor it pairs with, so the
     list is empty at level 1.  Capping x_{2m} x [interval] into x x [interval]
     leaves the interval factor alone at the cost of (-1)^{deg x}, which is the
-    sign applied here, once, to x before the caps.  Each break costs one cap
-    of ``catalog.fiber_class(k, m)``.  The wrong-way table a capped class is
-    matched against is built once per level from the same object: per break,
-    one ``pd`` of x_{2m} and one cap per xi-free source
-    (``SpaceCatalog.pv_gysin_table``).
+    sign applied here, once, to x before the caps.  The level's fiber classes
+    are read once, from its catalog entry, and each break costs one cap.  The
+    wrong-way table a capped class is matched against is built once per level
+    from the same objects: per break, one ``pd`` of x_{2m} and one cap per
+    xi-free source (``SpaceCatalog.pv_gysin_table``).
     """
     _require_homogeneous(x, "cap_with_thom input")
-    catalog.params.check_level(k)
+    fibers = catalog._level(k)[2]
     if (x.degree() or 0) % 2:
         x = -x
-    return [(m, cap(catalog.fiber_class(k, m), x)) for m in range(1, k)]
+    return [(m, cap(fiber, x)) for m, fiber in enumerate(fibers, 1)]
 
 
 def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[Monomial, int | Fraction]:
@@ -322,8 +323,12 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
                 if spread is None:
                     spread = spreads[mono] = _diagonal_spread(cat, mono)
                 for (kind_l, il), (kind_r, ir), dc in spread:
-                    _bump(out, ((kind_l, m, il), (kind_r, k - m, ir)), c * cu * dc)
-    return TensorLoopClass._built(x.params, out)
+                    key = (kind_l, m, il), (kind_r, k - m, ir)
+                    if key in out:
+                        out[key] += c * cu * dc
+                    else:
+                        out[key] = c * cu * dc
+    return TensorLoopClass._cleaned(x.params, out)
 
 
 # -- the dual product --------------------------------------------------
@@ -345,18 +350,31 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
     """Product on the dual generators: s*s -> s, s*m -> m, m*m = 0.
 
     Levels add, indices add and truncate above n - 1; the degree grows by
-    deg a + deg b + N - 1.
+    deg a + deg b + N - 1.  Two one-term operands take one ``_gh_key`` call
+    and build at most one term without re-cleaning, as in ``cup``.
     """
     if type(a) is not CohClass or type(b) is not CohClass:
         raise TypeError(f"gh_product of {type(a).__name__} and {type(b).__name__}")
-    _require_same(a.params, b.params, "operands are classes over different spaces")
+    params = _require_same(a.params, b.params, "operands are classes over different spaces")
+    a_terms, b_terms = a.terms, b.terms
+    if len(a_terms) == 1 and len(b_terms) == 1:
+        ((ka, ca),) = a_terms.items()
+        ((kb, cb),) = b_terms.items()
+        key = _gh_key(params, ka, kb)
+        if key is None:
+            return CohClass._built(params, {})
+        c = ca * cb
+        return CohClass._built(params, {key: c if type(c) is int else as_coeff(c)})
     out: dict = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            key = _gh_key(a.params, ka, kb)
+    for ka, ca in a_terms.items():
+        for kb, cb in b_terms.items():
+            key = _gh_key(params, ka, kb)
             if key is not None:
-                _bump(out, key, ca * cb)
-    return CohClass._built(a.params, out)
+                if key in out:
+                    out[key] += ca * cb
+                else:
+                    out[key] = ca * cb
+    return CohClass._cleaned(params, out)
 
 
 def gh_product_pairs(t: TensorCohClass) -> CohClass:
@@ -367,8 +385,11 @@ def gh_product_pairs(t: TensorCohClass) -> CohClass:
     for (ka, kb), c in t.terms.items():
         key = _gh_key(t.params, ka, kb)
         if key is not None:
-            _bump(out, key, c)
-    return CohClass._built(t.params, out)
+            if key in out:
+                out[key] += c
+            else:
+                out[key] = c
+    return CohClass._cleaned(t.params, out)
 
 
 def _dual_key(key):
@@ -390,10 +411,8 @@ def gh_dual_pairing(a: CohClass, x: LoopClass) -> int | Fraction:
 
 def coh_cross(a: CohClass, b: CohClass) -> TensorCohClass:
     _require_same(a.params, b.params, "operands are classes over different spaces")
-    out: dict = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            _bump(out, (ka, kb), ca * cb)
+    # Distinct key pairs are distinct keys, so no term is summed.
+    out = {(ka, kb): ca * cb for ka, ca in a.terms.items() for kb, cb in b.terms.items()}
     return TensorCohClass(a.params, out)
 
 
@@ -443,7 +462,7 @@ class PresMonomial(_Frozen):
             raise ValueError("exponents must be non-negative")
         if not any(exps):
             raise ValueError("the constant monomial is not in the presentation ring")
-        object.__setattr__(self, "_exps", exps)
+        _set_exps(self, exps)
 
     @property
     def omega(self) -> int:
@@ -501,8 +520,11 @@ class PresMonomial(_Frozen):
         if len(self._exps) != len(other._exps):
             raise ValueError("presentation monomials over different n")
         product = object.__new__(PresMonomial)
-        object.__setattr__(product, "_exps", tuple(map(operator.add, self._exps, other._exps)))
+        _set_exps(product, tuple(map(operator.add, self._exps, other._exps)))
         return product
+
+
+_set_exps = PresMonomial._exps.__set__  # the one slot's own descriptor
 
 
 def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
@@ -510,7 +532,8 @@ def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
 
     With k factors, total sub-index s and c beta factors the monomial maps
     to s[k,s] when c = 0, to m[k,s] when c = 1, and to zero otherwise or when
-    s exceeds n - 1.  c is read first, then s, and k only for a nonzero result.
+    s exceeds n - 1.  c is read first, then s, and k only for a nonzero result,
+    which is one term of coefficient 1, built with the trusted ``_built``.
     """
     if len(p._exps) != 2 * params.n:
         raise ValueError("presentation monomial does not match n")

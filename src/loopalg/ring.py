@@ -398,8 +398,8 @@ class Combination:
         Use it only when every coefficient is already canonical (``as_coeff``)
         and nonzero, as in a one-term product of two canonical coefficients
         passed through ``as_coeff``; any other input breaks the ``terms``
-        invariant.  ``_FormalSum._built`` overrides it for the loop classes,
-        whose keys it trusts but whose coefficients it still cleans.
+        invariant.  ``_built`` means this everywhere; a sum that can cancel is
+        cleaned by ``__init__`` or, for the loop classes, ``_FormalSum._cleaned``.
         """
         out = object.__new__(cls)
         out.owner = owner

@@ -36,17 +36,31 @@ def _canonical(c) -> bool:
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
+def _assert_canonical(x) -> None:
+    bad = [c for c in x.terms.values() if not _canonical(c)]
+    assert not bad, f"non-canonical coefficients {bad!r} in {type(x).__name__}"
+
+
 @pytest.fixture
 def checked(monkeypatch):
-    """Every Combination built from here on asserts canonical coefficients."""
-    original = Combination.__init__
+    """Every Combination built from here on asserts canonical coefficients.
+
+    Both constructors are checked: ``__init__``, which cleans, and the
+    trusted ``_built``, whose callers vouch for their coefficients.
+    """
+    original, original_built = Combination.__init__, Combination._built.__func__
 
     def init(self, owner, terms):
         original(self, owner, terms)
-        bad = [c for c in self.terms.values() if not _canonical(c)]
-        assert not bad, f"non-canonical coefficients {bad!r} in {type(self).__name__}"
+        _assert_canonical(self)
+
+    def built(cls, owner, terms):
+        out = original_built(cls, owner, terms)
+        _assert_canonical(out)
+        return out
 
     monkeypatch.setattr(Combination, "__init__", init)
+    monkeypatch.setattr(Combination, "_built", classmethod(built))
     # Fresh catalogs, so that the wrong-way tables are built under the check.
     monkeypatch.setattr(spaces, "_CATALOGS", {})
 
