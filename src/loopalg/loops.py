@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from functools import cache
 
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
 from .report import Interner, Report
@@ -217,11 +218,13 @@ def gamma_class(catalog: SpaceCatalog, kind: str, k: int, i: int) -> HomologyEle
     """The level-k carrier of A[k,i] or B[k,i], with its intrinsic sign.
 
     A classes are carried by -[a^i x_1 .. x_{2k-1}] and B classes by
-    +[a^i b x_1 .. x_{2k-1}]; the sign is applied here to ``gamma_dual``.
+    +[a^i b x_1 .. x_{2k-1}]; the sign is applied here to ``gamma_dual``, by
+    negating an A carrier.
     """
     if kind not in ("A", "B"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    return catalog.gamma_dual(k, i, kind == "B") * (1 if kind == "B" else -1)
+    carrier = catalog.gamma_dual(k, i, kind == "B")
+    return carrier if kind == "B" else -carrier
 
 
 def cap_with_thom(
@@ -355,7 +358,9 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
     """
     if type(a) is not CohClass or type(b) is not CohClass:
         raise TypeError(f"gh_product of {type(a).__name__} and {type(b).__name__}")
-    params = _require_same(a.params, b.params, "operands are classes over different spaces")
+    params = a.params
+    if b.params is not params:
+        _require_same(params, b.params, "operands are classes over different spaces")
     a_terms, b_terms = a.terms, b.terms
     if len(a_terms) == 1 and len(b_terms) == 1:
         ((ka, ca),) = a_terms.items()
@@ -482,8 +487,7 @@ class PresMonomial(_Frozen):
 
     @property
     def sub_index(self) -> int:
-        n = len(self._exps) // 2
-        return sum(map(operator.mul, self._exps, (0, *range(1, n), *range(n))))
+        return sum(map(operator.mul, self._exps, _sub_weights(len(self._exps) // 2)))
 
     @property
     def beta_count(self) -> int:
@@ -527,6 +531,12 @@ class PresMonomial(_Frozen):
 _set_exps = PresMonomial._exps.__set__  # the one slot's own descriptor
 
 
+@cache
+def _sub_weights(n: int) -> tuple[int, ...]:
+    """Sub-index weight of each exponent over n: 0 for omega, i for alpha_i and beta_i."""
+    return (0, *range(1, n), *range(n))
+
+
 def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
     """Normal form of a presentation monomial among the dual generators.
 
@@ -539,10 +549,10 @@ def presentation_normalize(p: PresMonomial, params: SpaceParams) -> CohClass:
         raise ValueError("presentation monomial does not match n")
     c = p.beta_count
     if c > 1:
-        return CohClass.zero(params)
+        return CohClass._built(params, {})
     s = p.sub_index
     if s > params.n - 1:
-        return CohClass.zero(params)
+        return CohClass._built(params, {})
     return CohClass._built(params, {("s" if c == 0 else "m", p.factor_count, s): 1})
 
 

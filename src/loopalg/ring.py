@@ -55,7 +55,13 @@ class RingMismatchError(TypeError):
 
 
 def _require_same(a, b, message: str, *args):
-    """The owner rule: ``a`` if ``b`` is ``a`` or equals it; else a ``RingMismatchError``."""
+    """The owner rule: ``a`` if ``b`` is ``a`` or equals it; else a ``RingMismatchError``.
+
+    The kernel's hot entries (``cup``, ``cap``, ``pairing``, ``cross``, the sum
+    of two classes and ``gh_product``) test ``b is a`` inline and call this
+    only for two distinct owners, so it stays the one rule for equal owners
+    and the one place a refusal is formatted.
+    """
     if b is a or a == b:
         return a
     raise RingMismatchError(message.format(*args))
@@ -417,6 +423,9 @@ class Combination:
 
     def degree(self) -> int | None:
         """The common degree of all keys, or None when mixed or zero."""
+        if len(self.terms) == 1:
+            (key,) = self.terms
+            return self._key_degree(key)
         degs = {self._key_degree(key) for key in self.terms}
         if len(degs) == 1:
             return degs.pop()
@@ -425,18 +434,21 @@ class Combination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        wrong = "sum of {.__name__}s over different rings or spaces"
-        _require_same(self.owner, other.owner, wrong, type(self))
+        owner = self.owner
+        if other.owner is not owner:
+            wrong = "sum of {.__name__}s over different rings or spaces"
+            _require_same(owner, other.owner, wrong, type(self))
         out = dict(self.terms)
         for key, c in other.terms.items():
             if key in out:
                 out[key] += c
             else:
                 out[key] = c
-        return type(self)(self.owner, out)
+        return type(self)(owner, out)
 
     def __neg__(self):
-        return type(self)(self.owner, {key: -c for key, c in self.terms.items()})
+        # The negative of a canonical, nonzero coefficient is one too, on the same keys.
+        return self._built(self.owner, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -499,7 +511,7 @@ class RingElement(Combination):
         return self.ring.monomial_str(m)
 
     def __mul__(self, other: RingElement | int | Fraction) -> RingElement:
-        if isinstance(other, RingElement):
+        if type(other) is RingElement:
             return cup(self, other)
         return super().__mul__(other)
 
@@ -524,7 +536,9 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     """
     if type(a) is not RingElement or type(b) is not RingElement:
         raise TypeError(f"cup of {type(a).__name__} and {type(b).__name__}")
-    ring = _require_same(a.ring, b.ring, "cup of elements over different rings")
+    ring = a.ring
+    if b.ring is not ring:
+        _require_same(ring, b.ring, "cup of elements over different rings")
     a_terms, b_terms = a.terms, b.terms
     if len(a_terms) == 1 and len(b_terms) == 1:
         ((ma, ca),) = a_terms.items()
@@ -591,7 +605,9 @@ def cross(a: Combination, b: Combination) -> Combination:
     """
     if type(a) is not type(b) or not isinstance(a.owner, Ring):
         raise TypeError(f"cross of {type(a).__name__} and {type(b).__name__}")
-    ring = _require_same(a.owner, b.owner, "cross of classes over different rings")
+    ring = a.owner
+    if b.owner is not ring:
+        _require_same(ring, b.owner, "cross of classes over different rings")
     # Distinct factor pairs concatenate to distinct monomials.
     shift = ring.width
     out = {ma << shift | mb: ca * cb for ma, ca in a.terms.items() for mb, cb in b.terms.items()}

@@ -13,8 +13,9 @@ with every x squaring to zero.  For n = 1 the class a satisfies a = 0, which
 is represented by simply omitting the generator; the quotient presentation is
 the same ring.
 
-A level's space, the pullback along its retraction onto SM and the fiber
-classes of its breaks are one cache entry, built on first use of any;
+A level's space, the pullback along its retraction onto SM, the fiber
+classes of its breaks and its carrier word x_1 .. x_{2k-1}, packed as one
+monomial, are one cache entry, built on first use of any;
 catalogs are cached per (family, n).  A break's pullback is a new map on each
 call: the retraction pullback's images plus xi sent to the break's fiber
 class.  The wrong-way tables of a level are cached beside its entry and built
@@ -113,9 +114,10 @@ class SpaceCatalog:
 
     def __init__(self, params: SpaceParams):
         self.params = params
-        # Per level k: its space, its retraction pullback and the fiber
-        # classes x_2, x_4, .. x_{2k-2} of its breaks.
-        self._levels: dict[int, tuple[OrientedSpace, RingMap, tuple[RingElement, ...]]] = {}
+        # Per level k: its space, its retraction pullback, the fiber classes
+        # x_2, x_4, .. x_{2k-2} of its breaks and the carrier word
+        # x_1 .. x_{2k-1}, one packed monomial.
+        self._levels: dict[int, tuple[OrientedSpace, RingMap, tuple[RingElement, ...], Monomial]] = {}
         # One list per level k, the table of break m at position m - 1.
         self._pv_tables: dict[int, list[dict[Monomial, tuple[Monomial, int]]]] = {}
         # The pipeline's diagonal spreads (``loops._diagonal_spread``), one
@@ -140,8 +142,8 @@ class SpaceCatalog:
         """Fiber product SM x_M SM, dimension 3N - 2."""
         return self._space([("xi", self.params.N - 1)])
 
-    def _level(self, k: int) -> tuple[OrientedSpace, RingMap, tuple[RingElement, ...]]:
-        """The level-k space, retraction pullback and fiber classes, built together on first use."""
+    def _level(self, k: int) -> tuple[OrientedSpace, RingMap, tuple[RingElement, ...], Monomial]:
+        """The level-k space, retraction pullback, fiber classes and carrier word, built together."""
         self.params.check_level(k)
         entry = self._levels.get(k)
         if entry is None:
@@ -150,7 +152,8 @@ class SpaceCatalog:
             ring = space.ring
             images = {g.name: ring.gen(g.name) for g in self.sm.ring.generators}
             fibers = tuple(ring.gen(f"x{2 * m}") for m in range(1, k))
-            entry = self._levels[k] = (space, RingMap(self.sm.ring, ring, images), fibers)
+            word = ring.monomial({f"x{j}": 1 for j in range(1, 2 * k)})
+            entry = self._levels[k] = (space, RingMap(self.sm.ring, ring, images), fibers, word)
         return entry
 
     def gamma(self, k: int) -> OrientedSpace:
@@ -158,6 +161,9 @@ class SpaceCatalog:
         return self._level(k)[0]
 
     def _check_break(self, k: int, m: int) -> None:
+        if type(k) is int and type(m) is int and 0 < m < k:
+            return
+        # Otherwise refuse, naming the first fault: the level, the break's type, its range.
         self.params.check_level(k)
         _require_int("break index m", m)
         if not 1 <= m <= k - 1:
@@ -187,15 +193,18 @@ class SpaceCatalog:
 
     # -- distinguished classes ----------------------------------------
 
-    def _named_dual(self, ring: Ring, i: int, with_b: bool, words=()) -> HomologyElement:
-        """Dual class of a^i (times b) times the generators named in ``words``, over ``ring``."""
+    def _named_dual(self, ring: Ring, i: int, with_b: bool, word: Monomial = 0) -> HomologyElement:
+        """Dual class of a^i (times b) times the packed monomial ``word``, over ``ring``.
+
+        ``word`` shares no generator with a^i b, so or-ing it in multiplies.
+        """
         self.params.check_index(i)
-        exps = dict.fromkeys(words, 1)
+        exps = {}
         if i:
             exps["a"] = i
         if with_b:
             exps["b"] = 1
-        return dual(ring, ring.monomial(exps))
+        return dual(ring, ring.monomial(exps) | word)
 
     def sm_dual(self, i: int, with_b: bool = False) -> HomologyElement:
         """Dual class of a^i (times b) over SM."""
@@ -206,9 +215,12 @@ class SpaceCatalog:
         return self._named_dual(self.sm_pair.ring, i, with_b)
 
     def gamma_dual(self, k: int, i: int, with_b: bool = False) -> HomologyElement:
-        """Dual class of the carrier a^i (times b) x_1 .. x_{2k-1} at level k, unsigned."""
-        ring = self.gamma(k).ring
-        return self._named_dual(ring, i, with_b, (f"x{j}" for j in range(1, 2 * k)))
+        """Dual class of the carrier a^i (times b) x_1 .. x_{2k-1} at level k, unsigned.
+
+        The word x_1 .. x_{2k-1} is packed once, with the level.
+        """
+        space, _, _, word = self._level(k)
+        return self._named_dual(space.ring, i, with_b, word)
 
     def pv_gysin_table(self, k: int, m: int) -> dict[Monomial, tuple[Monomial, int]]:
         """Wrong-way images of the full dual basis of SM x_M SM at (k, m).
@@ -244,7 +256,7 @@ class SpaceCatalog:
     def _build_pv_tables(self, k: int) -> list[dict[Monomial, tuple[Monomial, int]]]:
         pair = self.sm_pair
         ring = pair.ring
-        gam, lift, fibers = self._level(k)
+        gam, lift, fibers, _ = self._level(k)
         p_v = self.pullback_pV(k, 1)
         sources = list(ring.monomials())
         images: dict[Monomial, HomologyElement] = {}  # sources carrying xi

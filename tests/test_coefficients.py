@@ -25,7 +25,13 @@ from loopalg import (
     spaces,
 )
 from loopalg.homology import HomologyElement
-from loopalg.loops import coh_cross, gh_dual_pairing, tensor_pairing
+from loopalg.loops import (
+    TensorCohClass,
+    TensorLoopClass,
+    coh_cross,
+    gh_dual_pairing,
+    tensor_pairing,
+)
 from loopalg.ring import Combination, as_coeff
 
 CP2 = SpaceParams.from_token("cp", 2)
@@ -100,6 +106,40 @@ _COMMANDS = [
 def test_cli_commands_store_canonical_coefficients(checked, capsys, argv, fmt):
     assert cli.run([*argv, "--format", fmt]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def _sm_ring():
+    return spaces.catalog_for(CP2).sm.ring
+
+
+# One class of each type with int and Fraction coefficients of both signs,
+# built inside the test, under the check.
+_MIXED = {
+    "RingElement": lambda: _sm_ring().element({0: 3, _sm_ring().top_monomial: Fraction(-1, 3)}),
+    "HomologyElement": lambda: HomologyElement(_sm_ring(), {0: Fraction(2, 3), 1: -5}),
+    "LoopClass": lambda: LoopClass(CP2, {("A", 2, 1): Fraction(1, 2), ("B", 3, 0): -4}),
+    "TensorLoopClass": lambda: TensorLoopClass(
+        CP2, {(("A", 1, 0), ("B", 2, 1)): Fraction(5, 3), (("B", 1, 1), ("A", 1, 0)): 7}
+    ),
+    "CohClass": lambda: CohClass(CP2, {("s", 1, 0): 2, ("m", 2, 1): Fraction(-1, 7)}),
+    "TensorCohClass": lambda: TensorCohClass(
+        CP2, {(("s", 1, 0), ("m", 2, 1)): -1, (("m", 3, 0), ("s", 1, 1)): Fraction(3, 2)}
+    ),
+}
+
+
+@pytest.mark.parametrize("make", _MIXED.values(), ids=_MIXED.keys())
+def test_negation_keeps_keys_and_canonical_coefficients(checked, make):
+    # Negation builds through the trusted ``_built``: the negative of a
+    # canonical, nonzero coefficient is one too, on the same keys.
+    x = make()
+    neg = -x
+    assert type(neg) is type(x) and neg.owner is x.owner
+    assert list(neg.terms) == list(x.terms)
+    assert neg == x * -1
+    assert all(neg.terms[key] == -c for key, c in x.terms.items())
+    _assert_canonical(neg)
+    assert -neg == x
 
 
 def test_pairings_return_exact_values():

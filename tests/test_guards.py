@@ -462,6 +462,11 @@ def test_guard_refuses_with_its_message(call, error, message):
         (lambda cat: cat.fiber_class(3.0, 1), "level k must be an int, not 3.0"),
         (lambda cat: cat.pullback_pV(3, True), "break index m must be an int, not True"),
         (lambda cat: cat.pv_gysin_table(3, 1.0), "break index m must be an int, not 1.0"),
+        # A bool is no int to the break check's valid-path test (a True break
+        # passes its range part), so it falls through to the check naming it.
+        (lambda cat: cat.pv_gysin_table(True, 1), "level k must be an int, not True"),
+        (lambda cat: cat.pv_gysin_table(3, True), "break index m must be an int, not True"),
+        (lambda cat: cat.fiber_class(3, True), "break index m must be an int, not True"),
         # LoopClass.generator checks both types before either range.
         (
             lambda cat: LoopClass.generator(cat.params, "A", 0, 1.0),
@@ -479,6 +484,9 @@ def test_guard_refuses_with_its_message(call, error, message):
         "fiber_class-k",
         "pullback_pV",
         "pv_gysin_table",
+        "pv_gysin_table-bool-k",
+        "pv_gysin_table-bool-m",
+        "fiber_class-bool-m",
         "LoopClass-order",
     ],
 )

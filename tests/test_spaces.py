@@ -196,6 +196,42 @@ class TestPullbacks:
                 for m in range(1, k):
                     assert cat.fiber_class(k, m) == cat.gamma(k).ring.gen(f"x{2 * m}")
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("token", ["cp", "hp"])
+    def test_gamma_dual_is_the_carrier_named_generator_by_generator(self, token, n):
+        # The carrier word x1 .. x{2k-1} is packed once per level and or-ed
+        # into a^i (b); the dual must be the one built from the names.  On
+        # hp3 at k = 130 the ring has 261 generators, wider than 256 bits.
+        cat = SpaceCatalog(SpaceParams.from_token(token, n))
+        levels = [*range(1, 13), *([130] if (token, n) == ("hp", 3) else [])]
+        for k in levels:
+            ring = cat.gamma(k).ring
+            word = {f"x{j}": 1 for j in range(1, 2 * k)}
+            for i in range(n):
+                for with_b in (False, True):
+                    names = word | ({"a": i} if i else {}) | ({"b": 1} if with_b else {})
+                    got = cat.gamma_dual(k, i, with_b)
+                    assert got.ring is ring
+                    assert got == dual(ring, ring.monomial(names))
+        if (token, n) == ("hp", 3):
+            assert cat.gamma(130).ring.width > 256
+
+    @pytest.mark.parametrize(
+        ("k", "i", "error", "message"),
+        [
+            (2, 2, ValueError, "index out of range for n=2"),
+            (2, -1, ValueError, "index out of range for n=2"),
+            (2, True, TypeError, "index i must be an int, not True"),
+            (0, 0, ValueError, "level k must be >= 1"),
+            (2.0, 0, TypeError, "level k must be an int, not 2.0"),
+        ],
+    )
+    def test_gamma_dual_refuses_a_bad_index_or_level(self, k, i, error, message):
+        cat = SpaceCatalog(SpaceParams.from_token("cp", 2))
+        with pytest.raises(error) as err:
+            cat.gamma_dual(k, i)
+        assert str(err.value) == message
+
     def test_fiber_class_break_index_bounds(self, cp2, hp3):
         for cat in (cp2, hp3):
             for k, m in [(3, 0), (3, 3), (1, 0), (1, 1)]:
