@@ -83,13 +83,6 @@ def pairing(c: RingElement, x: HomologyElement) -> int | Fraction:
         raise TypeError(f"pairing of {type(c).__name__} and {type(x).__name__}")
     if x.ring is not c.ring:
         _require_same(c.ring, x.ring, "pairing of classes over different rings")
-    if len(c.terms) == 1:
-        ((m, cc),) = c.terms.items()
-        cx = x.terms.get(m)
-        if cx is None:
-            return 0
-        total = cc * cx
-        return total if type(total) is int else as_coeff(total)
     total = 0
     for m, cc in c.terms.items():
         cx = x.terms.get(m)
@@ -103,37 +96,28 @@ def cap(a: RingElement, x: HomologyElement) -> HomologyElement:
 
     On dual classes: ``cap(a, dual(m)) = merge_sign(m - a, a) * dual(m - a)``
     whenever ``a`` divides ``m``, and 0 otherwise: a containment test, then a
-    subtract of the packed monomials.  Two one-term operands take one
-    ``div_monomials`` and one ``merge_sign`` call and build at most one term
-    without re-cleaning, as in ``cup``.
+    subtract of the packed monomials.  Pieces are stored, and the result
+    built, as in ``cup``.
     """
     if type(a) is not RingElement or type(x) is not HomologyElement:
         raise TypeError(f"cap of {type(a).__name__} and {type(x).__name__}")
     ring = a.ring
     if x.ring is not ring:
         _require_same(ring, x.ring, "cap of classes over different rings")
-    a_terms, x_terms = a.terms, x.terms
-    if len(a_terms) == 1 and len(x_terms) == 1:
-        ((ma, ca),) = a_terms.items()
-        ((mx, cx),) = x_terms.items()
-        sub = ring.div_monomials(mx, ma)
-        if sub is None:
-            return HomologyElement._built(ring, {})
-        c = ca * cx if ring.merge_sign(sub, ma) > 0 else -(ca * cx)
-        return HomologyElement._built(ring, {sub: c if type(c) is int else as_coeff(c)})
     out: dict[Monomial, int | Fraction] = {}
-    for ma, ca in a_terms.items():
-        for mx, cx in x_terms.items():
+    repeat = False
+    for ma, ca in a.terms.items():
+        for mx, cx in x.terms.items():
             sub = ring.div_monomials(mx, ma)
             if sub is None:
                 continue
-            sign = ring.merge_sign(sub, ma)
-            piece = ca * cx if sign > 0 else -(ca * cx)
+            piece = ca * cx if ring.merge_sign(sub, ma) > 0 else -(ca * cx)
             if sub in out:
                 out[sub] += piece
+                repeat = True
             else:
-                out[sub] = piece
-    return HomologyElement(ring, out)
+                out[sub] = piece if type(piece) is int else as_coeff(piece)
+    return HomologyElement(ring, out) if repeat else HomologyElement._built(ring, out)
 
 
 def _require_homogeneous(x, what: str) -> None:

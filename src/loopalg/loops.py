@@ -44,7 +44,7 @@ __all__ = [
 
 _KIND_RANK = {"A": 0, "B": 1, "s": 0, "m": 1}
 _LATEX_LETTER = {"A": "A", "B": "B", "s": "\\sigma", "m": "\\mu"}
-_COH_TO_LOOP = {"s": "A", "m": "B"}
+_DUAL_KIND = {"s": "A", "m": "B", "A": "s", "B": "m"}
 
 
 class PipelineMatchError(RuntimeError):
@@ -353,33 +353,28 @@ def gh_product(a: CohClass, b: CohClass) -> CohClass:
     """Product on the dual generators: s*s -> s, s*m -> m, m*m = 0.
 
     Levels add, indices add and truncate above n - 1; the degree grows by
-    deg a + deg b + N - 1.  Two one-term operands take one ``_gh_key`` call
-    and build at most one term without re-cleaning, as in ``cup``.
+    deg a + deg b + N - 1.  Pieces are stored, and the result built, as in
+    ``cup``, with ``_cleaned`` after a repeat.
     """
     if type(a) is not CohClass or type(b) is not CohClass:
         raise TypeError(f"gh_product of {type(a).__name__} and {type(b).__name__}")
     params = a.params
     if b.params is not params:
         _require_same(params, b.params, "operands are classes over different spaces")
-    a_terms, b_terms = a.terms, b.terms
-    if len(a_terms) == 1 and len(b_terms) == 1:
-        ((ka, ca),) = a_terms.items()
-        ((kb, cb),) = b_terms.items()
-        key = _gh_key(params, ka, kb)
-        if key is None:
-            return CohClass._built(params, {})
-        c = ca * cb
-        return CohClass._built(params, {key: c if type(c) is int else as_coeff(c)})
     out: dict = {}
-    for ka, ca in a_terms.items():
-        for kb, cb in b_terms.items():
+    repeat = False
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
             key = _gh_key(params, ka, kb)
-            if key is not None:
-                if key in out:
-                    out[key] += ca * cb
-                else:
-                    out[key] = ca * cb
-    return CohClass._cleaned(params, out)
+            if key is None:
+                continue
+            piece = ca * cb
+            if key in out:
+                out[key] += piece
+                repeat = True
+            else:
+                out[key] = piece if type(piece) is int else as_coeff(piece)
+    return CohClass._cleaned(params, out) if repeat else CohClass._built(params, out)
 
 
 def gh_product_pairs(t: TensorCohClass) -> CohClass:
@@ -398,9 +393,9 @@ def gh_product_pairs(t: TensorCohClass) -> CohClass:
 
 
 def _dual_key(key):
-    """The loop generator dual to a cohomology generator key."""
+    """The dual of a generator key: a loop generator's cohomology one, and back."""
     kind, k, i = key
-    return (_COH_TO_LOOP[kind], k, i)
+    return (_DUAL_KIND[kind], k, i)
 
 
 def gh_dual_pairing(a: CohClass, x: LoopClass) -> int | Fraction:
@@ -602,25 +597,25 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
     left side is the X-coefficient of gh_product(a, b), its right side the
     (a, b)-coefficient of coproduct_closed(X).  Each dual generator and its
     dual key are built once, each product once per pair and each coproduct
-    once per X, as sparse tables.  A triple absent from both tables is 0 = 0,
-    so each pair's such triples are credited as passed, at that pair, without
-    a call: all of them, with no set built, when neither table has a term,
-    and all but one, with one comparison, when both hold just the same key.
-    The others are compared one by one, pair-major and then in X order.  The
-    dual generators are level-major, so each a's walk over b stops at the
-    first b past the bound.  On cp2 at max_k = 100 (31,680,000 checks) it
-    takes about 0.5 s and 37 MB (Python 3.11, shared 2-vCPU host).  A bound
-    below 2 is refused: no pair of dual generators has a total level below 2.
+    once per X, as sparse tables.  The coproduct table is keyed by the dual
+    generators of X, so a pair's product terms and its row compare in one
+    dict comparison, and an equal pair's triples are all credited as passed.
+    Any other pair credits its triples absent from both tables, which are
+    0 = 0, and compares the rest one by one, in X order.  The dual
+    generators are level-major, so each a's walk over b stops at the first b
+    past the bound.  A bound below 2 is refused: no pair of dual generators
+    has a total level below 2.
     """
     _require_int("level k", max_k)
     if max_k < 2:
         raise ValueError("level k must be >= 2")
     rep = Report(f"duality ({params.token}, n={params.n}, level<={max_k})")
-    position = {key: pos for pos, key in enumerate(_keys(params, max_k, "AB"))}
+    xs = list(_keys(params, max_k, "AB"))
+    position = {_dual_key(key): pos for pos, key in enumerate(xs)}
     split: dict = {}
-    for key in position:
+    for key, dx in zip(xs, position):
         for pair, c in coproduct_closed(LoopClass.generator(params, *key)).terms.items():
-            split.setdefault(pair, {})[key] = c
+            split.setdefault(pair, {})[dx] = c
     gens = [
         (key, _dual_key(key), CohClass.generator(params, *key))
         for key in _keys(params, max_k - 1, "sm")
@@ -631,25 +626,16 @@ def verify_duality(params: SpaceParams, max_k: int) -> Report:
         for kb, db, cb in gens:
             if kb[1] > top:
                 break
-            prod = gh_product(ca, cb)
+            prod = gh_product(ca, cb).terms
             right = split.get((da, db), {})
-            if not prod.terms and not right:
-                rep.credit(len(position))
+            if prod == right:
+                rep.credit(len(xs))
                 continue
-            if len(prod.terms) == 1 and len(right) == 1:
-                ((k, lhs),) = prod.terms.items()
-                key = _dual_key(k)
-                rhs = right.get(key)
-                if rhs is not None:  # one shared key, which ``split`` took from ``position``
-                    rep.credit(len(position) - 1)
-                    rep.note(lhs == rhs, message, *ka, *kb, *key, lhs, rhs)
-                    continue
-            left = {_dual_key(k): c for k, c in prod.terms.items()}
-            keys = (left.keys() | right.keys()) & position.keys()
-            rep.credit(len(position) - len(keys))
+            keys = (prod.keys() | right.keys()) & position.keys()
+            rep.credit(len(xs) - len(keys))
             for key in sorted(keys, key=position.__getitem__):
-                lhs, rhs = left.get(key, 0), right.get(key, 0)
-                rep.note(lhs == rhs, message, *ka, *kb, *key, lhs, rhs)
+                lhs, rhs = prod.get(key, 0), right.get(key, 0)
+                rep.note(lhs == rhs, message, *ka, *kb, *xs[position[key]], lhs, rhs)
     return rep
 
 
@@ -689,9 +675,7 @@ def verify_coassociativity(params: SpaceParams, max_k: int) -> Report:
     ``RuntimeError``, as its fields could alias another code.  Every tensor
     factor of a level-k generator has a level below k, so both iterated
     coproducts read their inner factors from those tables, summed inline over
-    packed triples ``p << 2w | q << w | v``.  On cp2 at max_k = 100 it takes
-    about 3.5 s and 27 MB, where tuple keys took 10.6 s and 50 MB (Python
-    3.11, shared 2-vCPU host).
+    packed triples ``p << 2w | q << w | v``.
     """
     params.check_level(max_k)
     rep = Report(f"coassociativity ({params.token}, n={params.n}, k<={max_k})")

@@ -402,10 +402,11 @@ class Combination:
         """An element that owns ``terms`` as given, with no coefficient cleaned.
 
         Use it only when every coefficient is already canonical (``as_coeff``)
-        and nonzero, as in a one-term product of two canonical coefficients
-        passed through ``as_coeff``; any other input breaks the ``terms``
-        invariant.  ``_built`` means this everywhere; a sum that can cancel is
-        cleaned by ``__init__`` or, for the loop classes, ``_FormalSum._cleaned``.
+        and nonzero, as in a product where no key repeats: each piece is then
+        a product of nonzero canonical coefficients passed through
+        ``as_coeff``.  Any other input breaks the ``terms`` invariant.
+        ``_built`` means this everywhere; a sum that can cancel is cleaned by
+        ``__init__`` or, for the loop classes, ``_FormalSum._cleaned``.
         """
         out = object.__new__(cls)
         out.owner = owner
@@ -529,29 +530,19 @@ class RingElement(Combination):
 def cup(a: RingElement, b: RingElement) -> RingElement:
     """Graded product of ``a`` and ``b``; truncated monomials drop out.
 
-    A product of two one-term elements is one ``mul_monomials`` call and at
-    most one term, built without re-cleaning: a product of two nonzero
-    canonical coefficients is nonzero, and only a non-``int`` one can need
-    ``as_coeff``.  A sum starts at its first piece, not at 0.
+    A new monomial's piece is stored in canonical form, and a repeated one's
+    is added in place.  With no repeat every piece is a nonzero canonical
+    product, built as it stands; otherwise the sum is cleaned once.
     """
     if type(a) is not RingElement or type(b) is not RingElement:
         raise TypeError(f"cup of {type(a).__name__} and {type(b).__name__}")
     ring = a.ring
     if b.ring is not ring:
         _require_same(ring, b.ring, "cup of elements over different rings")
-    a_terms, b_terms = a.terms, b.terms
-    if len(a_terms) == 1 and len(b_terms) == 1:
-        ((ma, ca),) = a_terms.items()
-        ((mb, cb),) = b_terms.items()
-        hit = ring.mul_monomials(ma, mb)
-        if hit is None:
-            return RingElement._built(ring, {})
-        m, sign = hit
-        c = ca * cb if sign > 0 else -(ca * cb)
-        return RingElement._built(ring, {m: c if type(c) is int else as_coeff(c)})
     out: dict[Monomial, int | Fraction] = {}
-    for ma, ca in a_terms.items():
-        for mb, cb in b_terms.items():
+    repeat = False
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
             hit = ring.mul_monomials(ma, mb)
             if hit is None:
                 continue
@@ -559,9 +550,10 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
             piece = ca * cb if sign > 0 else -(ca * cb)
             if m in out:
                 out[m] += piece
+                repeat = True
             else:
-                out[m] = piece
-    return RingElement(ring, out)
+                out[m] = piece if type(piece) is int else as_coeff(piece)
+    return RingElement(ring, out) if repeat else RingElement._built(ring, out)
 
 
 class TensorRing(Ring):

@@ -43,8 +43,9 @@ def _canonical(c) -> bool:
 
 
 def _assert_canonical(x) -> None:
-    bad = [c for c in x.terms.values() if not _canonical(c)]
-    assert not bad, f"non-canonical coefficients {bad!r} in {type(x).__name__}"
+    """``terms`` holds nonzero canonical coefficients: no stored 0 either."""
+    bad = [c for c in x.terms.values() if not (c and _canonical(c))]
+    assert not bad, f"zero or non-canonical coefficients {bad!r} in {type(x).__name__}"
 
 
 @pytest.fixture

@@ -173,6 +173,36 @@ def _dense_duality(params, max_k):
     return rep
 
 
+def _doubled(product, a, b):
+    """The product doubled when the left operand is an m class."""
+    out = product(a, b)
+    return 2 * out if any(kind == "m" for kind, _, _ in a.terms) else out
+
+
+def _moved_up(product, a, b):
+    """The product with an m right operand moved one level up."""
+    ((kind, k, i),) = b.terms
+    if kind == "m":
+        b = CohClass.generator(b.params, "m", k + 1, i)
+    return product(a, b)
+
+
+def _left_level_two_dropped(product, a, b):
+    """Zero for a level-2 left operand."""
+    ((_, k, _),) = a.terms
+    return CohClass.zero(a.params) if k == 2 else product(a, b)
+
+
+def _zero_gains_a_term(product, a, b):
+    """``s[la+lb, 0]`` in place of each zero product."""
+    out = product(a, b)
+    if out.terms:
+        return out
+    ((_, la, _),) = a.terms
+    ((_, lb, _),) = b.terms
+    return CohClass.generator(a.params, "s", la + lb, 0)
+
+
 class TestDualityAgainstDenseReference:
     @pytest.mark.parametrize("space", ["cp2", "hp2"])
     def test_same_counts_and_verdict(self, space, request):
@@ -186,17 +216,22 @@ class TestDualityAgainstDenseReference:
             dense.passed,
         )
 
-    def test_same_failures_in_the_same_order(self, cp2, monkeypatch):
+    # Each fault with its failure count at level 8.  Doubling keeps a
+    # product's keys and changes its coefficients; the other three move,
+    # drop or add keys, so a pair's product and coproduct row differ in keys.
+    @pytest.mark.parametrize("space", ["cp2", "hp2"])
+    @pytest.mark.parametrize(
+        "fault, failed",
+        [(_doubled, 84), (_moved_up, 147), (_left_level_two_dropped, 54), (_zero_gains_a_term, 196)],
+        ids=["doubled", "moved-up", "left-level-2-dropped", "zero-gains-a-term"],
+    )
+    def test_same_failures_in_the_same_order(self, space, fault, failed, request, monkeypatch):
+        params = request.getfixturevalue(space).params
         product = loops.gh_product
-
-        def doubled(a, b):
-            out = product(a, b)
-            return 2 * out if any(kind == "m" for kind, _, _ in a.terms) else out
-
-        monkeypatch.setattr(loops, "gh_product", doubled)
-        dense = _dense_duality(cp2.params, 8)
-        sparse = verify_duality(cp2.params, 8)
-        assert dense.failed > len(dense.failures) > 0
+        monkeypatch.setattr(loops, "gh_product", lambda a, b: fault(product, a, b))
+        dense = _dense_duality(params, 8)
+        sparse = verify_duality(params, 8)
+        assert dense.failed == failed > len(dense.failures) > 0
         assert (sparse.checks, sparse.failed) == (dense.checks, dense.failed)
         assert sparse.failures == dense.failures
 

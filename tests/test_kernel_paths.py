@@ -1,13 +1,17 @@
-"""The kernel's short paths against term-by-term references.
+"""The kernel's products against term-by-term references.
 
-``cup``, ``cap`` and ``pairing`` take a short path when both operands (for
-``pairing``, the cohomology operand) have one term, and every accumulation
-site starts a sum at its first piece, not at 0.  These tests check both
-against references computed here from exponent tuples, with coefficient
-types compared as well as values.  They also check that the ring-axiom
-sweep's random elements are the ones its original formula drew.
+``cup``, ``cap`` and ``pairing`` each run one loop over their operands'
+terms.  ``cup`` and ``cap`` store a new monomial's piece in canonical form
+and build the result as it stands when no monomial repeats, or clean the
+sum once when one does; every accumulation site starts a sum at its first
+piece, not at 0.  These tests check one-, two- and three-term operands,
+both build branches among them, against references computed here from
+exponent tuples, with coefficient types compared as well as values.  They
+also check that the ring-axiom sweep's random elements are the ones its
+original formula drew.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -34,9 +38,11 @@ from loopalg.ring import as_coeff
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
-# Coefficient pairs of the one-term operands: ints, 1/2 x 2 (the int 1),
+# Coefficient pairs of the operands' first terms: ints, 1/2 x 2 (the int 1),
 # fractions whose product stays a fraction, and negatives.
 COEFF_PAIRS = [(1, 1), (-3, 2), (HALF, 2), (Fraction(-2, 3), Fraction(3, 4)), (5, Fraction(-1, 7))]
+# Coefficients of a longer operand's later terms: 2/3 x -3/2 is the int -1.
+LATER = (Fraction(2, 3), Fraction(-3, 2))
 
 
 def _typed(terms: dict) -> dict:
@@ -48,11 +54,13 @@ def _canonical(out: dict) -> dict:
     return {m: as_coeff(c) for m, c in out.items() if c}
 
 
+@functools.cache
 def _product(ring, ma, mb):
     """``(monomial, sign)`` of ``ma * mb`` from exponent tuples, or None when truncated.
 
     The sign counts the transpositions of odd factors: an odd generator of
     ``mb`` at position j moves past each odd generator of ``ma`` at i > j.
+    Cached, as the longer operands of the reference tests share their pairs.
     """
     ea, eb = ring.unpack(ma), ring.unpack(mb)
     if any(x + y >= t for x, y, t in zip(ea, eb, ring.truncations)):
@@ -67,27 +75,53 @@ def _product(ring, ma, mb):
     return ring.check_monomial(tuple(x + y for x, y in zip(ea, eb))), (-1) ** swaps
 
 
-def _ref_cup(a, b) -> dict:
-    out: dict = {}
+def _cup_pieces(a, b):
+    """``(monomial, signed coefficient)`` of each product of terms not truncated away."""
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             hit = _product(a.ring, ma, mb)
             if hit is not None:
-                out[hit[0]] = out.get(hit[0], 0) + hit[1] * ca * cb
-    return _canonical(out)
+                yield hit[0], hit[1] * ca * cb
 
 
-def _ref_cap(a, x) -> dict:
+def _cap_pieces(a, x):
     # cap(a, dual(m)) is sign(sub * a) dual(sub) when sub = m / a is a monomial.
     ring = a.ring
-    out: dict = {}
     for ma, ca in a.terms.items():
         for mx, cx in x.terms.items():
             exps = [e - d for e, d in zip(ring.unpack(mx), ring.unpack(ma))]
             if min(exps) >= 0:
                 sub = ring.check_monomial(exps)
-                out[sub] = out.get(sub, 0) + _product(ring, sub, ma)[1] * ca * cx
+                yield sub, _product(ring, sub, ma)[1] * ca * cx
+
+
+def _summed(pieces) -> dict:
+    out: dict = {}
+    for m, c in pieces:
+        out[m] = out.get(m, 0) + c
     return _canonical(out)
+
+
+def _ref_cup(a, b) -> dict:
+    return _summed(_cup_pieces(a, b))
+
+
+def _ref_cap(a, x) -> dict:
+    return _summed(_cap_pieces(a, x))
+
+
+def _branch(pieces) -> str:
+    """The build branch of a product: cleaned after a repeated monomial, else built.
+
+    A built product is told apart by whether a piece is an integral
+    ``Fraction``, which needs ``as_coeff`` before it is stored.
+    """
+    pieces = list(pieces)
+    if len({m for m, _ in pieces}) < len(pieces):
+        return "cleaned"
+    if any(type(c) is Fraction and c.denominator == 1 for _, c in pieces):
+        return "built, integral Fraction"
+    return "built"
 
 
 def _ref_pairing(c, x):
@@ -95,7 +129,7 @@ def _ref_pairing(c, x):
 
 
 def _cases():
-    """(id, ring, monomials) of the one-term tests."""
+    """(id, ring, monomials) of the reference tests."""
     cp3 = catalog_for(SpaceParams.from_token("cp", 3))
     hp2 = catalog_for(SpaceParams.from_token("hp", 2))
     wide = cp3.gamma(33).ring  # 67 generators over 68 bits
@@ -119,24 +153,49 @@ def _outcome(terms: dict, scale):
     return c / scale
 
 
-@pytest.mark.parametrize(("ring", "monos"), [c[1:] for c in _cases()], ids=[c[0] for c in _cases()])
-def test_one_term_paths_match_the_reference(ring, monos):
+def _operand(monos, start, size, c) -> dict:
+    """``size`` terms on the monomials of ``monos`` from ``start`` on, cyclically:
+    ``c`` on the first, then the ``LATER`` coefficients."""
+    return {monos[(start + j) % len(monos)]: cj for j, cj in zip(range(size), (c, *LATER))}
+
+
+def _sized_cases():
+    """(id, ring, monomials, size) of the reference tests: each ring at 1, 2 and 3 terms."""
+    for case, ring, monos in _cases():
+        yield case, ring, monos, 1
+        yield f"{case}-two-term", ring, monos, 2
+        yield f"{case}-three-term", ring, monos, 3
+
+
+@pytest.mark.parametrize(
+    ("ring", "monos", "size"), [c[1:] for c in _sized_cases()], ids=[c[0] for c in _sized_cases()]
+)
+def test_one_term_paths_match_the_reference(ring, monos, size):
     seen = set()
-    for ma in monos:
-        for mb in monos:
+    for pa, ma in enumerate(monos):
+        for pb, mb in enumerate(monos):
             for ca, cb in COEFF_PAIRS:
-                a, b = RingElement(ring, {ma: ca}), RingElement(ring, {mb: cb})
-                x = HomologyElement(ring, {mb: cb})
+                a = RingElement(ring, _operand(monos, pa, size, ca))
+                b_terms = _operand(monos, pb, size, cb)
+                b, x = RingElement(ring, b_terms), HomologyElement(ring, b_terms)
                 got = cup(a, b).terms
                 assert _typed(got) == _typed(_ref_cup(a, b)), (ma, mb, ca, cb)
-                seen.add(("cup", _outcome(got, ca * cb)))
+                outcome = _outcome(got, ca * cb) if size == 1 else _branch(_cup_pieces(a, b))
+                seen.add(("cup", outcome))
                 got = cap(a, x).terms
                 assert _typed(got) == _typed(_ref_cap(a, x)), (ma, mb, ca, cb)
-                seen.add(("cap", _outcome(got, ca * cb)))
+                outcome = _outcome(got, ca * cb) if size == 1 else _branch(_cap_pieces(a, x))
+                seen.add(("cap", outcome))
                 value, want = pairing(a, x), _ref_pairing(a, x)
                 assert (type(value), value) == (type(want), want), (ma, mb, ca, cb)
-    # Both signs and truncation occur for both products on every ring.
-    assert seen == {(op, o) for op in ("cup", "cap") for o in (1, -1, "truncated")}
+    if size == 1:
+        # Both signs and truncation occur for both products on every ring.
+        outcomes = (1, -1, "truncated")
+    else:
+        # Both build branches occur for both products on every ring, and a
+        # built product with an integral Fraction piece among them.
+        outcomes = ("built", "built, integral Fraction", "cleaned")
+    assert seen == {(op, o) for op in ("cup", "cap") for o in outcomes}
 
 
 def test_one_half_times_two_is_the_int_one():

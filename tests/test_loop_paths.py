@@ -1,12 +1,13 @@
 """The loop-class results against term-by-term references.
 
 ``coproduct_closed`` stores each term once, since no key repeats, and
-``gh_product`` takes a short path for two one-term operands; both build their
-results without re-cleaning.  The sums that can cancel (the pipeline, the
-general dual product and ``gh_product_pairs``) start at their first piece
-and are cleaned once.  These tests check each result against a reference
-that sums from 0 and cleans every coefficient, with coefficient types
-compared as well as values.
+builds its result without re-cleaning.  ``gh_product`` runs one loop: a new
+key's piece is stored in canonical form, and the result is built as it
+stands when no key repeats, or cleaned once when one does.  The sums that
+can cancel (the pipeline, a dual product with a repeated key and
+``gh_product_pairs``) start at their first piece and are cleaned once.
+These tests check each result against a reference that sums from 0 and
+cleans every coefficient, with coefficient types compared as well as values.
 """
 
 import itertools
@@ -99,7 +100,7 @@ def test_closed_coproduct_equals_the_summed_formula(x):
     )
 
 
-# -- the one-term dual product ------------------------------------------
+# -- the dual product --------------------------------------------------
 
 GH_COEFF_PAIRS = [(1, 1), (-2, 3), (HALF, THIRD), (Fraction(2, 3), Fraction(3, 2))]
 
@@ -145,6 +146,15 @@ def test_dual_product_that_cancels_is_empty():
     a = CohClass(CP2, {m10: HALF, s21: HALF})
     b = CohClass(CP2, {s21: 1, m10: 1})
     assert _typed(gh_product(a, b).terms) == {("m", 3, 1): (int, 1)}
+
+
+def test_dual_product_with_no_repeated_key_is_canonical():
+    # (1/2 s[1,0] + 1/3 s[1,1]) * 2 s[1,0]: two keys, each met once, and the
+    # piece 1/2 x 2 is stored as the int 1.
+    s10, s11 = ("s", 1, 0), ("s", 1, 1)
+    a = CohClass(CP3, {s10: HALF, s11: THIRD})
+    got = gh_product(a, CohClass(CP3, {s10: 2})).terms
+    assert _typed(got) == {("s", 2, 0): (int, 1), ("s", 2, 1): (Fraction, Fraction(2, 3))}
 
 
 @pytest.mark.parametrize(
