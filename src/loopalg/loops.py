@@ -51,8 +51,15 @@ class PipelineMatchError(RuntimeError):
     """A capped class missed the precomputed wrong-way images.
 
     This never happens when the sign conventions are consistent, so it
-    indicates a broken convention rather than bad input.
+    indicates a broken convention rather than bad input.  The pipeline
+    fills in the level ``k``, the break ``m`` and the packed ``monomial``
+    its message names: a level-k monomial that no table entry matched, or
+    the SM x_M SM source carrying xi that one did.
     """
+
+    def __init__(self, message: str, k: int | None = None, m: int | None = None, monomial=None):
+        super().__init__(message)
+        self.k, self.m, self.monomial = k, m, monomial
 
 
 class _FormalSum(Combination):
@@ -237,10 +244,10 @@ def cap_with_thom(
     list is empty at level 1.  Capping x_{2m} x [interval] into x x [interval]
     leaves the interval factor alone at the cost of (-1)^{deg x}, which is the
     sign applied here, once, to x before the caps.  The level's fiber classes
-    are read once, from its catalog entry, and each break costs one cap.  The
-    wrong-way table a capped class is matched against is built once per level
-    from the same objects: per break, one ``pd`` of x_{2m} and one cap per
-    xi-free source (``SpaceCatalog.pv_gysin_table``).
+    are read once, from its catalog entry, and each break costs one ``cap``.
+    This is the pipeline's first step on classes, for any homogeneous x;
+    ``coproduct_pipeline`` takes the same step on a carrier's packed
+    monomial, with no class built per break.
     """
     _require_homogeneous(x, "cap_with_thom input")
     fibers = catalog._level(k)[2]
@@ -249,33 +256,39 @@ def cap_with_thom(
     return [(m, cap(fiber, x)) for m, fiber in enumerate(fibers, 1)]
 
 
+def _matched(catalog, k, m, ring, mono) -> tuple[Monomial, int]:
+    """The SM monomial and sign whose wrong-way image at (k, m) is the level-k monomial ``mono``.
+
+    A source of SM x_M SM free of xi drops to SM by a shift, as SM x_M SM
+    has SM's generators, in order, and then xi, whose slot is the lowest
+    bit.  No entry, or one whose source carries xi, is a PipelineMatchError.
+    """
+    hit = catalog.pv_gysin_table(k, m).get(mono)
+    if hit is None:
+        text = f"unmatched component [{ring.monomial_str(mono)}] at level {k}, break {m}"
+        raise PipelineMatchError(text, k, m, mono)
+    u, sign = hit
+    if u & 1:
+        shown = catalog.sm_pair.ring.monomial_str(u)
+        text = f"fiber-class component [{shown}] at level {k}, break {m}"
+        raise PipelineMatchError(text, k, m, u)
+    return u >> 1, sign
+
+
 def _match_wrongway(catalog, k, m, z: HomologyElement) -> dict[Monomial, int | Fraction]:
     """Express a capped class as a wrong-way image from SM x_M SM.
 
     Matches against the precomputed images of the full dual basis and then
     insists the matched class is spanned by the diagonal duals (a^j and
     a^j b); anything else trips PipelineMatchError.  The match is returned
-    over SM, as ``{SM monomial: coeff}``: each source monomial with its xi
-    slot dropped, since SM x_M SM has SM's generators, in order, and then
-    xi, whose slot is the lowest bit.
+    over SM, as ``{SM monomial: coeff}``, one ``_matched`` per term.
     """
-    table = catalog.pv_gysin_table(k, m)
-    ring = catalog.sm_pair.ring
     out: dict[Monomial, int | Fraction] = {}
     for mono, c in z.terms.items():
-        hit = table.get(mono)
-        if hit is None:
-            raise PipelineMatchError(
-                f"unmatched component [{z.ring.monomial_str(mono)}] at level {k}, break {m}"
-            )
-        u, sign = hit
-        if u & 1:
-            raise PipelineMatchError(
-                f"fiber-class component [{ring.monomial_str(u)}] at level {k}, break {m}"
-            )
         # Distinct table entries have distinct sources, so no key repeats;
         # c * sign equals c / sign, since pv_gysin_table admits only +-1.
-        out[u >> 1] = c * sign
+        u, sign = _matched(catalog, k, m, z.ring, mono)
+        out[u] = c * sign
     return out
 
 
@@ -299,6 +312,37 @@ def _diagonal_spread(cat: SpaceCatalog, mono: Monomial) -> list[tuple]:
     return out
 
 
+def _breaks(cat: SpaceCatalog, x: LoopClass):
+    """The pipeline's steps on packed monomials, one per generator term of ``x`` and break m.
+
+    Yields ``(m, capped, sign, matched, terms)``: the monomial and the sign
+    of the capped carrier, the SM monomial its wrong-way match drops to,
+    and the tensor terms ``(key, coeff)`` that match adds, the term's
+    coefficient included.  A carrier is one monomial of the level ring, so
+    a break takes the step of ``cap_with_thom`` and ``_match_wrongway`` on
+    one-term operands, with no class built: one ``Ring.div_monomials``, one
+    ``Ring.merge_sign`` and one ``_matched``.
+    """
+    spreads = cat._spreads
+    for (kind, k, i), c in x.terms.items():
+        carrier = gamma_class(cat, kind, k, i)
+        ring = carrier.ring
+        ((mono, sign),) = carrier.terms.items()
+        if carrier.degree() % 2:  # the cross-product sign of cap_with_thom
+            sign = -sign
+        for m, fiber in enumerate(cat._level(k)[2], 1):
+            ((fm, fc),) = fiber.terms.items()
+            capped = ring.div_monomials(mono, fm)  # x_{2m} divides every carrier
+            s = sign * fc if ring.merge_sign(capped, fm) > 0 else -(sign * fc)
+            matched, t = _matched(cat, k, m, ring, capped)
+            spread = spreads.get(matched)
+            if spread is None:
+                spread = spreads[matched] = _diagonal_spread(cat, matched)
+            cu = c * s * t
+            terms = [(((kl, m, il), (kr, k - m, ir)), cu * dc) for (kl, il), (kr, ir), dc in spread]
+            yield m, capped, s, matched, terms
+
+
 def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> TensorLoopClass:
     """Recompute the coproduct through the completing manifolds.
 
@@ -306,31 +350,26 @@ def coproduct_pipeline(x: LoopClass, catalog: SpaceCatalog | None = None) -> Ten
     class, recognize the result as a wrong-way image from SM x_M SM, replace
     the matched diagonal classes by diagonal pushforwards over SM, and read
     the tensor factors off at levels (m, k - m).  No sign enters in the last
-    step; the factor conventions already absorb it.  A pushforward does not
-    depend on the level or the break, so the catalog keeps each matched
-    class's pushforward, built on its first match, for every break and
-    every later call.  A ``catalog`` built for another space is refused.
+    step; the factor conventions already absorb it.  Those steps run on
+    packed monomials, one break at a time, in ``_breaks``, and their
+    tensor terms are summed here, each key starting at its first piece, and
+    cleaned once.  A pushforward does not depend on the level or the break,
+    so the catalog keeps each matched class's pushforward, built on its
+    first match, for every break and every later call.  A ``catalog``
+    built for another space is refused.
     """
     if type(x) is not LoopClass:
         raise TypeError(f"coproduct_pipeline of {type(x).__name__}")
     cat = catalog or catalog_for(x.params)
     wrong = "coproduct_pipeline of a {0.token}{0.n} class with a {1.token}{1.n} catalog"
     _require_same(cat.params, x.params, wrong, x.params, cat.params)
-    spreads = cat._spreads
     out: dict = {}
-    for (kind, k, i), c in x.terms.items():
-        carrier = gamma_class(cat, kind, k, i)
-        for m, z in cap_with_thom(cat, k, carrier):
-            for mono, cu in _match_wrongway(cat, k, m, z).items():
-                spread = spreads.get(mono)
-                if spread is None:
-                    spread = spreads[mono] = _diagonal_spread(cat, mono)
-                for (kind_l, il), (kind_r, ir), dc in spread:
-                    key = (kind_l, m, il), (kind_r, k - m, ir)
-                    if key in out:
-                        out[key] += c * cu * dc
-                    else:
-                        out[key] = c * cu * dc
+    for *_, terms in _breaks(cat, x):
+        for key, v in terms:
+            if key in out:
+                out[key] += v
+            else:
+                out[key] = v
     return TensorLoopClass._cleaned(x.params, out)
 
 

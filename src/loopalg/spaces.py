@@ -25,7 +25,7 @@ computed once per level.  A source free of xi has the dual ``w xi``: its
 inverse dual and the retraction pullback L(w) of ``w`` are computed once per
 level too.  Its image at break m is ``pd(L(w) x_{2m}) = cap(L(w),
 pd(x_{2m}))`` by the cap module law, so each break adds one ``pd`` of x_{2m}
-and one cap per source.  xi is the last generator of
+and, per source, one cap on packed monomials.  xi is the last generator of
 SM x_M SM, so its slot is the lowest bit of a packed monomial, and a monomial
 free of xi is an SM monomial shifted up by one bit.  The catalog also keeps
 the pipeline's diagonal pushforwards, one per SM monomial.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .homology import HomologyElement, OrientedSpace, RingMap, cap, dual, gysin, pd, pd_inverse
+from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin, pd, pd_inverse
 from .ring import Generator, Monomial, Ring, RingElement, _Frozen, _require_int
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
@@ -237,15 +237,18 @@ class SpaceCatalog:
         pd_inverse`` into the half that depends on the break and the half
         that does not.  A source carrying xi has a Poincare dual free of xi,
         which every break's pullback fixes: its image is one ``gysin`` call
-        per level, through break 1's map.  A source free of xi has the dual
-        ``w xi``, with no sign, as xi is the last generator; its
-        ``pd_inverse`` and the retraction pullback L(w) of ``w`` are built
-        once per level.  By the cap module law ``cap(b a, x) = cap(b, cap(a,
+        per level, through break 1's map, checked and unpacked once, and
+        every break's table starts as a copy of those entries.  A source
+        free of xi has the dual ``w xi``, with no sign, as xi is the last
+        generator; its ``pd_inverse`` and the retraction pullback L(w) of
+        ``w`` are built once per level and kept as a packed monomial and a
+        coefficient.  By the cap module law ``cap(b a, x) = cap(b, cap(a,
         x))``, which carries no sign, its image ``pd(L(w) x_{2m})`` at break
-        m is ``cap(L(w), pd(x_{2m}))``: each break adds one ``pd`` of
-        ``fiber_class(k, m)`` and one cap per source.  A level costs 2n
+        m is ``cap(L(w), pd(x_{2m}))``, a cap of one-term operands: one
+        ``Ring.div_monomials`` and one ``Ring.merge_sign`` on the level
+        ring's packed monomials, with no class built.  A level costs 2n
         ``gysin`` calls, 2n further ``pd_inverse`` and pullback calls, and
-        per break one ``pd`` and 2n caps.
+        per break one ``pd`` of ``fiber_class(k, m)`` and 2n packed caps.
         """
         self._check_break(k, m)
         tables = self._pv_tables.get(k)
@@ -258,13 +261,18 @@ class SpaceCatalog:
         ring = pair.ring
         gam, lift, fibers, _ = self._level(k)
         p_v = self.pullback_pV(k, 1)
-        sources = list(ring.monomials())
-        images: dict[Monomial, HomologyElement] = {}  # sources carrying xi
-        lifted: dict[Monomial, RingElement] = {}  # the others, by the pullback of w
-        for u in sources:
+        fixed: dict[Monomial, tuple[Monomial, int]] = {}  # the entries of the sources carrying xi
+        lifted = []  # (source, L(w), its coefficient) for the others
+        for u in ring.monomials():
             du = dual(ring, u)
             if u & 1:  # xi is the last generator, so its slot is the lowest bit
-                images[u] = gysin(p_v, pair, gam, du)
+                image = gysin(p_v, pair, gam, du).terms
+                if len(image) != 1:
+                    raise self._refused(k, 1, fixed, u, count=len(image))
+                ((mono, coeff),) = image.items()
+                entry = (u, coeff)
+                if coeff not in (1, -1) or fixed.setdefault(mono, entry) is not entry:
+                    raise self._refused(k, 1, fixed, u, mono, coeff)
             else:
                 # The inverse dual is w xi, xi last: w is it shifted down, with no sign.
                 inverse = pd_inverse(pair, du).terms
@@ -274,36 +282,45 @@ class SpaceCatalog:
                         f"1 .. {k - 1}, has {len(inverse)} terms, not one"
                     )
                 ((wxi, c),) = inverse.items()
-                lifted[u] = lift(RingElement(self.sm.ring, {wxi >> 1: c}))
+                # L fixes a and b, so L(w) is the one term c w.
+                ((lm, lc),) = lift(RingElement(self.sm.ring, {wxi >> 1: c})).terms.items()
+                lifted.append((u, lm, lc))
+        div, merge = gam.ring.div_monomials, gam.ring.merge_sign
         tables = []
         for m, fiber in enumerate(fibers, 1):
-            fiber_dual = pd(gam, fiber)
-            table: dict[Monomial, tuple[Monomial, int]] = {}
-            for u in sources:
-                image = images.get(u)
-                if image is None:
-                    image = cap(lifted[u], fiber_dual)
-                if len(image.terms) != 1:
-                    raise RuntimeError(
-                        f"wrong-way image of [{ring.monomial_str(u)}] at level {k}, "
-                        f"break {m} has {len(image.terms)} terms, not one"
-                    )
-                ((mono, coeff),) = image.terms.items()
-                if coeff not in (1, -1):
-                    raise RuntimeError(
-                        f"wrong-way image of [{ring.monomial_str(u)}] at level {k}, "
-                        f"break {m} has coefficient {coeff}, not +1 or -1"
-                    )
-                seen = table.get(mono)
-                if seen is not None:
-                    raise RuntimeError(
-                        f"wrong-way images of [{ring.monomial_str(seen[0])}] and "
-                        f"[{ring.monomial_str(u)}] at level {k}, break {m} are both "
-                        f"[{gam.ring.monomial_str(mono)}]"
-                    )
-                table[mono] = (u, coeff)
+            ((fm, fc),) = pd(gam, fiber).terms.items()  # x_{2m} divides the top monomial
+            table = fixed.copy()
+            for u, lm, lc in lifted:
+                mono = div(fm, lm)
+                if mono is None:
+                    raise self._refused(k, m, table, u, count=0)
+                coeff = lc * fc if merge(mono, lm) > 0 else -(lc * fc)
+                entry = (u, coeff)
+                if coeff not in (1, -1) or table.setdefault(mono, entry) is not entry:
+                    raise self._refused(k, m, table, u, mono, coeff)
             tables.append(table)
         return tables
+
+    def _refused(self, k, m, table, u, mono=None, coeff=1, count=1) -> RuntimeError:
+        """The fault of source ``u``'s entry in the table of (k, m), bound for image ``mono``.
+
+        Its term count, else its coefficient, else the image it shares with
+        another source; the two are named in basis order, which is the
+        order of their packed monomials.
+        """
+        ring = self.sm_pair.ring
+        where = f"at level {k}, break {m}"
+        if count != 1:
+            fault = f"{count} terms, not one"
+        elif coeff not in (1, -1):
+            fault = f"coefficient {coeff}, not +1 or -1"
+        else:
+            first, second = map(ring.monomial_str, sorted((table[mono][0], u)))
+            shared = self.gamma(k).ring.monomial_str(mono)
+            return RuntimeError(
+                f"wrong-way images of [{first}] and [{second}] {where} are both [{shared}]"
+            )
+        return RuntimeError(f"wrong-way image of [{ring.monomial_str(u)}] {where} has {fault}")
 
 
 _CATALOGS: dict[SpaceParams, SpaceCatalog] = {}

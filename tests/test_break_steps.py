@@ -1,0 +1,110 @@
+"""The pipeline's packed break loop against the same steps on classes.
+
+The wrong-way tables and the pipeline's breaks work on packed monomials,
+with no class built per table entry or per break.  Here the tables are
+rebuilt with every cap taken on ``HomologyElement`` operands, and each
+break's step is retaken with ``cap_with_thom`` and ``_match_wrongway``,
+the class-level stages, on every A and B generator of small levels.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from loopalg import (
+    LoopClass,
+    RingElement,
+    SpaceCatalog,
+    SpaceParams,
+    cap,
+    coproduct_closed,
+    coproduct_pipeline,
+    dual,
+    gysin,
+    pd,
+    pd_inverse,
+)
+from loopalg.loops import _breaks, _match_wrongway, cap_with_thom, gamma_class
+
+SPACES = [(token, n) for token in ("cp", "hp") for n in (1, 2, 3)]
+IDS = [f"{token}{n}" for token, n in SPACES]
+
+
+def _class_tables(cat: SpaceCatalog, k: int) -> list[dict]:
+    """The tables of level k with every image a class: ``cap(L(w), pd(x_{2m}))`` per xi-free source."""
+    pair = cat.sm_pair
+    ring = pair.ring
+    gam, lift = cat.gamma(k), cat.pullback_pL(k)
+    p_v = cat.pullback_pV(k, 1)
+    images, lifted = {}, {}
+    for u in ring.monomials():
+        du = dual(ring, u)
+        if u & 1:
+            images[u] = gysin(p_v, pair, gam, du)
+        else:
+            ((wxi, c),) = pd_inverse(pair, du).terms.items()
+            lifted[u] = lift(RingElement(cat.sm.ring, {wxi >> 1: c}))
+    tables = []
+    for m in range(1, k):
+        fiber_dual = pd(gam, cat.fiber_class(k, m))
+        table = {}
+        for u in ring.monomials():
+            image = images[u] if u & 1 else cap(lifted[u], fiber_dual)
+            ((mono, coeff),) = image.terms.items()
+            assert coeff in (1, -1) and mono not in table
+            table[mono] = (u, coeff)
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize(("token", "n"), SPACES, ids=IDS)
+def test_packed_tables_equal_the_class_tables(token, n):
+    cat = SpaceCatalog(SpaceParams.from_token(token, n))
+    for k in range(2, 13):
+        assert [cat.pv_gysin_table(k, m) for m in range(1, k)] == _class_tables(cat, k)
+
+
+def test_packed_tables_equal_the_class_tables_on_a_ring_wider_than_256_bits():
+    cat = SpaceCatalog(SpaceParams.from_token("hp", 3))
+    assert cat.gamma(130).ring.width > 256
+    assert [cat.pv_gysin_table(130, m) for m in range(1, 130)] == _class_tables(cat, 130)
+
+
+def _summed(steps) -> dict:
+    """The tensor terms of the steps, summed from 0, zeros dropped."""
+    out: dict = {}
+    for *_, terms in steps:
+        for key, v in terms:
+            out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+@pytest.mark.parametrize(("token", "n"), SPACES, ids=IDS)
+def test_break_steps_are_the_class_steps_and_sum_to_the_coproduct(token, n):
+    # Per break: the capped monomial and sign are cap_with_thom's one term,
+    # the matched monomial _match_wrongway's one key, and the tensor terms
+    # the matched coefficient times the pushforward's, at levels (m, k - m).
+    params = SpaceParams.from_token(token, n)
+    cat = SpaceCatalog(params)
+    combination = LoopClass.zero(params)
+    for kind in "AB":
+        for k in range(1, 7):
+            for i in range(n):
+                x = LoopClass.generator(params, kind, k, i)
+                combination = combination + x * Fraction(k, i + 2)
+                steps = list(_breaks(cat, x))
+                classes = cap_with_thom(cat, k, gamma_class(cat, kind, k, i))
+                assert [step[0] for step in steps] == [m for m, _ in classes] == list(range(1, k))
+                for (m, capped, sign, matched, terms), (_, z) in zip(steps, classes):
+                    assert z.terms == {capped: sign}
+                    ((key, cu),) = _match_wrongway(cat, k, m, z).items()
+                    assert key == matched
+                    spread = cat._spreads[matched]
+                    assert terms == [
+                        (((kind_l, m, il), (kind_r, k - m, ir)), cu * dc)
+                        for (kind_l, il), (kind_r, ir), dc in spread
+                    ]
+                assert _summed(steps) == coproduct_pipeline(x, cat).terms
+                assert coproduct_pipeline(x, cat) == coproduct_closed(x)
+    # The steps of a rational combination carry each term's coefficient.
+    assert _summed(_breaks(cat, combination)) == coproduct_closed(combination).terms

@@ -213,8 +213,10 @@ def _two_term_inverse(real):
             r"inverse dual of \[1\] at level 3, breaks 1 \.\. 2, has 2 terms, not one",
         ),
         (
-            "cap",
-            lambda real: lambda a, x: HomologyElement(x.ring, {}),
+            # The dual of the unit monomial in place of pd(x_{2m}): no xi-free
+            # source's L(w) divides it, so the packed cap of each is zero.
+            "pd",
+            lambda real: lambda space, c: HomologyElement(space.ring, {0: 1}),
             r"wrong-way image of \[1\] at level 3, break 1 has 0 terms, not one",
         ),
     ],

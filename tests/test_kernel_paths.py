@@ -170,7 +170,7 @@ def _sized_cases():
 @pytest.mark.parametrize(
     ("ring", "monos", "size"), [c[1:] for c in _sized_cases()], ids=[c[0] for c in _sized_cases()]
 )
-def test_one_term_paths_match_the_reference(ring, monos, size):
+def test_one_two_and_three_term_paths_match_the_reference(ring, monos, size):
     seen = set()
     for pa, ma in enumerate(monos):
         for pb, mb in enumerate(monos):

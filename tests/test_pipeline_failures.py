@@ -2,12 +2,14 @@
 
 A consistent sign convention never trips them, so every other test of the
 route passes them by.  Here a class that is not a capped carrier, and a
-wrong-way table with one entry corrupted, show what the route raises, how
+wrong-way table with one entry corrupted or removed, show what the route
+raises, the level, break and monomial the error carries, how
 ``verify_pipeline`` records it and what the CLI then reports.
 """
 
 import pytest
 
+from loopalg import LoopClass, coproduct_pipeline
 from loopalg.cli import EXIT_FAIL, run
 from loopalg.loops import PipelineMatchError, _match_wrongway, gamma_class, verify_pipeline
 from loopalg.spaces import SpaceParams, catalog_for
@@ -56,3 +58,21 @@ def test_cli_verify_pipeline_reports_a_match_error_as_a_counterexample(xi_for_a2
     assert code == EXIT_FAIL == 1
     assert err == ""
     assert out == f"FAIL (1 of 12 checks failed)\nfirst counterexample: {FIRST}\n"
+
+
+def test_match_errors_carry_their_level_break_and_monomial(xi_for_a20, monkeypatch):
+    cat = catalog_for(CP2)
+    x = LoopClass.generator(CP2, "A", 2, 0)
+    # The corrupted entry names the source carrying xi, a monomial of SM x_M SM.
+    with pytest.raises(PipelineMatchError) as err:
+        coproduct_pipeline(x)
+    assert str(err.value) == "fiber-class component [xi] at level 2, break 1"
+    xi = cat.sm_pair.ring.monomial({"xi": 1})
+    assert (err.value.k, err.value.m, err.value.monomial) == (2, 1, xi)
+    # With the entry gone, the capped carrier itself, a level-2 monomial, is named.
+    capped = cat.gamma(2).ring.monomial({"x1": 1, "x3": 1})
+    monkeypatch.delitem(cat.pv_gysin_table(2, 1), capped)
+    with pytest.raises(PipelineMatchError) as err:
+        coproduct_pipeline(x)
+    assert str(err.value) == "unmatched component [x1 x3] at level 2, break 1"
+    assert (err.value.k, err.value.m, err.value.monomial) == (2, 1, capped)

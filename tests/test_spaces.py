@@ -5,6 +5,8 @@ from the pairing adjunction with the orientation that gives every top
 monomial coefficient +1; the whole geometric route is calibrated by them.
 """
 
+import sys
+
 import pytest
 
 from loopalg import (
@@ -24,6 +26,7 @@ from loopalg import (
 )
 from loopalg import loops, spaces
 from loopalg.loops import cap_with_thom, gamma_class
+from loopalg.ring import Ring
 from loopalg.spaces import SpaceCatalog, generator_degree
 
 
@@ -431,9 +434,12 @@ class TestGysinTable:
     def test_a_cold_level_makes_2n_gysin_calls(self, monkeypatch, token, n, k):
         # 2n sources carry xi and are imaged by one gysin call per level.  The
         # other 2n take one pd_inverse per level and then, per break, one cap
-        # of the break's pd(x_{2m}), which is built once per break.  The maps
-        # built are the level's retraction pullback and break 1's pullback.
-        calls = {"gysin": [], "pd_inverse": [], "pd": [], "cap": [], "RingMap": []}
+        # of the break's pd(x_{2m}), which is built once per break.  That cap
+        # is packed: one div_monomials and one merge_sign, called by the
+        # builder itself, with no cap call.  The maps built are the level's
+        # retraction pullback and break 1's pullback.
+        calls = {"gysin": [], "pd_inverse": [], "pd": [], "RingMap": []}
+        calls |= {"div_monomials": [], "merge_sign": []}
 
         def counted(name):
             real = getattr(spaces, name)
@@ -444,8 +450,21 @@ class TestGysinTable:
 
             monkeypatch.setattr(spaces, name, call)
 
-        for name in calls:
+        def packed(name):
+            real = getattr(Ring, name)
+            builder = SpaceCatalog._build_pv_tables.__code__
+
+            def call(ring, *args):
+                if sys._getframe(1).f_code is builder:
+                    calls[name].append(args)
+                return real(ring, *args)
+
+            monkeypatch.setattr(Ring, name, call)
+
+        for name in ("gysin", "pd_inverse", "pd", "RingMap"):
             counted(name)
+        packed("div_monomials")
+        packed("merge_sign")
         params = SpaceParams.from_token(token, n)
         cat = SpaceCatalog(params)
         x = LoopClass.generator(params, "B", k, 0)
@@ -453,8 +472,9 @@ class TestGysinTable:
             "gysin": 2 * n,
             "pd_inverse": 2 * n,
             "pd": k - 1,
-            "cap": 2 * n * (k - 1),
             "RingMap": 2,
+            "div_monomials": 2 * n * (k - 1),
+            "merge_sign": 2 * n * (k - 1),
         }
         assert coproduct_pipeline(x, cat) == coproduct_closed(x)
         assert {name: len(c) for name, c in calls.items()} == want
@@ -494,6 +514,25 @@ class TestGysinTable:
         monkeypatch.setattr(spaces, "pd_inverse", collide)
         refused = "wrong-way images of [1] and [b] at level 3, break 1 are both [x1 x3 x4 x5]"
         # Asking for break 2 builds the whole level, so break 1 trips first.
+        with pytest.raises(RuntimeError) as err:
+            cat.pv_gysin_table(3, 2)
+        assert str(err.value) == refused
+        assert cat._pv_tables == {}
+
+    def test_a_source_carrying_xi_sharing_an_image_is_named_in_basis_order(self, monkeypatch):
+        # The image of [xi], entered once per level, is sent where the image
+        # of [1] goes at break 1; [1] comes first in the basis, so first in
+        # the refusal, though its entry is made after that of [xi].
+        real = spaces.gysin
+        cat = SpaceCatalog(SpaceParams.from_token("cp", 2))
+        xi = cat.sm_pair.ring.monomial({"xi": 1})
+        shared = cat.gamma(3).ring.monomial({"x1": 1, "x3": 1, "x4": 1, "x5": 1})
+
+        def collide(pullback, source, target, x):
+            return dual(target.ring, shared) if xi in x.terms else real(pullback, source, target, x)
+
+        monkeypatch.setattr(spaces, "gysin", collide)
+        refused = "wrong-way images of [1] and [xi] at level 3, break 1 are both [x1 x3 x4 x5]"
         with pytest.raises(RuntimeError) as err:
             cat.pv_gysin_table(3, 2)
         assert str(err.value) == refused
