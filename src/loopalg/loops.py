@@ -19,7 +19,7 @@ from functools import cache
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
 from .report import Interner, Report
 from .ring import Combination, Monomial, _Frozen, _require_int, _require_same, as_coeff
-from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
+from .spaces import SpaceCatalog, SpaceParams, _image_coeff, catalog_for, generator_degree
 
 __all__ = [
     "CohClass",
@@ -320,8 +320,14 @@ def _breaks(cat: SpaceCatalog, x: LoopClass):
     and the tensor terms ``(key, coeff)`` that match adds, the term's
     coefficient included.  A carrier is one monomial of the level ring, so
     a break takes the step of ``cap_with_thom`` and ``_match_wrongway`` on
-    one-term operands, with no class built: one ``Ring.div_monomials``, one
-    ``Ring.merge_sign`` and one ``_matched``.
+    one-term operands, with no class and no table built: the cap is one
+    ``Ring.div_monomials`` and one ``Ring.merge_sign``.  The match inverts
+    the one wrong-way image the capped monomial can be.  A source free of
+    xi has the image ``fm / L(w)``, ``fm`` the monomial of the break's
+    ``pd(x_{2m})``, so the source is the one whose L(w) is ``fm - capped``:
+    one lookup in the level's half (``SpaceCatalog._build_half``), and one
+    more ``merge_sign`` for its sign.  A miss goes to ``_matched``, whose
+    table lookup names the fault.
     """
     spreads = cat._spreads
     for (kind, k, i), c in x.terms.items():
@@ -330,11 +336,15 @@ def _breaks(cat: SpaceCatalog, x: LoopClass):
         ((mono, sign),) = carrier.terms.items()
         if carrier.degree() % 2:  # the cross-product sign of cap_with_thom
             sign = -sign
-        for m, fiber in enumerate(cat._level(k)[2], 1):
-            ((fm, fc),) = fiber.terms.items()
-            capped = ring.div_monomials(mono, fm)  # x_{2m} divides every carrier
-            s = sign * fc if ring.merge_sign(capped, fm) > 0 else -(sign * fc)
-            matched, t = _matched(cat, k, m, ring, capped)
+        _, lifted, breaks = cat._halves.get(k) or cat._build_half(k)
+        for m, (xm, fm, fc) in enumerate(breaks, 1):
+            capped = ring.div_monomials(mono, xm)  # x_{2m}, coefficient 1, divides every carrier
+            s = sign if ring.merge_sign(capped, xm) > 0 else -sign
+            hit = lifted.get(fm - capped)  # the source whose image fm / L(w) is capped
+            if hit is None:
+                matched, t = _matched(cat, k, m, ring, capped)  # names the fault
+            else:
+                matched, t = hit[0] >> 1, _image_coeff(ring, capped, fm - capped, hit[1] * fc)
             spread = spreads.get(matched)
             if spread is None:
                 spread = spreads[matched] = _diagonal_spread(cat, matched)

@@ -15,25 +15,30 @@ the same ring.
 
 A level's space, the pullback along its retraction onto SM, the fiber
 classes of its breaks and its carrier word x_1 .. x_{2k-1}, packed as one
-monomial, are one cache entry, built on first use of any;
-catalogs are cached per (family, n).  A break's pullback is a new map on each
-call: the retraction pullback's images plus xi sent to the break's fiber
-class.  The wrong-way tables of a level are cached beside its entry and built
-together, for every break at once.  A source of SM x_M SM that carries xi has
-a Poincare dual free of xi, so its image does not depend on the break and is
-computed once per level.  A source free of xi has the dual ``w xi``: its
-inverse dual and the retraction pullback L(w) of ``w`` are computed once per
-level too.  Its image at break m is ``pd(L(w) x_{2m}) = cap(L(w),
-pd(x_{2m}))`` by the cap module law, so each break adds one ``pd`` of x_{2m}
-and, per source, one cap on packed monomials.  xi is the last generator of
-SM x_M SM, so its slot is the lowest bit of a packed monomial, and a monomial
-free of xi is an SM monomial shifted up by one bit.  The catalog also keeps
-the pipeline's diagonal pushforwards, one per SM monomial.
+monomial, are one cache entry, built on first use of any; the fiber classes
+and the word are read off the level ring's slot bits.  Catalogs are cached
+per (family, n).  A break's pullback is a new map on each call: the
+retraction pullback's images plus xi sent to the break's fiber class.  A
+source of SM x_M SM that carries xi has a Poincare dual free of xi, so its
+image does not depend on the break and is computed once per level.  A
+source free of xi has the dual ``w xi``: its inverse dual and the
+retraction pullback L(w) of ``w`` are computed once per level too.  Its
+image at break m is ``pd(L(w) x_{2m}) = cap(L(w), pd(x_{2m}))`` by the cap
+module law: the one monomial ``fm / L(w)``, where ``fm`` is the monomial of
+``pd(x_{2m})``.  Those images, the L(w) and each break's ``pd(x_{2m})`` are
+the level's break-invariant half, cached beside its entry; every break's
+table is checked against them once, when the half is built.  The pipeline
+matches a capped carrier with no table, by inverting its one image: its
+source is the one whose L(w) is ``fm`` minus it.  ``pv_gysin_table`` builds
+one break's table from the half, on request.  xi is the last generator of
+SM x_M SM, so its slot is the lowest bit of a packed monomial, and a
+monomial free of xi is an SM monomial shifted up by one bit.  The catalog
+also keeps the pipeline's diagonal pushforwards, one per SM monomial.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin, pd, pd_inverse
 from .ring import Generator, Monomial, Ring, RingElement, _Frozen, _require_int
@@ -118,8 +123,11 @@ class SpaceCatalog:
         # x_2, x_4, .. x_{2k-2} of its breaks and the carrier word
         # x_1 .. x_{2k-1}, one packed monomial.
         self._levels: dict[int, tuple[OrientedSpace, RingMap, tuple[RingElement, ...], Monomial]] = {}
-        # One list per level k, the table of break m at position m - 1.
-        self._pv_tables: dict[int, list[dict[Monomial, tuple[Monomial, int]]]] = {}
+        # Per level k, the break-invariant half of its wrong-way images
+        # (``_build_half``), empty at level 1, which has no break, and per
+        # (k, m) a table built from it on request.
+        self._halves: dict[int, tuple[dict, dict, list]] = {1: ({}, {}, [])}
+        self._pv_tables: dict[tuple[int, int], dict[Monomial, tuple[Monomial, int]]] = {}
         # The pipeline's diagonal spreads (``loops._diagonal_spread``), one
         # per SM monomial, so at most 2n.
         self._spreads: dict[Monomial, list[tuple]] = {}
@@ -151,8 +159,9 @@ class SpaceCatalog:
             space = self._space((f"x{j}", p.lam if j % 2 else p.N - 1) for j in range(1, 2 * k))
             ring = space.ring
             images = {g.name: ring.gen(g.name) for g in self.sm.ring.generators}
-            fibers = tuple(ring.gen(f"x{2 * m}") for m in range(1, k))
-            word = ring.monomial({f"x{j}": 1 for j in range(1, 2 * k)})
+            xs = ring._slots[ring.index["x1"] :]  # x_1 .. x_{2k-1}, one bit each
+            fibers = tuple(RingElement._built(ring, {1 << shift: 1}) for shift, _ in xs[1::2])
+            word = sum(1 << shift for shift, _ in xs)
             entry = self._levels[k] = (space, RingMap(self.sm.ring, ring, images), fibers, word)
         return entry
 
@@ -232,37 +241,42 @@ class SpaceCatalog:
         dividing by it is multiplying by it, every inverse dual one term, and
         no two sources may share an image; each fault raises ``RuntimeError``.
 
-        The first call at level k builds the tables of every break
-        m = 1 .. k - 1, splitting each image ``pd . pullback_pV(k, m) .
-        pd_inverse`` into the half that depends on the break and the half
-        that does not.  A source carrying xi has a Poincare dual free of xi,
-        which every break's pullback fixes: its image is one ``gysin`` call
-        per level, through break 1's map, checked and unpacked once, and
-        every break's table starts as a copy of those entries.  A source
-        free of xi has the dual ``w xi``, with no sign, as xi is the last
-        generator; its ``pd_inverse`` and the retraction pullback L(w) of
-        ``w`` are built once per level and kept as a packed monomial and a
-        coefficient.  By the cap module law ``cap(b a, x) = cap(b, cap(a,
-        x))``, which carries no sign, its image ``pd(L(w) x_{2m})`` at break
-        m is ``cap(L(w), pd(x_{2m}))``, a cap of one-term operands: one
-        ``Ring.div_monomials`` and one ``Ring.merge_sign`` on the level
-        ring's packed monomials, with no class built.  A level costs 2n
-        ``gysin`` calls, 2n further ``pd_inverse`` and pullback calls, and
-        per break one ``pd`` of ``fiber_class(k, m)`` and 2n packed caps.
+        Built from the level's break-invariant half (``_build_half``), which
+        checks every break m = 1 .. k - 1 when it is built, so a fault
+        raises the refusal of the first break that has one, whichever break
+        is asked for.  The table is the images of the sources carrying xi,
+        copied, and per source free of xi its image ``fm / L(w)``: one
+        ``Ring.div_monomials`` and one ``Ring.merge_sign``.  It is cached
+        per (k, m); the pipeline never asks for one.
         """
         self._check_break(k, m)
-        tables = self._pv_tables.get(k)
-        if tables is None:
-            tables = self._pv_tables[k] = self._build_pv_tables(k)
-        return tables[m - 1]
+        if (k, m) not in self._pv_tables:
+            fixed, lifted, breaks = self._halves.get(k) or self._build_half(k)
+            self._pv_tables[k, m] = self._table(k, m, fixed, lifted.items(), *breaks[m - 1][1:])
+        return self._pv_tables[k, m]
 
-    def _build_pv_tables(self, k: int) -> list[dict[Monomial, tuple[Monomial, int]]]:
+    def _build_half(self, k: int) -> tuple[dict, dict, list[tuple[Monomial, Monomial, int]]]:
+        """The checked break-invariant half of level k's wrong-way images, kept in ``_halves``.
+
+        ``(fixed, lifted, breaks)``: the table entries of the 2n sources
+        carrying xi, ``{image: (source, sign)}``, one ``gysin`` call each,
+        through break 1's map; the 2n sources free of xi, ``{L(w): (source,
+        coeff)}``, one ``pd_inverse`` and one pullback each; and per break m
+        the monomial of x_{2m} and the one term ``(fm, fc)`` of
+        ``pd(x_{2m})``.  A source free of xi has the dual ``w xi``, with no
+        sign, as xi is the last generator, and its image at break m is
+        ``fm / L(w)``.  So break m's table is sound exactly when the L(w) are
+        distinct, no ``fm`` is an xi image times an L(w), the lcm of the L(w)
+        divides ``fm`` and each distinct coeff times ``fc`` is +1 or -1:
+        O(1) per break, in break order.  A break that fails has its table
+        built, which raises its refusal, and nothing is cached.
+        """
         pair = self.sm_pair
         ring = pair.ring
         gam, lift, fibers, _ = self._level(k)
         p_v = self.pullback_pV(k, 1)
-        fixed: dict[Monomial, tuple[Monomial, int]] = {}  # the entries of the sources carrying xi
-        lifted = []  # (source, L(w), its coefficient) for the others
+        fixed: dict[Monomial, tuple[Monomial, int]] = {}
+        lifted = []  # (L(w), (source, coeff)) of the sources free of xi, in basis order
         for u in ring.monomials():
             du = dual(ring, u)
             if u & 1:  # xi is the last generator, so its slot is the lowest bit
@@ -284,22 +298,35 @@ class SpaceCatalog:
                 ((wxi, c),) = inverse.items()
                 # L fixes a and b, so L(w) is the one term c w.
                 ((lm, lc),) = lift(RingElement(self.sm.ring, {wxi >> 1: c})).terms.items()
-                lifted.append((u, lm, lc))
-        div, merge = gam.ring.div_monomials, gam.ring.merge_sign
-        tables = []
+                lifted.append((lm, (u, lc)))
+        lms, div = dict(lifted), gam.ring.div_monomials
+        lcm = reduce(int.__or__, lms, 0) & gam.ring._bits  # one-bit slots or-ed, wide fields maxed
+        for shift, mask, _, _ in gam.ring._fields:
+            lcm |= max((lm >> shift) & mask for lm in lms) << shift
+        coeffs = {lc for _, lc in lms.values()}
+        shared = {f + lm for f in fixed for lm in lms}  # each fm putting an L(w) on an xi image
+        breaks = []
         for m, fiber in enumerate(fibers, 1):
             ((fm, fc),) = pd(gam, fiber).terms.items()  # x_{2m} divides the top monomial
-            table = fixed.copy()
-            for u, lm, lc in lifted:
-                mono = div(fm, lm)
-                if mono is None:
-                    raise self._refused(k, m, table, u, count=0)
-                coeff = lc * fc if merge(mono, lm) > 0 else -(lc * fc)
-                entry = (u, coeff)
-                if coeff not in (1, -1) or table.setdefault(mono, entry) is not entry:
-                    raise self._refused(k, m, table, u, mono, coeff)
-            tables.append(table)
-        return tables
+            sound = len(lms) == len(lifted) and fm not in shared and div(fm, lcm) is not None
+            if not sound or any(c * fc not in (1, -1) for c in coeffs):
+                self._table(k, m, fixed, lifted, fm, fc)  # raises the refusal of break m
+            breaks.append((next(iter(fiber.terms)), fm, fc))  # with x_{2m}'s one monomial
+        return self._halves.setdefault(k, (fixed, lms, breaks))
+
+    def _table(self, k, m, fixed, lifted, fm, fc) -> dict[Monomial, tuple[Monomial, int]]:
+        """Break m's table: ``fixed``, and each source of ``lifted`` at its image ``fm / L(w)``."""
+        ring = self.gamma(k).ring
+        table = fixed.copy()
+        for lm, (u, lc) in lifted:
+            mono = ring.div_monomials(fm, lm)
+            if mono is None:
+                raise self._refused(k, m, table, u, count=0)
+            coeff = _image_coeff(ring, mono, lm, lc * fc)
+            entry = (u, coeff)
+            if coeff not in (1, -1) or table.setdefault(mono, entry) is not entry:
+                raise self._refused(k, m, table, u, mono, coeff)
+        return table
 
     def _refused(self, k, m, table, u, mono=None, coeff=1, count=1) -> RuntimeError:
         """The fault of source ``u``'s entry in the table of (k, m), bound for image ``mono``.
@@ -321,6 +348,17 @@ class SpaceCatalog:
                 f"wrong-way images of [{first}] and [{second}] {where} are both [{shared}]"
             )
         return RuntimeError(f"wrong-way image of [{ring.monomial_str(u)}] {where} has {fault}")
+
+
+def _image_coeff(ring: Ring, mono: Monomial, lm: Monomial, c):
+    """The coefficient of [mono] in the wrong-way image of a source free of xi, L(w) = ``lm``.
+
+    That image is ``cap(L(w), pd(x_{2m}))``, where ``mono * lm`` is the
+    monomial of ``pd(x_{2m})``; ``c`` is the product of their coefficients,
+    signed here by normal-ordering ``mono * lm``.  The tables and the
+    pipeline's match both take the sign from here.
+    """
+    return c if ring.merge_sign(mono, lm) > 0 else -c
 
 
 _CATALOGS: dict[SpaceParams, SpaceCatalog] = {}

@@ -1,10 +1,12 @@
 """The pipeline's packed break loop against the same steps on classes.
 
 The wrong-way tables and the pipeline's breaks work on packed monomials,
-with no class built per table entry or per break.  Here the tables are
-rebuilt with every cap taken on ``HomologyElement`` operands, and each
-break's step is retaken with ``cap_with_thom`` and ``_match_wrongway``,
-the class-level stages, on every A and B generator of small levels.
+with no class built per table entry or per break, and the breaks match a
+capped carrier with no table at all.  Here the tables are rebuilt with
+every cap taken on ``HomologyElement`` operands, each break's match is
+compared with its table's entry, and each break's step is retaken with
+``cap_with_thom`` and ``_match_wrongway``, the class-level stages, on
+every A and B generator of small levels.
 """
 
 from fractions import Fraction
@@ -68,6 +70,28 @@ def test_packed_tables_equal_the_class_tables_on_a_ring_wider_than_256_bits():
     cat = SpaceCatalog(SpaceParams.from_token("hp", 3))
     assert cat.gamma(130).ring.width > 256
     assert [cat.pv_gysin_table(130, m) for m in range(1, 130)] == _class_tables(cat, 130)
+
+
+@pytest.mark.parametrize(("token", "n"), SPACES, ids=IDS)
+def test_each_break_inverts_the_one_image_its_table_holds(token, n):
+    # The pipeline matches a capped carrier by the source whose image
+    # fm / L(w) it is, with no table.  For every carrier, A and B at every
+    # index, at every break, that source and sign must be the entry of the
+    # break's table, built by a catalog of its own; the pipeline's catalog
+    # builds no table.  On hp3 at k = 130 the ring is wider than 256 bits.
+    params = SpaceParams.from_token(token, n)
+    cat, tables = SpaceCatalog(params), SpaceCatalog(params)
+    for k in [*range(2, 13), *([130] if (token, n) == ("hp", 3) else [])]:
+        for kind in "AB":
+            for i in range(n):
+                steps = list(_breaks(cat, LoopClass.generator(params, kind, k, i)))
+                assert [step[0] for step in steps] == list(range(1, k))
+                for m, capped, sign, matched, terms in steps:
+                    # One term is c * sign * t * dc, with c = 1 and t the match's sign.
+                    (_, _, dc), (_, v) = cat._spreads[matched][0], terms[0]
+                    want = tables.pv_gysin_table(k, m)[capped]
+                    assert (matched << 1, Fraction(v, sign * dc)) == want
+    assert cat._pv_tables == {}
 
 
 def _summed(steps) -> dict:

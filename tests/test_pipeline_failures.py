@@ -2,17 +2,19 @@
 
 A consistent sign convention never trips them, so every other test of the
 route passes them by.  Here a class that is not a capped carrier, and a
-wrong-way table with one entry corrupted or removed, show what the route
+wrong-way match with one entry corrupted or removed, show what the route
 raises, the level, break and monomial the error carries, how
-``verify_pipeline`` records it and what the CLI then reports.
+``verify_pipeline`` records it and what the CLI then reports.  A broken
+wrong-way image is refused by the pipeline with the text of the table that
+would hold it.
 """
 
 import pytest
 
-from loopalg import LoopClass, coproduct_pipeline
-from loopalg.cli import EXIT_FAIL, run
+from loopalg import HomologyElement, LoopClass, coproduct_pipeline, dual, spaces
+from loopalg.cli import EXIT_FAIL, EXIT_INTERNAL, run
 from loopalg.loops import PipelineMatchError, _match_wrongway, gamma_class, verify_pipeline
-from loopalg.spaces import SpaceParams, catalog_for
+from loopalg.spaces import SpaceCatalog, SpaceParams, catalog_for
 
 CP2 = SpaceParams.from_token("cp", 2)
 
@@ -36,13 +38,21 @@ def test_match_of_an_uncapped_carrier_names_its_fiber_class(token, kind, i, show
 
 @pytest.fixture
 def xi_for_a20(monkeypatch):
-    """Point the (2, 1) table entry of A[2,0]'s capped class at xi, not at 1."""
+    """Point the (2, 1) match of A[2,0]'s capped class at xi, not at 1.
+
+    The pipeline finds the source of a capped class by the L(w) that its
+    image ``fm / L(w)`` leaves, in the level's half; with that source gone
+    it looks the class up in the break's table, whose entry names xi.
+    """
     cat = catalog_for(CP2)
     table = cat.pv_gysin_table(2, 1)
     capped = cat.gamma(2).ring.monomial({"x1": 1, "x3": 1})
     source, sign = table[capped]
     assert source == cat.sm_pair.ring.monomial()
     monkeypatch.setitem(table, capped, (cat.sm_pair.ring.monomial({"xi": 1}), sign))
+    _, lifted, ((_, fm, _),) = cat._halves[2]
+    assert lifted[fm - capped][0] == source
+    monkeypatch.delitem(lifted, fm - capped)
 
 
 def test_verify_pipeline_records_a_match_error_and_goes_on(xi_for_a20):
@@ -76,3 +86,92 @@ def test_match_errors_carry_their_level_break_and_monomial(xi_for_a20, monkeypat
         coproduct_pipeline(x)
     assert str(err.value) == "unmatched component [x1 x3] at level 2, break 1"
     assert (err.value.k, err.value.m, err.value.monomial) == (2, 1, capped)
+
+
+def _faulty(name, fault):
+    """Patch ``spaces.<name>`` to ``fault(real, *args)`` for the test's length."""
+
+    def patch(monkeypatch):
+        real = getattr(spaces, name)
+        monkeypatch.setattr(spaces, name, lambda *args: fault(real, *args))
+
+    return patch
+
+
+def _x4(space, c):
+    return c == space.ring.gen("x4")
+
+
+def _zero_at_x4(real, space, c):
+    """The dual of the unit monomial in place of pd(x4): break 2's images have no term."""
+    return HomologyElement(space.ring, {0: 1}) if _x4(space, c) else real(space, c)
+
+
+def _b_as_unit(real, space, x):
+    """The real inverse dual, with [b] sent where [1] goes, so both share an image."""
+    ring = x.ring
+    return real(space, dual(ring, ring.monomial()) if ring.monomial({"b": 1}) in x.terms else x)
+
+
+def _unit(x):
+    return x.ring.monomial() in x.terms
+
+
+# One fault per table refusal: each breaks the wrong-way images of level 3,
+# at break 1, or only at break 2, where the first break's table is sound.
+FAULTS = {
+    "zero image": (
+        _faulty("pd", lambda real, space, c: HomologyElement(space.ring, {0: 1})),
+        "wrong-way image of [1] at level 3, break 1 has 0 terms, not one",
+    ),
+    "zero image at break 2": (
+        _faulty("pd", _zero_at_x4),
+        "wrong-way image of [1] at level 3, break 2 has 0 terms, not one",
+    ),
+    "non-unit coefficient": (
+        _faulty("pd_inverse", lambda real, space, x: real(space, x) * (-2 if _unit(x) else 1)),
+        "wrong-way image of [1] at level 3, break 1 has coefficient 2, not +1 or -1",
+    ),
+    "non-unit coefficient at break 2": (
+        _faulty("pd", lambda real, space, c: real(space, c) * (3 if _x4(space, c) else 1)),
+        "wrong-way image of [1] at level 3, break 2 has coefficient -3, not +1 or -1",
+    ),
+    "shared with an xi image": (
+        _faulty(
+            "gysin",
+            lambda real, pull, source, target, x: (
+                dual(target.ring, target.ring.monomial({"x1": 1, "x3": 1, "x4": 1, "x5": 1}))
+                if source.ring.monomial({"xi": 1}) in x.terms
+                else real(pull, source, target, x)
+            ),
+        ),
+        "wrong-way images of [1] and [xi] at level 3, break 1 are both [x1 x3 x4 x5]",
+    ),
+    "two xi-free sources sharing": (
+        _faulty("pd_inverse", _b_as_unit),
+        "wrong-way images of [1] and [b] at level 3, break 1 are both [x1 x3 x4 x5]",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_cold_pipeline_refuses_a_broken_image_as_its_table_does(fault, monkeypatch, capsys):
+    patch, refused = FAULTS[fault]
+    patch(monkeypatch)
+    for m in (1, 2):
+        cat = SpaceCatalog(CP2)
+        with pytest.raises(RuntimeError) as err:
+            cat.pv_gysin_table(3, m)
+        assert str(err.value) == refused
+        assert cat._halves.keys() == {1} and cat._pv_tables == {}
+    cat = SpaceCatalog(CP2)
+    for kind in "AB":  # a refused level is not kept, so it is refused again
+        with pytest.raises(RuntimeError) as err:
+            coproduct_pipeline(LoopClass.generator(CP2, kind, 3, 1), cat)
+        assert str(err.value) == refused
+        assert cat._halves.keys() == {1} and cat._pv_tables == {}
+    monkeypatch.setattr(spaces, "_CATALOGS", {})
+    argv = ["--space", "cp", "--n", "2", "coproduct", "A[3,1]", "--route", "pipeline"]
+    assert run(argv) == EXIT_INTERNAL == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"loopalg: internal error: RuntimeError: {refused}\n")

@@ -201,6 +201,20 @@ class TestPullbacks:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("token", ["cp", "hp"])
+    def test_fiber_classes_and_word_from_slot_bits_are_the_named_forms(self, token, n):
+        # A level builds its fiber classes x_{2m} and its carrier word
+        # x_1 .. x_{2k-1} from the level ring's slot shifts, with no name
+        # looked up; they must be the class and the monomial built by name.
+        cat = SpaceCatalog(SpaceParams.from_token(token, n))
+        levels = [*range(1, 13), *([130] if (token, n) == ("hp", 3) else [])]
+        for k in levels:
+            _, _, fibers, word = cat._level(k)
+            ring = cat.gamma(k).ring
+            assert fibers == tuple(ring.gen(f"x{2 * m}") for m in range(1, k))
+            assert word == ring.monomial({f"x{j}": 1 for j in range(1, 2 * k)})
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("token", ["cp", "hp"])
     def test_gamma_dual_is_the_carrier_named_generator_by_generator(self, token, n):
         # The carrier word x1 .. x{2k-1} is packed once per level and or-ed
         # into a^i (b); the dual must be the one built from the names.  On
@@ -433,11 +447,11 @@ class TestGysinTable:
     @pytest.mark.parametrize(("token", "n", "k"), [("cp", 1, 5), ("cp", 3, 10), ("hp", 2, 7)])
     def test_a_cold_level_makes_2n_gysin_calls(self, monkeypatch, token, n, k):
         # 2n sources carry xi and are imaged by one gysin call per level.  The
-        # other 2n take one pd_inverse per level and then, per break, one cap
-        # of the break's pd(x_{2m}), which is built once per break.  That cap
-        # is packed: one div_monomials and one merge_sign, called by the
-        # builder itself, with no cap call.  The maps built are the level's
-        # retraction pullback and break 1's pullback.
+        # other 2n take one pd_inverse per level, and each break one pd of
+        # its x_{2m}.  The maps built are the level's retraction pullback and
+        # break 1's pullback.  The pipeline builds no table: the table entry
+        # builder's packed cap (one div_monomials and one merge_sign, through
+        # _image_coeff) runs only when a table is asked for.
         calls = {"gysin": [], "pd_inverse": [], "pd": [], "RingMap": []}
         calls |= {"div_monomials": [], "merge_sign": []}
 
@@ -450,12 +464,12 @@ class TestGysinTable:
 
             monkeypatch.setattr(spaces, name, call)
 
-        def packed(name):
+        def packed(name, depth):
             real = getattr(Ring, name)
-            builder = SpaceCatalog._build_pv_tables.__code__
+            builder = SpaceCatalog._table.__code__
 
             def call(ring, *args):
-                if sys._getframe(1).f_code is builder:
+                if sys._getframe(depth).f_code is builder:
                     calls[name].append(args)
                 return real(ring, *args)
 
@@ -463,8 +477,8 @@ class TestGysinTable:
 
         for name in ("gysin", "pd_inverse", "pd", "RingMap"):
             counted(name)
-        packed("div_monomials")
-        packed("merge_sign")
+        packed("div_monomials", 1)
+        packed("merge_sign", 2)
         params = SpaceParams.from_token(token, n)
         cat = SpaceCatalog(params)
         x = LoopClass.generator(params, "B", k, 0)
@@ -473,8 +487,8 @@ class TestGysinTable:
             "pd_inverse": 2 * n,
             "pd": k - 1,
             "RingMap": 2,
-            "div_monomials": 2 * n * (k - 1),
-            "merge_sign": 2 * n * (k - 1),
+            "div_monomials": 0,
+            "merge_sign": 0,
         }
         assert coproduct_pipeline(x, cat) == coproduct_closed(x)
         assert {name: len(c) for name, c in calls.items()} == want
@@ -484,6 +498,11 @@ class TestGysinTable:
             with pytest.raises(ValueError) as err:
                 cat.pv_gysin_table(kk, m)
             assert str(err.value) == f"break index m={m} outside 1 .. {kk - 1}"
+        assert {name: len(c) for name, c in calls.items()} == want
+        # A table asked for is built from the level's half: 2n packed caps.
+        assert cat._pv_tables == {}
+        assert len(cat.pv_gysin_table(k, k - 1)) == 4 * n
+        want |= {"div_monomials": 2 * n, "merge_sign": 2 * n}
         assert {name: len(c) for name, c in calls.items()} == want
         # The fiber classes are built with the level: the tables' pd, the
         # break pullbacks and cap_with_thom all read those same objects.
