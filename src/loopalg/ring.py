@@ -140,8 +140,10 @@ class Generator(_Frozen):
     def __init__(self, name: str, degree: int, truncation: int) -> None:
         if not isinstance(name, str):  # monomial_str joins names as text
             raise TypeError(f"generator name must be a str, not {name!r}")
-        _require_int(f"generator {name!r}: degree", degree)
-        _require_int(f"generator {name!r}: truncation", truncation)
+        if type(degree) is not int or type(truncation) is not int:
+            # Refuse the first non-int, formatting its text only now.
+            _require_int(f"generator {name!r}: degree", degree)
+            _require_int(f"generator {name!r}: truncation", truncation)
         if degree < 0:
             raise ValueError(f"generator {name!r}: degree must be non-negative")
         if truncation < 2:

@@ -25,11 +25,15 @@ source free of xi has the dual ``w xi``: its inverse dual and the
 retraction pullback L(w) of ``w`` are computed once per level too.  Its
 image at break m is ``pd(L(w) x_{2m}) = cap(L(w), pd(x_{2m}))`` by the cap
 module law: the one monomial ``fm / L(w)``, where ``fm`` is the monomial of
-``pd(x_{2m})``.  Those images, the L(w) and each break's ``pd(x_{2m})`` are
-the level's break-invariant half, cached beside its entry; every break's
-table is checked against them once, when the half is built.  The pipeline
-matches a capped carrier with no table, by inverting its one image: its
-source is the one whose L(w) is ``fm`` minus it.  ``pv_gysin_table`` builds
+``pd(x_{2m})``.  x_{2m} is one bit of the level ring, so ``fm`` is the top
+monomial less that bit, and the coefficient of ``pd(x_{2m})`` a Koszul sign;
+no ``pd`` is taken.  Those images, the L(w) and each break's ``pd(x_{2m})``
+are the level's break-invariant half, cached beside its entry; every
+break's table is checked against them once, when the half is built, with
+the tests that do not depend on the break made once per level.  The
+pipeline matches a capped carrier with no table, by inverting its one
+image: its source is the one whose L(w) is ``fm`` minus it, which is the
+top monomial less the carrier at every break.  ``pv_gysin_table`` builds
 one break's table from the half, on request.  xi is the last generator of
 SM x_M SM, so its slot is the lowest bit of a packed monomial, and a
 monomial free of xi is an SM monomial shifted up by one bit.  The catalog
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 
-from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin, pd, pd_inverse
+from .homology import HomologyElement, OrientedSpace, RingMap, dual, gysin, pd_inverse
 from .ring import Generator, Monomial, Ring, RingElement, _Frozen, _require_int
 
 __all__ = ["SpaceCatalog", "SpaceParams", "catalog_for", "generator_degree"]
@@ -262,14 +266,18 @@ class SpaceCatalog:
         carrying xi, ``{image: (source, sign)}``, one ``gysin`` call each,
         through break 1's map; the 2n sources free of xi, ``{L(w): (source,
         coeff)}``, one ``pd_inverse`` and one pullback each; and per break m
-        the monomial of x_{2m} and the one term ``(fm, fc)`` of
-        ``pd(x_{2m})``.  A source free of xi has the dual ``w xi``, with no
-        sign, as xi is the last generator, and its image at break m is
-        ``fm / L(w)``.  So break m's table is sound exactly when the L(w) are
-        distinct, no ``fm`` is an xi image times an L(w), the lcm of the L(w)
-        divides ``fm`` and each distinct coeff times ``fc`` is +1 or -1:
-        O(1) per break, in break order.  A break that fails has its table
-        built, which raises its refusal, and nothing is cached.
+        the monomial ``xm`` of x_{2m} and the one term ``(fm, fc)`` of
+        ``pd(x_{2m})``.  That term is read off the fiber bit, with the two
+        ``Ring`` methods ``cap`` calls: ``fm`` is the top monomial less
+        ``xm``, and ``fc`` the Koszul sign of ``fm * xm``.  A source free of
+        xi has the dual ``w xi``, with no sign, as xi is the last generator,
+        and its image at break m is ``fm / L(w)``.  So break m's table is
+        sound exactly when the L(w) are distinct with coeffs +1 or -1, which
+        holds for every break or none, and no L(w) holds ``xm`` and no
+        ``fm`` is an xi image times an L(w): O(1) per break, in break order.
+        A break that fails has its table built, which raises its refusal,
+        and nothing is cached.  A pullback L(w) of other than one term is
+        refused here, naming the source, the level and its breaks.
         """
         pair = self.sm_pair
         ring = pair.ring
@@ -289,30 +297,35 @@ class SpaceCatalog:
                     raise self._refused(k, 1, fixed, u, mono, coeff)
             else:
                 # The inverse dual is w xi, xi last: w is it shifted down, with no sign.
-                inverse = pd_inverse(pair, du).terms
-                if len(inverse) != 1:
-                    raise RuntimeError(
-                        f"inverse dual of [{ring.monomial_str(u)}] at level {k}, breaks "
-                        f"1 .. {k - 1}, has {len(inverse)} terms, not one"
-                    )
-                ((wxi, c),) = inverse.items()
+                wxi, c = self._one_term(k, u, "inverse dual", pd_inverse(pair, du))
                 # L fixes a and b, so L(w) is the one term c w.
-                ((lm, lc),) = lift(RingElement(self.sm.ring, {wxi >> 1: c})).terms.items()
+                w = RingElement(self.sm.ring, {wxi >> 1: c})
+                lm, lc = self._one_term(k, u, "retraction pullback of the inverse dual", lift(w))
                 lifted.append((lm, (u, lc)))
-        lms, div = dict(lifted), gam.ring.div_monomials
-        lcm = reduce(int.__or__, lms, 0) & gam.ring._bits  # one-bit slots or-ed, wide fields maxed
-        for shift, mask, _, _ in gam.ring._fields:
+        lms, level = dict(lifted), gam.ring
+        lcm = reduce(int.__or__, lms, 0) & level._bits  # one-bit slots or-ed, wide fields maxed
+        for shift, mask, _, _ in level._fields:
             lcm |= max((lm >> shift) & mask for lm in lms) << shift
-        coeffs = {lc for _, lc in lms.values()}
+        sound = len(lms) == len(lifted) and all(lc in (1, -1) for _, lc in lms.values())
         shared = {f + lm for f in fixed for lm in lms}  # each fm putting an L(w) on an xi image
-        breaks = []
+        top, breaks = level.top_monomial, []
         for m, fiber in enumerate(fibers, 1):
-            ((fm, fc),) = pd(gam, fiber).terms.items()  # x_{2m} divides the top monomial
-            sound = len(lms) == len(lifted) and fm not in shared and div(fm, lcm) is not None
-            if not sound or any(c * fc not in (1, -1) for c in coeffs):
+            (xm,) = fiber.terms  # one bit, which the top monomial holds
+            fm = level.div_monomials(top, xm)  # pd(x_{2m}) = cap(x_{2m}, [top]) = fc [fm]
+            fc = level.merge_sign(fm, xm)
+            if not sound or xm & lcm or fm in shared:
                 self._table(k, m, fixed, lifted, fm, fc)  # raises the refusal of break m
-            breaks.append((next(iter(fiber.terms)), fm, fc))  # with x_{2m}'s one monomial
+            breaks.append((xm, fm, fc))
         return self._halves.setdefault(k, (fixed, lms, breaks))
+
+    def _one_term(self, k, u, what, x) -> tuple[Monomial, int]:
+        """The one term of ``x``, the ``what`` of source ``u`` at level k, else its refusal."""
+        if len(x.terms) != 1:
+            raise RuntimeError(
+                f"{what} of [{self.sm_pair.ring.monomial_str(u)}] at level {k}, breaks "
+                f"1 .. {k - 1}, has {len(x.terms)} terms, not one"
+            )
+        return next(iter(x.terms.items()))
 
     def _table(self, k, m, fixed, lifted, fm, fc) -> dict[Monomial, tuple[Monomial, int]]:
         """Break m's table: ``fixed``, and each source of ``lifted`` at its image ``fm / L(w)``."""

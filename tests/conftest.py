@@ -1,5 +1,6 @@
 import pytest
 
+from loopalg.homology import RingMap
 from loopalg.spaces import SpaceParams, catalog_for
 
 
@@ -35,3 +36,25 @@ def hp2():
 @pytest.fixture(scope="session")
 def hp3():
     return _cat("hp", 3)
+
+
+@pytest.fixture
+def plant_lift(monkeypatch):
+    """``plant(fault)`` breaks the retraction pullback L(w) of the source [1] of SM x_M SM.
+
+    [1] has the inverse dual ``w xi`` with w the top monomial of SM, so each
+    map from SM (a level's retraction pullback) sends that w to ``fault`` of
+    its real image, for the test's length.
+    """
+    real = RingMap.__call__
+
+    def plant(fault):
+        def call(pull, elem):
+            image = real(pull, elem)
+            if "xi" in pull.source.index or pull.source.top_monomial not in elem.terms:
+                return image
+            return fault(image)
+
+        monkeypatch.setattr(RingMap, "__call__", call)
+
+    return plant

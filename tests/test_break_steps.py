@@ -4,9 +4,10 @@ The wrong-way tables and the pipeline's breaks work on packed monomials,
 with no class built per table entry or per break, and the breaks match a
 capped carrier with no table at all.  Here the tables are rebuilt with
 every cap taken on ``HomologyElement`` operands, each break's match is
-compared with its table's entry, and each break's step is retaken with
-``cap_with_thom`` and ``_match_wrongway``, the class-level stages, on
-every A and B generator of small levels.
+compared with its table's entry, each break's ``pd(x_{2m})`` with the
+kernel's, and each break's step is retaken with ``cap_with_thom`` and
+``_match_wrongway``, the class-level stages, on every A and B generator of
+small levels.
 """
 
 from fractions import Fraction
@@ -70,6 +71,24 @@ def test_packed_tables_equal_the_class_tables_on_a_ring_wider_than_256_bits():
     cat = SpaceCatalog(SpaceParams.from_token("hp", 3))
     assert cat.gamma(130).ring.width > 256
     assert [cat.pv_gysin_table(130, m) for m in range(1, 130)] == _class_tables(cat, 130)
+
+
+@pytest.mark.parametrize(("token", "n"), SPACES, ids=IDS)
+def test_each_break_reads_pd_of_its_fiber_class_off_the_fiber_bit(token, n):
+    # A level's half keeps per break m the monomial xm of x_{2m} and the one
+    # term (fm, fc) of pd(x_{2m}), read off the fiber bit with no pd taken.
+    # Each must be what the kernel's pd of fiber_class(k, m) gives.  At
+    # k = 40 the level ring is wider than 64 bits.
+    cat = SpaceCatalog(SpaceParams.from_token(token, n))
+    for k in [*range(2, 9), 40]:
+        gam = cat.gamma(k)
+        assert k <= 8 or gam.ring.width > 64
+        _, _, breaks = cat._build_half(k)
+        assert len(breaks) == k - 1
+        for m, (xm, fm, fc) in enumerate(breaks, 1):
+            fiber = cat.fiber_class(k, m)
+            assert fiber.terms == {xm: 1}
+            assert pd(gam, fiber).terms == {fm: fc}
 
 
 @pytest.mark.parametrize(("token", "n"), SPACES, ids=IDS)

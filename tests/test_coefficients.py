@@ -193,39 +193,49 @@ def test_non_unit_wrongway_coefficient_is_refused(monkeypatch, capsys):
     assert err.startswith("loopalg: internal error: RuntimeError: wrong-way image of [1]")
 
 
-def _two_term_inverse(real):
+def _two_term_inverse(monkeypatch, plant_lift):
+    real = spaces.pd_inverse
+
     def inverse(space, x):
         """The real inverse dual, plus the unit class for the dual of the unit monomial."""
         out = real(space, x)
         return out + out.ring.one() if x.ring.monomial() in x.terms else out
 
-    return inverse
+    monkeypatch.setattr(spaces, "pd_inverse", inverse)
 
 
 # A table entry is one term read off a class; a class of any other length is a
 # broken wrong-way convention, an internal fault, never refused input.
 @pytest.mark.parametrize(
-    "name, fault, refused",
+    "fault, refused",
     [
         (
-            "pd_inverse",
             _two_term_inverse,
             r"inverse dual of \[1\] at level 3, breaks 1 \.\. 2, has 2 terms, not one",
         ),
         (
-            # The dual of the unit monomial in place of pd(x_{2m}): no xi-free
-            # source's L(w) divides it, so the packed cap of each is zero.
-            "pd",
-            lambda real: lambda space, c: HomologyElement(space.ring, {0: 1}),
+            # L(w) of [1] carrying x2: it does not divide break 1's fm, the
+            # top monomial less x2, so the packed cap there is zero.
+            lambda monkeypatch, plant_lift: plant_lift(lambda image: image * image.ring.gen("x2")),
             r"wrong-way image of \[1\] at level 3, break 1 has 0 terms, not one",
         ),
+        (
+            lambda monkeypatch, plant_lift: plant_lift(lambda image: image.ring.zero()),
+            r"retraction pullback of the inverse dual of \[1\] at level 3, breaks 1 \.\. 2, "
+            r"has 0 terms, not one",
+        ),
+        (
+            lambda monkeypatch, plant_lift: plant_lift(lambda image: image + image.ring.one()),
+            r"retraction pullback of the inverse dual of \[1\] at level 3, breaks 1 \.\. 2, "
+            r"has 2 terms, not one",
+        ),
     ],
-    ids=["two-term inverse dual", "zero image"],
+    ids=["two-term inverse dual", "zero image", "zero lift", "two-term lift"],
 )
 def test_wrongway_entry_of_other_than_one_term_is_refused(
-    monkeypatch, capsys, name, fault, refused
+    monkeypatch, plant_lift, capsys, fault, refused
 ):
-    monkeypatch.setattr(spaces, name, fault(getattr(spaces, name)))
+    fault(monkeypatch, plant_lift)
     with pytest.raises(RuntimeError, match=refused):
         spaces.SpaceCatalog(CP2).pv_gysin_table(3, 1)
 

@@ -11,7 +11,7 @@ would hold it.
 
 import pytest
 
-from loopalg import HomologyElement, LoopClass, coproduct_pipeline, dual, spaces
+from loopalg import LoopClass, coproduct_pipeline, dual, spaces
 from loopalg.cli import EXIT_FAIL, EXIT_INTERNAL, run
 from loopalg.loops import PipelineMatchError, _match_wrongway, gamma_class, verify_pipeline
 from loopalg.spaces import SpaceCatalog, SpaceParams, catalog_for
@@ -91,20 +91,16 @@ def test_match_errors_carry_their_level_break_and_monomial(xi_for_a20, monkeypat
 def _faulty(name, fault):
     """Patch ``spaces.<name>`` to ``fault(real, *args)`` for the test's length."""
 
-    def patch(monkeypatch):
+    def patch(monkeypatch, plant_lift):
         real = getattr(spaces, name)
         monkeypatch.setattr(spaces, name, lambda *args: fault(real, *args))
 
     return patch
 
 
-def _x4(space, c):
-    return c == space.ring.gen("x4")
-
-
-def _zero_at_x4(real, space, c):
-    """The dual of the unit monomial in place of pd(x4): break 2's images have no term."""
-    return HomologyElement(space.ring, {0: 1}) if _x4(space, c) else real(space, c)
+def _lifted(name):
+    """Plant the level's generator ``name`` on the retraction pullback L(w) of the source [1]."""
+    return lambda monkeypatch, plant_lift: plant_lift(lambda image: image * image.ring.gen(name))
 
 
 def _b_as_unit(real, space, x):
@@ -119,22 +115,20 @@ def _unit(x):
 
 # One fault per table refusal: each breaks the wrong-way images of level 3,
 # at break 1, or only at break 2, where the first break's table is sound.
+# An L(w) that carries x_{2m} does not divide break m's fm = top - x_{2m},
+# so the image fm / L(w) of [1] there has no term.
 FAULTS = {
     "zero image": (
-        _faulty("pd", lambda real, space, c: HomologyElement(space.ring, {0: 1})),
+        _lifted("x2"),
         "wrong-way image of [1] at level 3, break 1 has 0 terms, not one",
     ),
     "zero image at break 2": (
-        _faulty("pd", _zero_at_x4),
+        _lifted("x4"),
         "wrong-way image of [1] at level 3, break 2 has 0 terms, not one",
     ),
     "non-unit coefficient": (
         _faulty("pd_inverse", lambda real, space, x: real(space, x) * (-2 if _unit(x) else 1)),
         "wrong-way image of [1] at level 3, break 1 has coefficient 2, not +1 or -1",
-    ),
-    "non-unit coefficient at break 2": (
-        _faulty("pd", lambda real, space, c: real(space, c) * (3 if _x4(space, c) else 1)),
-        "wrong-way image of [1] at level 3, break 2 has coefficient -3, not +1 or -1",
     ),
     "shared with an xi image": (
         _faulty(
@@ -155,9 +149,11 @@ FAULTS = {
 
 
 @pytest.mark.parametrize("fault", FAULTS)
-def test_a_cold_pipeline_refuses_a_broken_image_as_its_table_does(fault, monkeypatch, capsys):
+def test_a_cold_pipeline_refuses_a_broken_image_as_its_table_does(
+    fault, monkeypatch, plant_lift, capsys
+):
     patch, refused = FAULTS[fault]
-    patch(monkeypatch)
+    patch(monkeypatch, plant_lift)
     for m in (1, 2):
         cat = SpaceCatalog(CP2)
         with pytest.raises(RuntimeError) as err:
@@ -175,3 +171,25 @@ def test_a_cold_pipeline_refuses_a_broken_image_as_its_table_does(fault, monkeyp
     assert run(argv) == EXIT_INTERNAL == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"loopalg: internal error: RuntimeError: {refused}\n")
+
+
+@pytest.mark.parametrize("params", [CP2, SpaceParams.from_token("hp", 3)], ids=["cp2", "hp3"])
+def test_a_non_unit_lift_coefficient_is_refused_at_break_1_on_every_level(params, plant_lift):
+    # A break's own factor, the coefficient of pd(x_{2m}), is a Koszul sign,
+    # so an entry's coefficient is +1 or -1 at every break or at none: the
+    # coefficient of its L(w) decides, and break 1 is refused first, on
+    # every level and whichever break is asked for.
+    signs = {k: SpaceCatalog(params).pv_gysin_table(k, 1) for k in range(2, 9)}
+    plant_lift(lambda image: 3 * image)
+    for k, table in signs.items():
+        unit = next(sign for source, sign in table.values() if source == 0)
+        refused = f"wrong-way image of [1] at level {k}, break 1 has coefficient {3 * unit}, "
+        for m in range(1, k):
+            cat = SpaceCatalog(params)
+            with pytest.raises(RuntimeError) as err:
+                cat.pv_gysin_table(k, m)
+            assert str(err.value) == refused + "not +1 or -1"
+            with pytest.raises(RuntimeError) as err:
+                coproduct_pipeline(LoopClass.generator(params, "B", k, 0), cat)
+            assert str(err.value) == refused + "not +1 or -1"
+            assert cat._halves.keys() == {1} and cat._pv_tables == {}

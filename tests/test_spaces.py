@@ -24,7 +24,7 @@ from loopalg import (
     gysin,
     pd,
 )
-from loopalg import loops, spaces
+from loopalg import homology, loops, spaces
 from loopalg.loops import cap_with_thom, gamma_class
 from loopalg.ring import Ring
 from loopalg.spaces import SpaceCatalog, generator_degree
@@ -447,11 +447,12 @@ class TestGysinTable:
     @pytest.mark.parametrize(("token", "n", "k"), [("cp", 1, 5), ("cp", 3, 10), ("hp", 2, 7)])
     def test_a_cold_level_makes_2n_gysin_calls(self, monkeypatch, token, n, k):
         # 2n sources carry xi and are imaged by one gysin call per level.  The
-        # other 2n take one pd_inverse per level, and each break one pd of
-        # its x_{2m}.  The maps built are the level's retraction pullback and
-        # break 1's pullback.  The pipeline builds no table: the table entry
-        # builder's packed cap (one div_monomials and one merge_sign, through
-        # _image_coeff) runs only when a table is asked for.
+        # other 2n take one pd_inverse per level.  A break takes no pd: its
+        # x_{2m} is one bit, and pd(x_{2m}) is read off it.  The maps built
+        # are the level's retraction pullback and break 1's pullback.  The
+        # pipeline builds no table: the table entry builder's packed cap
+        # (one div_monomials and one merge_sign, through _image_coeff) runs
+        # only when a table is asked for.
         calls = {"gysin": [], "pd_inverse": [], "pd": [], "RingMap": []}
         calls |= {"div_monomials": [], "merge_sign": []}
 
@@ -464,6 +465,19 @@ class TestGysinTable:
 
             monkeypatch.setattr(spaces, name, call)
 
+        def counted_pd():
+            # Every pd a cold level takes outside its gysin calls: through
+            # homology, or through spaces should it import pd again.
+            real = homology.pd
+
+            def call(*args):
+                if sys._getframe(1).f_code is not homology.gysin.__code__:
+                    calls["pd"].append(args)
+                return real(*args)
+
+            monkeypatch.setattr(homology, "pd", call)
+            monkeypatch.setattr(spaces, "pd", call, raising=False)
+
         def packed(name, depth):
             real = getattr(Ring, name)
             builder = SpaceCatalog._table.__code__
@@ -475,8 +489,9 @@ class TestGysinTable:
 
             monkeypatch.setattr(Ring, name, call)
 
-        for name in ("gysin", "pd_inverse", "pd", "RingMap"):
+        for name in ("gysin", "pd_inverse", "RingMap"):
             counted(name)
+        counted_pd()
         packed("div_monomials", 1)
         packed("merge_sign", 2)
         params = SpaceParams.from_token(token, n)
@@ -485,7 +500,7 @@ class TestGysinTable:
         want = {
             "gysin": 2 * n,
             "pd_inverse": 2 * n,
-            "pd": k - 1,
+            "pd": 0,
             "RingMap": 2,
             "div_monomials": 0,
             "merge_sign": 0,
@@ -504,18 +519,19 @@ class TestGysinTable:
         assert len(cat.pv_gysin_table(k, k - 1)) == 4 * n
         want |= {"div_monomials": 2 * n, "merge_sign": 2 * n}
         assert {name: len(c) for name, c in calls.items()} == want
-        # The fiber classes are built with the level: the tables' pd, the
-        # break pullbacks and cap_with_thom all read those same objects.
+        # The fiber classes are built with the level: the break pullbacks
+        # and cap_with_thom read those same objects, and the half keeps
+        # each one's monomial.
         capped = []
         real_cap = loops.cap
         monkeypatch.setattr(loops, "cap", lambda a, y: capped.append(a) or real_cap(a, y))
         cap_with_thom(cat, k, gamma_class(cat, "B", k, 0))
+        breaks = cat._halves[k][2]
         for m in range(1, k):
             fiber = cat.fiber_class(k, m)
             assert fiber is cat.fiber_class(k, m)
             assert cat.pullback_pV(k, m).images["xi"] is fiber
-            space, dualized = calls["pd"][m - 1]
-            assert space is cat.gamma(k) and dualized is fiber
+            assert fiber.terms == {breaks[m - 1][0]: 1}
             assert capped[m - 1] is fiber
         assert len(capped) == k - 1
 

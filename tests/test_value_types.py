@@ -105,6 +105,26 @@ def test_validation_messages(make, message):
     assert str(err.value) == message
 
 
+def test_a_valid_generator_formats_no_refusal():
+    # The degree and truncation refusals name the generator by its repr;
+    # a generator that passes must not build their text.
+    class Counted(str):
+        calls = 0
+
+        def __repr__(self):
+            Counted.calls += 1
+            return super().__repr__()
+
+    name = Counted("g")
+    for degree, truncation in ((2, 3), (1, 2), (4, 2)):
+        Generator(name, degree, truncation)
+    assert Counted.calls == 0
+    with pytest.raises(TypeError) as err:
+        Generator(name, 2, 3.0)
+    assert str(err.value) == "generator 'g': truncation must be an int, not 3.0"
+    assert Counted.calls > 0
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from loopalg import *", namespace)
