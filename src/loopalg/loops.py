@@ -19,7 +19,7 @@ from functools import cache
 from .homology import HomologyElement, _require_homogeneous, cap, diagonal_pushforward, dual
 from .report import Interner, Report
 from .ring import Combination, Monomial, _Frozen, _require_int, _require_same, as_coeff
-from .spaces import SpaceCatalog, SpaceParams, _image_coeff, catalog_for, generator_degree
+from .spaces import SpaceCatalog, SpaceParams, catalog_for, generator_degree
 
 __all__ = [
     "CohClass",
@@ -323,14 +323,14 @@ def _breaks(cat: SpaceCatalog, x: LoopClass):
     one-term operands, with no class and no table built: the cap is one
     ``Ring.div_monomials`` and one ``Ring.merge_sign``.  The match inverts
     the one wrong-way image the capped monomial can be.  A source free of
-    xi has the image ``fm / L(w)``, ``fm`` the monomial of the break's
-    ``pd(x_{2m})``, so the source is the one whose L(w) is ``fm - capped``.
-    ``fm`` is the top monomial less x_{2m} and ``capped`` the carrier less
-    it, so that L(w) is the top monomial less the carrier at every break:
-    one lookup in the level's half (``SpaceCatalog._build_half``) and one
-    diagonal spread per carrier, and per break one more ``merge_sign`` for
-    the match's sign.  A miss goes to ``_matched`` at break 1, whose table
-    lookup names the fault.
+    xi has the image ``fm / L(w)`` with the sign ``lc * fc``, ``fc [fm]``
+    the break's ``pd(x_{2m})`` and ``lc`` the coefficient of L(w), so the
+    source is the one whose L(w) is ``fm - capped``.  ``fm`` is the top
+    monomial less x_{2m} and ``capped`` the carrier less it, so that L(w)
+    is the top monomial less the carrier at every break: one lookup in the
+    level's half (``SpaceCatalog._half``) and one diagonal spread per
+    carrier.  A miss goes to ``_matched`` at break 1, whose table lookup
+    names the fault.
     """
     spreads = cat._spreads
     for (kind, k, i), c in x.terms.items():
@@ -339,22 +339,20 @@ def _breaks(cat: SpaceCatalog, x: LoopClass):
         ((mono, sign),) = carrier.terms.items()
         if carrier.degree() % 2:  # the cross-product sign of cap_with_thom
             sign = -sign
-        _, lifted, breaks = cat._halves.get(k) or cat._build_half(k)
+        _, lifted, breaks = cat._half(k)
         if not breaks:
             continue
-        lw = ring.top_monomial - mono  # fm - capped at every break
-        hit = lifted.get(lw)  # the source whose image fm / L(w) is capped
+        hit = lifted.get(ring.top_monomial - mono)  # the source whose image fm / L(w) is capped
         if hit is None:  # no source: break 1's table lookup raises, naming the fault
             _matched(cat, k, 1, ring, ring.div_monomials(mono, breaks[0][0]))
-        matched, lc = hit[0] >> 1, hit[1]
+        matched, c_lc = hit[0] >> 1, c * hit[1]
         spread = spreads.get(matched)
         if spread is None:
             spread = spreads[matched] = _diagonal_spread(cat, matched)
-        for m, (xm, fm, fc) in enumerate(breaks, 1):
+        for m, (xm, fc) in enumerate(breaks, 1):
             capped = ring.div_monomials(mono, xm)  # x_{2m}, coefficient 1, divides every carrier
             s = sign if ring.merge_sign(capped, xm) > 0 else -sign
-            t = _image_coeff(ring, capped, lw, lc * fc)
-            cu = c * s * t
+            cu = c_lc * s * fc
             terms = [(((kl, m, il), (kr, k - m, ir)), cu * dc) for (kl, il), (kr, ir), dc in spread]
             yield m, capped, s, matched, terms
 

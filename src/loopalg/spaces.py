@@ -25,16 +25,17 @@ source free of xi has the dual ``w xi``: its inverse dual and the
 retraction pullback L(w) of ``w`` are computed once per level too.  Its
 image at break m is ``pd(L(w) x_{2m}) = cap(L(w), pd(x_{2m}))`` by the cap
 module law: the one monomial ``fm / L(w)``, where ``fm`` is the monomial of
-``pd(x_{2m})``.  x_{2m} is one bit of the level ring, so ``fm`` is the top
-monomial less that bit, and the coefficient of ``pd(x_{2m})`` a Koszul sign;
-no ``pd`` is taken.  Those images, the L(w) and each break's ``pd(x_{2m})``
-are the level's break-invariant half, cached beside its entry; every
-break's table is checked against them once, when the half is built, with
-the tests that do not depend on the break made once per level.  The
-pipeline matches a capped carrier with no table, by inverting its one
-image: its source is the one whose L(w) is ``fm`` minus it, which is the
-top monomial less the carrier at every break.  ``pv_gysin_table`` builds
-one break's table from the half, on request.  xi is the last generator of
+``pd(x_{2m})``, with the product of the two coefficients and no sign of its
+own.  x_{2m} is one bit of the level ring, so ``fm`` is the top monomial
+less that bit, and the coefficient of ``pd(x_{2m})`` a Koszul sign; no
+``pd`` is taken.  Those images, the L(w) and each break's bit and sign are
+the level's break-invariant half, kept beside its entry; every break's
+table is checked against them once, when the half is built, with the tests
+that do not depend on the break made once per level.  The pipeline matches
+a capped carrier with no table, by inverting its one image: its source is
+the one whose L(w) is ``fm`` minus it, which is the top monomial less the
+carrier at every break.  ``pv_gysin_table`` builds one break's table from
+the half on each call, and keeps nothing.  xi is the last generator of
 SM x_M SM, so its slot is the lowest bit of a packed monomial, and a
 monomial free of xi is an SM monomial shifted up by one bit.  The catalog
 also keeps the pipeline's diagonal pushforwards, one per SM monomial.
@@ -128,10 +129,8 @@ class SpaceCatalog:
         # x_1 .. x_{2k-1}, one packed monomial.
         self._levels: dict[int, tuple[OrientedSpace, RingMap, tuple[RingElement, ...], Monomial]] = {}
         # Per level k, the break-invariant half of its wrong-way images
-        # (``_build_half``), empty at level 1, which has no break, and per
-        # (k, m) a table built from it on request.
+        # (``_half``), empty at level 1, which has no break.
         self._halves: dict[int, tuple[dict, dict, list]] = {1: ({}, {}, [])}
-        self._pv_tables: dict[tuple[int, int], dict[Monomial, tuple[Monomial, int]]] = {}
         # The pipeline's diagonal spreads (``loops._diagonal_spread``), one
         # per SM monomial, so at most 2n.
         self._spreads: dict[Monomial, list[tuple]] = {}
@@ -245,40 +244,44 @@ class SpaceCatalog:
         dividing by it is multiplying by it, every inverse dual one term, and
         no two sources may share an image; each fault raises ``RuntimeError``.
 
-        Built from the level's break-invariant half (``_build_half``), which
+        Built from the level's break-invariant half (``_half``), which
         checks every break m = 1 .. k - 1 when it is built, so a fault
         raises the refusal of the first break that has one, whichever break
         is asked for.  The table is the images of the sources carrying xi,
-        copied, and per source free of xi its image ``fm / L(w)``: one
-        ``Ring.div_monomials`` and one ``Ring.merge_sign``.  It is cached
-        per (k, m); the pipeline never asks for one.
+        copied, and per source free of xi its image ``fm / L(w)``, one
+        ``Ring.div_monomials``, with the sign ``lc * fc``.  Each call builds
+        a new table and keeps nothing; the pipeline never asks for one.
         """
         self._check_break(k, m)
-        if (k, m) not in self._pv_tables:
-            fixed, lifted, breaks = self._halves.get(k) or self._build_half(k)
-            self._pv_tables[k, m] = self._table(k, m, fixed, lifted.items(), *breaks[m - 1][1:])
-        return self._pv_tables[k, m]
+        fixed, lifted, breaks = self._half(k)
+        return self._table(k, m, fixed, lifted.items(), *breaks[m - 1])
 
-    def _build_half(self, k: int) -> tuple[dict, dict, list[tuple[Monomial, Monomial, int]]]:
-        """The checked break-invariant half of level k's wrong-way images, kept in ``_halves``.
+    def _half(self, k: int) -> tuple[dict, dict, list[tuple[Monomial, int]]]:
+        """The checked break-invariant half of level k's wrong-way images, built on first use.
 
         ``(fixed, lifted, breaks)``: the table entries of the 2n sources
         carrying xi, ``{image: (source, sign)}``, one ``gysin`` call each,
         through break 1's map; the 2n sources free of xi, ``{L(w): (source,
-        coeff)}``, one ``pd_inverse`` and one pullback each; and per break m
-        the monomial ``xm`` of x_{2m} and the one term ``(fm, fc)`` of
-        ``pd(x_{2m})``.  That term is read off the fiber bit, with the two
-        ``Ring`` methods ``cap`` calls: ``fm`` is the top monomial less
-        ``xm``, and ``fc`` the Koszul sign of ``fm * xm``.  A source free of
-        xi has the dual ``w xi``, with no sign, as xi is the last generator,
-        and its image at break m is ``fm / L(w)``.  So break m's table is
-        sound exactly when the L(w) are distinct with coeffs +1 or -1, which
-        holds for every break or none, and no L(w) holds ``xm`` and no
-        ``fm`` is an xi image times an L(w): O(1) per break, in break order.
-        A break that fails has its table built, which raises its refusal,
-        and nothing is cached.  A pullback L(w) of other than one term is
-        refused here, naming the source, the level and its breaks.
+        lc)}``, one ``pd_inverse`` and one pullback each; and per break m
+        the monomial ``xm`` of x_{2m} and the coefficient ``fc`` of the one
+        term ``fc [fm]`` of ``pd(x_{2m})``.  That term is read off the fiber
+        bit, with the two ``Ring`` methods ``cap`` calls: ``fm`` is the top
+        monomial less ``xm``, and ``fc`` the Koszul sign of ``fm * xm``.  A
+        source free of xi has the dual ``w xi``, with no sign, as xi is the
+        last generator, and its image at break m is ``fm / L(w)`` with the
+        coefficient ``lc * fc``: normal-ordering ``fm / L(w)`` and L(w)
+        moves b, the one odd generator L(w) can hold, past the image's
+        2k - 2 odd x's, an even count.  So break m's table is sound exactly
+        when the L(w) are distinct with coeffs +1 or -1, which holds for
+        every break or none, and no L(w) holds the bit ``xm`` and no ``fm``
+        is an xi image times an L(w): O(1) per break, in break order.  A
+        break that fails has its table built, which raises its refusal, and
+        nothing is kept.  A pullback L(w) of other than one term is refused
+        here, naming the source, the level and its breaks.
         """
+        half = self._halves.get(k)
+        if half is not None:
+            return half
         pair = self.sm_pair
         ring = pair.ring
         gam, lift, fibers, _ = self._level(k)
@@ -303,19 +306,17 @@ class SpaceCatalog:
                 lm, lc = self._one_term(k, u, "retraction pullback of the inverse dual", lift(w))
                 lifted.append((lm, (u, lc)))
         lms, level = dict(lifted), gam.ring
-        lcm = reduce(int.__or__, lms, 0) & level._bits  # one-bit slots or-ed, wide fields maxed
-        for shift, mask, _, _ in level._fields:
-            lcm |= max((lm >> shift) & mask for lm in lms) << shift
+        held = reduce(int.__or__, lms, 0)  # x_{2m} is one bit, held by an L(w) iff set here
         sound = len(lms) == len(lifted) and all(lc in (1, -1) for _, lc in lms.values())
         shared = {f + lm for f in fixed for lm in lms}  # each fm putting an L(w) on an xi image
         top, breaks = level.top_monomial, []
         for m, fiber in enumerate(fibers, 1):
             (xm,) = fiber.terms  # one bit, which the top monomial holds
-            fm = level.div_monomials(top, xm)  # pd(x_{2m}) = cap(x_{2m}, [top]) = fc [fm]
+            fm = top - xm  # pd(x_{2m}) = cap(x_{2m}, [top]) = fc [fm]
             fc = level.merge_sign(fm, xm)
-            if not sound or xm & lcm or fm in shared:
-                self._table(k, m, fixed, lifted, fm, fc)  # raises the refusal of break m
-            breaks.append((xm, fm, fc))
+            if not sound or xm & held or fm in shared:
+                self._table(k, m, fixed, lifted, xm, fc)  # raises the refusal of break m
+            breaks.append((xm, fc))
         return self._halves.setdefault(k, (fixed, lms, breaks))
 
     def _one_term(self, k, u, what, x) -> tuple[Monomial, int]:
@@ -327,15 +328,15 @@ class SpaceCatalog:
             )
         return next(iter(x.terms.items()))
 
-    def _table(self, k, m, fixed, lifted, fm, fc) -> dict[Monomial, tuple[Monomial, int]]:
+    def _table(self, k, m, fixed, lifted, xm, fc) -> dict[Monomial, tuple[Monomial, int]]:
         """Break m's table: ``fixed``, and each source of ``lifted`` at its image ``fm / L(w)``."""
         ring = self.gamma(k).ring
-        table = fixed.copy()
+        fm, table = ring.top_monomial - xm, fixed.copy()
         for lm, (u, lc) in lifted:
             mono = ring.div_monomials(fm, lm)
             if mono is None:
                 raise self._refused(k, m, table, u, count=0)
-            coeff = _image_coeff(ring, mono, lm, lc * fc)
+            coeff = lc * fc
             entry = (u, coeff)
             if coeff not in (1, -1) or table.setdefault(mono, entry) is not entry:
                 raise self._refused(k, m, table, u, mono, coeff)
@@ -361,17 +362,6 @@ class SpaceCatalog:
                 f"wrong-way images of [{first}] and [{second}] {where} are both [{shared}]"
             )
         return RuntimeError(f"wrong-way image of [{ring.monomial_str(u)}] {where} has {fault}")
-
-
-def _image_coeff(ring: Ring, mono: Monomial, lm: Monomial, c):
-    """The coefficient of [mono] in the wrong-way image of a source free of xi, L(w) = ``lm``.
-
-    That image is ``cap(L(w), pd(x_{2m}))``, where ``mono * lm`` is the
-    monomial of ``pd(x_{2m})``; ``c`` is the product of their coefficients,
-    signed here by normal-ordering ``mono * lm``.  The tables and the
-    pipeline's match both take the sign from here.
-    """
-    return c if ring.merge_sign(mono, lm) > 0 else -c
 
 
 _CATALOGS: dict[SpaceParams, SpaceCatalog] = {}

@@ -5,9 +5,10 @@ with no class built per table entry or per break, and the breaks match a
 capped carrier with no table at all.  Here the tables are rebuilt with
 every cap taken on ``HomologyElement`` operands, each break's match is
 compared with its table's entry, each break's ``pd(x_{2m})`` with the
-kernel's, and each break's step is retaken with ``cap_with_thom`` and
-``_match_wrongway``, the class-level stages, on every A and B generator of
-small levels.
+kernel's, the parity that lets an image take no sign of its own is
+checked at every break, and each break's step is retaken with
+``cap_with_thom`` and ``_match_wrongway``, the class-level stages, on
+every A and B generator of small levels.
 """
 
 from fractions import Fraction
@@ -75,20 +76,49 @@ def test_packed_tables_equal_the_class_tables_on_a_ring_wider_than_256_bits():
 
 @pytest.mark.parametrize(("token", "n"), SPACES, ids=IDS)
 def test_each_break_reads_pd_of_its_fiber_class_off_the_fiber_bit(token, n):
-    # A level's half keeps per break m the monomial xm of x_{2m} and the one
-    # term (fm, fc) of pd(x_{2m}), read off the fiber bit with no pd taken.
-    # Each must be what the kernel's pd of fiber_class(k, m) gives.  At
-    # k = 40 the level ring is wider than 64 bits.
+    # A level's half keeps per break m the monomial xm of x_{2m} and the
+    # coefficient fc of the one term fc [top - xm] of pd(x_{2m}), read off
+    # the fiber bit with no pd taken.  Each must be what the kernel's pd of
+    # fiber_class(k, m) gives.  At k = 40 the level ring is wider than 64 bits.
     cat = SpaceCatalog(SpaceParams.from_token(token, n))
     for k in [*range(2, 9), 40]:
         gam = cat.gamma(k)
         assert k <= 8 or gam.ring.width > 64
-        _, _, breaks = cat._build_half(k)
+        _, _, breaks = cat._half(k)
         assert len(breaks) == k - 1
-        for m, (xm, fm, fc) in enumerate(breaks, 1):
+        for m, (xm, fc) in enumerate(breaks, 1):
             fiber = cat.fiber_class(k, m)
             assert fiber.terms == {xm: 1}
-            assert pd(gam, fiber).terms == {fm: fc}
+            assert pd(gam, fiber).terms == {gam.ring.top_monomial - xm: fc}
+
+
+@pytest.mark.parametrize(
+    ("token", "n"),
+    [(token, n) for token in ("cp", "hp") for n in range(1, 5)],
+    ids=[f"{token}{n}" for token in ("cp", "hp") for n in range(1, 5)],
+)
+def test_an_xi_free_image_takes_no_sign_of_its_own(token, n):
+    # The image of an xi-free source at break m is cap(L(w), pd(x_{2m})):
+    # the monomial fm / L(w), fm = top - xm, with the coefficient lc * fc
+    # signed by normal-ordering (fm / L(w)) * L(w).  L(w) holds at most a,
+    # which is even, and b, which comes before every x, so that sign moves
+    # b past the image's 2k - 2 odd x's, an even count, and is +1.  The
+    # tables and the pipeline take lc * fc unsigned; this pins the parity
+    # they rely on.  At k = 40 the level ring is wider than 64 bits, and on
+    # hp3 at k = 130 wider than 256.
+    cat = SpaceCatalog(SpaceParams.from_token(token, n))
+    for k in [*range(2, 13), 40, *([130] if (token, n) == ("hp", 3) else [])]:
+        ring = cat.gamma(k).ring
+        _, lifted, breaks = cat._half(k)
+        assert len(lifted) == 2 * n and len(breaks) == k - 1
+        for m, (xm, fc) in enumerate(breaks, 1):
+            table = cat.pv_gysin_table(k, m)
+            fm = ring.top_monomial - xm
+            for lm, (u, lc) in lifted.items():
+                mono = fm - lm
+                assert ring.div_monomials(fm, lm) == mono
+                assert ring.merge_sign(mono, lm) == 1
+                assert table[mono] == (u, lc * fc)
 
 
 @pytest.mark.parametrize(("token", "n"), SPACES, ids=IDS)
@@ -110,7 +140,7 @@ def test_each_break_inverts_the_one_image_its_table_holds(token, n):
                     (_, _, dc), (_, v) = cat._spreads[matched][0], terms[0]
                     want = tables.pv_gysin_table(k, m)[capped]
                     assert (matched << 1, Fraction(v, sign * dc)) == want
-    assert cat._pv_tables == {}
+    assert cat._halves.keys() == {1, *cat._levels}
 
 
 def _summed(steps) -> dict:

@@ -495,4 +495,4 @@ def test_space_catalog_refuses_a_non_int(call, message):
     with pytest.raises(TypeError) as err:
         call(cat)
     assert str(err.value) == message
-    assert 1 not in cat._levels and cat._pv_tables == {}
+    assert 1 not in cat._levels and cat._halves.keys() == {1}

@@ -42,17 +42,26 @@ def xi_for_a20(monkeypatch):
 
     The pipeline finds the source of a capped class by the L(w) that its
     image ``fm / L(w)`` leaves, in the level's half; with that source gone
-    it looks the class up in the break's table, whose entry names xi.
+    it looks the class up in the break's table, whose entry names xi.  The
+    catalog keeps no table, so the shared catalog's ``pv_gysin_table(2, 1)``
+    returns one planted table, the same object on every call.
     """
     cat = catalog_for(CP2)
     table = cat.pv_gysin_table(2, 1)
     capped = cat.gamma(2).ring.monomial({"x1": 1, "x3": 1})
     source, sign = table[capped]
     assert source == cat.sm_pair.ring.monomial()
-    monkeypatch.setitem(table, capped, (cat.sm_pair.ring.monomial({"xi": 1}), sign))
-    _, lifted, ((_, fm, _),) = cat._halves[2]
-    assert lifted[fm - capped][0] == source
-    monkeypatch.delitem(lifted, fm - capped)
+    table[capped] = (cat.sm_pair.ring.monomial({"xi": 1}), sign)
+    real = SpaceCatalog.pv_gysin_table
+
+    def planted(self, k, m):
+        return table if self is cat and (k, m) == (2, 1) else real(self, k, m)
+
+    monkeypatch.setattr(SpaceCatalog, "pv_gysin_table", planted)
+    _, lifted, ((xm, _),) = cat._half(2)
+    lw = cat.gamma(2).ring.top_monomial - xm - capped  # fm - capped
+    assert lifted[lw][0] == source
+    monkeypatch.delitem(lifted, lw)
 
 
 def test_verify_pipeline_records_a_match_error_and_goes_on(xi_for_a20):
@@ -159,13 +168,13 @@ def test_a_cold_pipeline_refuses_a_broken_image_as_its_table_does(
         with pytest.raises(RuntimeError) as err:
             cat.pv_gysin_table(3, m)
         assert str(err.value) == refused
-        assert cat._halves.keys() == {1} and cat._pv_tables == {}
+        assert cat._halves.keys() == {1} and list(cat._levels) == [3]
     cat = SpaceCatalog(CP2)
     for kind in "AB":  # a refused level is not kept, so it is refused again
         with pytest.raises(RuntimeError) as err:
             coproduct_pipeline(LoopClass.generator(CP2, kind, 3, 1), cat)
         assert str(err.value) == refused
-        assert cat._halves.keys() == {1} and cat._pv_tables == {}
+        assert cat._halves.keys() == {1} and list(cat._levels) == [3]
     monkeypatch.setattr(spaces, "_CATALOGS", {})
     argv = ["--space", "cp", "--n", "2", "coproduct", "A[3,1]", "--route", "pipeline"]
     assert run(argv) == EXIT_INTERNAL == 3
@@ -192,4 +201,4 @@ def test_a_non_unit_lift_coefficient_is_refused_at_break_1_on_every_level(params
             with pytest.raises(RuntimeError) as err:
                 coproduct_pipeline(LoopClass.generator(params, "B", k, 0), cat)
             assert str(err.value) == refused + "not +1 or -1"
-            assert cat._halves.keys() == {1} and cat._pv_tables == {}
+            assert cat._halves.keys() == {1} and list(cat._levels) == [k]
